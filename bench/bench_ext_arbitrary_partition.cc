@@ -3,13 +3,16 @@
 // arbitrary partition model?" We realize a concrete upper bound with a
 // shared-seed CountSketch (cost O(s*d/eps^2), independent of n) against
 // the trivial O(s*n*d) of shipping the additive shares, across n and eps.
+// The CountSketch column is CountSketchProtocol on a Cluster::CreateAdditive
+// cluster; shipping every share costs s n-by-d dense messages.
 
 #include <cstdio>
 
-#include "dist/additive_cluster.h"
+#include "dist/countsketch_protocol.h"
 #include "linalg/blas.h"
 #include "sketch/error_metrics.h"
 #include "workload/generators.h"
+#include "workload/partition.h"
 
 namespace distsketch {
 namespace {
@@ -23,14 +26,13 @@ void Sweep() {
     const Matrix a = GenerateZipfSpectrum(
         {.rows = n, .cols = d, .alpha = 0.8, .seed = n});
     for (double eps : {0.3, 0.15}) {
-      auto cluster = AdditiveCluster::Create(SplitAdditive(a, s, 7), eps);
+      auto cluster = Cluster::CreateAdditive(SplitAdditive(a, s, 7), eps);
       DS_CHECK(cluster.ok());
-      auto exact = RunAdditiveExact(*cluster);
-      DS_CHECK(exact.ok());
-      auto cs = RunAdditiveCountSketch(*cluster, {.eps = eps, .seed = 3});
+      const uint64_t exact_words = s * cluster->cost_model().MatrixWords(n, d);
+      auto cs = CountSketchProtocol({.eps = eps, .seed = 3}).Run(*cluster);
       DS_CHECK(cs.ok());
       std::printf("  %-8zu %-7.3g %-12llu %-12llu %-12.3f\n", n, eps,
-                  static_cast<unsigned long long>(exact->comm.total_words),
+                  static_cast<unsigned long long>(exact_words),
                   static_cast<unsigned long long>(cs->comm.total_words),
                   CovarianceError(a, cs->sketch) /
                       (eps * SquaredFrobeniusNorm(a)));

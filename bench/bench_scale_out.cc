@@ -318,8 +318,7 @@ int main(int argc, char** argv) {
       auto cluster = use_sparse ? Cluster::CreateSparse(parts, eps)
                                 : Cluster::Create(parts, eps);
       DS_CHECK(cluster.ok());
-      ExactGramProtocol gram({.topology = MergeTopologyOptions::Star(),
-                              .use_sparse = use_sparse});
+      ExactGramProtocol gram({.topology = MergeTopologyOptions::Star()});
       const RunResult r = RunProtocol(gram, *cluster, kreps);
       const char* op = use_sparse ? "exact_gram_sparse_input"
                                   : "exact_gram_dense_input";

@@ -78,7 +78,7 @@ size_t FamilySketchRows(const std::string& family, double eps, size_t k,
   }
   if (family == "exact_gram") return dim;
   if (family == "countsketch") {
-    return static_cast<size_t>(std::ceil(4.0 / (eps * eps)));
+    return CountSketchBuckets(eps, kDefaultCountSketchOversample);
   }
   if (family == "row_sampling") {
     return static_cast<size_t>(std::ceil(2.0 / (eps * eps)));

@@ -16,6 +16,7 @@
 namespace distsketch {
 
 StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   ProtocolRunScope run_scope(cluster, "adaptive_sketch");
   const size_t d = cluster.dim();

@@ -21,9 +21,9 @@
 namespace distsketch {
 
 /// The wire state one transport instance meters into: a CommLog and an
-/// optional fault plan. Heap-pinned by its owner (Cluster, AdditiveCluster,
-/// the service runner) so the transport's wire closure can hold a raw
-/// pointer that stays valid across moves of the owner.
+/// optional fault plan. Heap-pinned by its owner (Cluster, the service
+/// runner) so the transport's wire closure can hold a raw pointer that
+/// stays valid across moves of the owner.
 struct WireEndpoint {
   explicit WireEndpoint(uint64_t bits_per_word) : log(bits_per_word) {}
 
@@ -60,10 +60,10 @@ struct ChannelOptions {
 /// Two drain modes share the same queue:
 ///   - *Pump mode* (no loop thread): `SendAndWait` submits and then pumps
 ///     the queue on the calling thread until its own transfer completes;
-///     `DrainAll` empties the queue. Protocol adapters (Cluster,
-///     AdditiveCluster) use this — submission order equals execution
-///     order equals the historical synchronous call order, which is what
-///     keeps seeded transcripts bit-identical (execution is serialized
+///     `DrainAll` empties the queue. The protocol adapter (Cluster) uses
+///     this — submission order equals execution order equals the
+///     historical synchronous call order, which is what keeps seeded
+///     transcripts bit-identical (execution is serialized
 ///     and FIFO, and the fault RNG streams are per-server, so the
 ///     schedule each server sees is unchanged).
 ///   - *Loop mode*: `StartLoop` runs a background thread that drains

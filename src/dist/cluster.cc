@@ -1,12 +1,15 @@
 #include "dist/cluster.h"
 
+#include "linalg/blas.h"
+
 namespace distsketch {
 
 Cluster::Cluster(std::vector<Server> servers, size_t dim, size_t total_rows,
-                 CostModel cost_model)
+                 CostModel cost_model, PartitionModel partition)
     : servers_(std::move(servers)),
       dim_(dim),
       total_rows_(total_rows),
+      partition_(partition),
       cost_model_(cost_model),
       wire_(std::make_unique<WireEndpoint>(cost_model.bits_per_word())),
       channel_(std::make_unique<ChannelTransport>(
@@ -45,7 +48,8 @@ StatusOr<Cluster> Cluster::Create(std::vector<Matrix> parts,
     servers.emplace_back(static_cast<int>(i), std::move(rows));
   }
   CostModel cost_model(std::max<uint64_t>(total_rows, 1), dim, eps_hint);
-  return Cluster(std::move(servers), dim, total_rows, cost_model);
+  return Cluster(std::move(servers), dim, total_rows, cost_model,
+                 PartitionModel::kRows);
 }
 
 StatusOr<Cluster> Cluster::CreateSparse(std::vector<Matrix> parts,
@@ -58,11 +62,42 @@ StatusOr<Cluster> Cluster::CreateSparse(std::vector<Matrix> parts,
   return cluster;
 }
 
+StatusOr<Cluster> Cluster::CreateAdditive(std::vector<Matrix> shares,
+                                          double eps_hint) {
+  if (shares.empty()) {
+    return Status::InvalidArgument("Cluster: no additive shares");
+  }
+  if (eps_hint <= 0.0) {
+    return Status::InvalidArgument("Cluster: eps_hint must be positive");
+  }
+  const size_t rows = shares[0].rows();
+  const size_t dim = shares[0].cols();
+  if (rows == 0 || dim == 0) {
+    return Status::InvalidArgument("Cluster: empty additive shares");
+  }
+  std::vector<Server> servers;
+  servers.reserve(shares.size());
+  for (size_t i = 0; i < shares.size(); ++i) {
+    if (shares[i].rows() != rows || shares[i].cols() != dim) {
+      return Status::InvalidArgument(
+          "Cluster: additive shares must have identical shape");
+    }
+    servers.emplace_back(static_cast<int>(i), std::move(shares[i]));
+  }
+  return Cluster(std::move(servers), dim, rows, CostModel(rows, dim, eps_hint),
+                 PartitionModel::kAdditive);
+}
+
 SendOutcome Cluster::Send(int from, int to, const wire::Message& msg) {
   return channel_->SendAndWait(from, to, msg);
 }
 
 Matrix Cluster::AssembleGroundTruth() const {
+  if (partition_ == PartitionModel::kAdditive) {
+    Matrix sum(total_rows_, dim_);
+    for (const auto& s : servers_) sum = Add(sum, s.local_rows());
+    return sum;
+  }
   Matrix out;
   out.SetZero(0, dim_);
   for (const auto& s : servers_) out.AppendRows(s.local_rows());

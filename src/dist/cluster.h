@@ -19,10 +19,25 @@
 
 namespace distsketch {
 
-/// One server of the simulated shared-nothing cluster. Holds the local
-/// row partition; protocols consume it through `OpenStream()` when they
-/// claim single-pass behaviour, or through `local_rows()` for batch
-/// protocols (the distinction §1's "distributed streaming vs batch").
+/// How the servers' local matrices make up the input A.
+enum class PartitionModel {
+  /// The paper's row partition: A = [A^(1); ...; A^(s)], each server
+  /// holding whole rows.
+  kRows,
+  /// The arbitrary partition model of Boutsidis et al. [5], the paper's
+  /// concluding open question: every server holds an n-by-d share and
+  /// A = sum_i A^(i). Local Grams do not add up (A^T A has cross terms),
+  /// so only a sketch linear in A — CountSketchProtocol — runs here;
+  /// every row-only consumer refuses it (RequireRowPartition).
+  kAdditive,
+};
+
+/// One server of the simulated shared-nothing cluster. Holds its local
+/// matrix — a block of whole rows (PartitionModel::kRows) or an n-by-d
+/// additive share (kAdditive); protocols consume it through
+/// `OpenStream()` when they claim single-pass behaviour, or through
+/// `local_rows()` for batch protocols (the distinction §1's "distributed
+/// streaming vs batch").
 class Server {
  public:
   Server(int id, Matrix local_rows)
@@ -56,7 +71,8 @@ class Server {
 };
 
 /// The simulated message-passing cluster of the paper's model: `s`
-/// servers holding a row partition of A, one coordinator, point-to-point
+/// servers holding a partition of A (rows, or additive shares; see
+/// PartitionModel), one coordinator, point-to-point
 /// channels metered by a CommLog. The substitution for a physical cluster
 /// is documented in DESIGN.md: the paper's complexity measure is words
 /// exchanged, which the simulation meters exactly.
@@ -75,11 +91,19 @@ class Cluster {
   static StatusOr<Cluster> CreateSparse(std::vector<Matrix> parts,
                                         double eps_hint, double tol = 0.0);
 
+  /// Builds an arbitrary-partition cluster: server i holds share i and
+  /// the input is A = sum_i A^(i). All shares must have identical,
+  /// non-empty shape.
+  static StatusOr<Cluster> CreateAdditive(std::vector<Matrix> shares,
+                                          double eps_hint);
+
   size_t num_servers() const { return servers_.size(); }
   /// Row dimension d.
   size_t dim() const { return dim_; }
-  /// Total rows across servers.
+  /// Rows n of the input A: summed across servers under kRows, the
+  /// shared share height under kAdditive.
   size_t total_rows() const { return total_rows_; }
+  PartitionModel partition() const { return partition_; }
 
   const Server& server(size_t i) const { return servers_[i]; }
 
@@ -135,17 +159,19 @@ class Cluster {
   /// TrySubmit + a loop thread.
   ChannelTransport& channel() { return *channel_; }
 
-  /// Reassembles the full input [A^(1); ...; A^(s)] (test/bench oracle —
-  /// a real coordinator never sees this).
+  /// Reassembles the full input — [A^(1); ...; A^(s)] under kRows,
+  /// sum_i A^(i) under kAdditive (test/bench oracle — a real coordinator
+  /// never sees this).
   Matrix AssembleGroundTruth() const;
 
  private:
   Cluster(std::vector<Server> servers, size_t dim, size_t total_rows,
-          CostModel cost_model);
+          CostModel cost_model, PartitionModel partition);
 
   std::vector<Server> servers_;
   size_t dim_;
   size_t total_rows_;
+  PartitionModel partition_;
   CostModel cost_model_;
   // Heap-pinned so the channel's wire closure (which captures the raw
   // pointer) survives moves of the Cluster. Declared before channel_:

@@ -1,6 +1,6 @@
 #include "dist/countsketch_protocol.h"
 
-#include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,18 +13,6 @@
 #include "workload/row_stream.h"
 
 namespace distsketch {
-namespace {
-
-/// Global row index of a server-local row: locally computable, distinct
-/// across servers (local counts stay far below 2^32), and stable under
-/// re-partitioning by whole shards — the properties the shared hash
-/// needs. Documented with the protocol in DESIGN.md §14.
-inline uint64_t GlobalRowIndex(size_t server, size_t local_row) {
-  return (static_cast<uint64_t>(server) << 32) |
-         static_cast<uint64_t>(local_row);
-}
-
-}  // namespace
 
 StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
@@ -39,9 +27,8 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     return Status::InvalidArgument(
         "countsketch: eps and oversample must be > 0");
   }
-  const size_t m = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(options_.oversample / (options_.eps * options_.eps))));
+  const size_t m = CountSketchBuckets(options_.eps, options_.oversample);
+  const bool additive = cluster.partition() == PartitionModel::kAdditive;
 
   DS_ASSIGN_OR_RETURN(MergeTopology topo,
                       MergeTopology::Build(s, options_.topology));
@@ -80,7 +67,10 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
 
   // Local compute: each seeded server streams its rows through the
   // compressor under the decoded seed — sparse rows through the O(nnz)
-  // scatter kernel when a CSR view is attached.
+  // scatter kernel when a CSR view is attached. Hash index of local row
+  // r: base | r, with base = server << 32 under kRows (distinct across
+  // servers, stable under re-partitioning by whole shards; local counts
+  // stay far below 2^32) and 0 under kAdditive (shares of row r agree).
   struct LocalWork {
     Matrix compressed;
     double mass = 0.0;
@@ -96,18 +86,18 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     span.SetAttr("server", static_cast<int64_t>(i));
     const Server& server = cluster.server(i);
     CountSketchCompressor compressor(m, d, seeds[i]);
-    const bool sparse = options_.use_sparse && server.has_sparse();
-    span.SetAttr("kernel", sparse ? "sparse" : "dense");
-    if (sparse) {
+    const uint64_t base = additive ? 0 : static_cast<uint64_t>(i) << 32;
+    span.SetAttr("kernel", server.has_sparse() ? "sparse" : "dense");
+    if (server.has_sparse()) {
       const CsrMatrix& csr = server.sparse();
       for (size_t r = 0; r < csr.rows(); ++r) {
-        compressor.AbsorbSparse(GlobalRowIndex(i, r), csr.RowIndices(r),
+        compressor.AbsorbSparse(base | r, csr.RowIndices(r),
                                 csr.RowValues(r));
       }
     } else {
       RowStream stream = server.OpenStream();
       for (size_t r = 0; stream.HasNext(); ++r) {
-        compressor.Absorb(GlobalRowIndex(i, r), stream.Next());
+        compressor.Absorb(base | r, stream.Next());
       }
     }
     w.compressed = std::move(compressor.ExportState().compressed);
@@ -139,6 +129,12 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
                       RunTreeReduce(cluster, topo, hooks, result.degraded));
   (void)tree_stats;
+  if (additive && result.degraded.degraded()) {
+    return Status::Unavailable(
+        "countsketch: share " +
+        std::to_string(result.degraded.lost_servers.front()) +
+        " permanently lost; the additive sum is unrecoverable");
+  }
 
   result.sketch = std::move(total);
   result.comm = log.Stats();

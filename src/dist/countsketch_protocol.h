@@ -5,15 +5,16 @@
 
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "sketch/countsketch.h"
 
 namespace distsketch {
 
 /// Options for the distributed CountSketch projection protocol.
 struct CountSketchProtocolOptions {
-  /// Accuracy parameter: m = ceil(oversample / eps^2) buckets give
-  /// coverr <= eps * ||A||_F^2 with constant probability.
+  /// Accuracy parameter: m = CountSketchBuckets(eps, oversample) buckets
+  /// give coverr <= eps * ||A||_F^2 with constant probability.
   double eps = 0.1;
-  double oversample = 4.0;
+  double oversample = kDefaultCountSketchOversample;
   /// Seed of the shared hash family. The coordinator owns it and ships
   /// it down the topology; servers use the seed they decode off the
   /// wire, never ambient configuration.
@@ -24,20 +25,21 @@ struct CountSketchProtocolOptions {
   /// to top_width words, since interior nodes forward the seed to their
   /// children.
   MergeTopologyOptions topology;
-  /// Absorb rows through the O(nnz) scatter_axpy kernel on servers that
-  /// carry a CSR view (Cluster::CreateSparse).
-  bool use_sparse = true;
 };
 
-/// The first randomized *projection* protocol in the suite: every server
-/// streams its local rows through the shared-seed CountSketch compressor
-/// (global row index = server_id * 2^32 + local row, so shards agree on
-/// the hash without a per-row broadcast), and bucket matrices are summed
-/// up the merge topology — one m-by-d message per server, coordinator
-/// inbound top_width messages. One round (plus the 1-word seed
-/// downlink), O(s d / eps^2) words, coverr <= eps * ||A||_F^2 with
-/// constant probability (DESIGN.md §14). Unlike fd_merge this survives
-/// the arbitrary-partition model, the paper's concluding open question.
+/// The randomized *projection* protocol, and the one protocol that runs
+/// in both partition models: every server streams its local matrix
+/// through the shared-seed CountSketch compressor and bucket matrices are
+/// summed up the merge topology — one m-by-d message per server,
+/// coordinator inbound top_width messages. The hash index of local row r
+/// on server i is server_id * 2^32 + r under PartitionModel::kRows (whole
+/// rows are distinct across servers) and the shared r under kAdditive
+/// (every share of row r must hash alike, so the sum is S A). One round
+/// (plus the 1-word seed downlink), O(s d / eps^2) words independent of
+/// n, coverr <= eps * ||A||_F^2 with constant probability (DESIGN.md
+/// §14). Under kAdditive a lost share is fatal: the run returns
+/// kUnavailable, since no widening of the bound covers the missing cross
+/// terms of A^T A.
 class CountSketchProtocol : public SketchProtocol {
  public:
   explicit CountSketchProtocol(CountSketchProtocolOptions options)

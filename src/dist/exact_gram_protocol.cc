@@ -39,6 +39,7 @@ StatusOr<Matrix> GramToSketch(const Matrix& total_gram) {
 }  // namespace
 
 StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   ProtocolRunScope run_scope(cluster, "exact_gram");
   const size_t d = cluster.dim();
@@ -61,11 +62,10 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
     span.SetAttr("server", static_cast<int64_t>(i));
     const Server& server = cluster.server(i);
     const Matrix& local = server.local_rows();
-    const bool sparse = options_.use_sparse && server.has_sparse();
-    span.SetAttr("kernel", sparse ? "sparse" : "dense");
+    span.SetAttr("kernel", server.has_sparse() ? "sparse" : "dense");
     if (local.rows() == 0) {
       w.gram = Matrix(d, d);
-    } else if (sparse) {
+    } else if (server.has_sparse()) {
       w.gram = server.sparse().Gram();
     } else {
       w.gram = Gram(local);

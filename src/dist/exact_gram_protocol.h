@@ -14,15 +14,6 @@ struct ExactGramOptions {
   /// pipeline let interior servers add partial Grams locally and cut the
   /// coordinator's inbound traffic to top_width messages.
   MergeTopologyOptions topology;
-  /// When set, servers carrying a CSR view of their partition (see
-  /// Cluster::CreateSparse) compute the local Gram with the
-  /// nnz-proportional sparse kernel instead of the dense O(n_i d^2) one.
-  /// Both kernels compute the same sum of per-row outer products; they
-  /// differ only in floating-point summation order across the skipped
-  /// zeros, so outputs are exactly equal whenever the products are exact
-  /// (e.g. the integer-valued determinism tests) and agree to rounding
-  /// otherwise.
-  bool use_sparse = true;
 };
 
 /// The trivial exact protocol referenced throughout the paper: every
@@ -32,6 +23,14 @@ struct ExactGramOptions {
 /// square root Sigma V^T of the exact covariance. This is the baseline
 /// every sub-d^2 algorithm must beat, and the matching upper bound for
 /// the 1/eps >= d regime of Theorem 3.
+///
+/// Servers carrying a CSR view of their partition (Cluster::CreateSparse)
+/// compute the local Gram with the nnz-proportional sparse kernel instead
+/// of the dense O(n_i d^2) one. Both kernels compute the same sum of
+/// per-row outer products; they differ only in floating-point summation
+/// order across the skipped zeros, so outputs are exactly equal whenever
+/// the products are exact (e.g. the integer-valued determinism tests) and
+/// agree to rounding otherwise.
 class ExactGramProtocol : public SketchProtocol {
  public:
   ExactGramProtocol() = default;

@@ -27,6 +27,7 @@ StatusOr<FrequentDirections> MakeFd(size_t dim, const FdMergeOptions& opt) {
 }  // namespace
 
 StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   ProtocolRunScope run_scope(cluster, "fd_merge");
   const size_t d = cluster.dim();

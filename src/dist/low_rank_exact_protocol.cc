@@ -77,6 +77,7 @@ LowRankLocal ComputeLowRankLocal(const Server& server, size_t d,
 }  // namespace
 
 StatusOr<SketchProtocolResult> LowRankExactProtocol::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   if (options_.k < 1) {
     return Status::InvalidArgument("LowRankExactProtocol: k < 1");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -105,6 +106,18 @@ ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         DegradedModeInfo& degraded,
                                         double mass, bool mass_known_if_lost,
                                         bool prepend_mass_report = false);
+
+/// Guard of every consumer whose math assumes whole rows (local Grams,
+/// FD merges, row sampling): kFailedPrecondition on an additive cluster,
+/// which only CountSketchProtocol sketches.
+inline Status RequireRowPartition(const Cluster& cluster,
+                                  std::string_view name) {
+  return cluster.partition() == PartitionModel::kRows
+             ? Status::OK()
+             : Status::FailedPrecondition(
+                   std::string(name) +
+                   ": needs a row partition, got additive shares");
+}
 
 /// A distributed protocol that leaves a covariance sketch of the
 /// partitioned input at the coordinator. Implementations must route every

@@ -21,6 +21,14 @@ double LogTerm(size_t d, double delta) {
   return std::max(1.0, std::log(static_cast<double>(d) / delta));
 }
 
+/// Words of one CountSketch uplink: the m-by-d bucket matrix at the
+/// protocol's default oversample.
+double CountSketchMessageWords(size_t d, double eps) {
+  return static_cast<double>(
+             CountSketchBuckets(eps, kDefaultCountSketchOversample)) *
+         static_cast<double>(d);
+}
+
 /// Sketch rows l of the FD protocol the request would run (the uplink
 /// message is l x d).
 double FdSketchRows(const SketchRequest& req) {
@@ -78,10 +86,8 @@ double PredictAdaptiveWords(size_t s, size_t d, const SketchRequest& req) {
 
 double PredictCountSketchWords(size_t s, size_t d,
                                const SketchRequest& req) {
-  // m buckets at the protocol's default oversample of 4; every server
-  // uplinks its m-by-d bucket matrix and receives the 1-word seed.
-  const double m = std::ceil(4.0 / (req.eps * req.eps));
-  return static_cast<double>(s) * m * static_cast<double>(d) +
+  // Every server uplinks its bucket matrix and receives the 1-word seed.
+  return static_cast<double>(s) * CountSketchMessageWords(d, req.eps) +
          static_cast<double>(s);
 }
 
@@ -161,8 +167,7 @@ StatusOr<ProtocolPlan> PlanSketchProtocol(size_t num_servers, size_t dim,
     CountSketchProtocolOptions options;
     options.eps = request.eps;
     options.seed = request.seed;
-    const double message_words =
-        std::ceil(4.0 / (request.eps * request.eps)) * static_cast<double>(d);
+    const double message_words = CountSketchMessageWords(d, request.eps);
     plan.topology = request.auto_topology
                         ? ChooseMergeTopology(s, message_words)
                         : request.topology;
@@ -277,8 +282,7 @@ StatusOr<ProtocolPlan> PlanSketchProtocol(size_t num_servers, size_t dim,
         chosen == "fd_merge"
             ? FdSketchRows(request) * static_cast<double>(d)
         : chosen == "countsketch"
-            ? std::ceil(4.0 / (request.eps * request.eps)) *
-                  static_cast<double>(d)
+            ? CountSketchMessageWords(d, request.eps)
             : static_cast<double>(d) * static_cast<double>(d + 1) / 2.0;
     const MergeTopologyOptions topology =
         request.auto_topology ? ChooseMergeTopology(s, message_words)

@@ -13,6 +13,7 @@
 namespace distsketch {
 
 StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   if (options_.eps <= 0.0 || options_.oversample <= 0.0) {
     return Status::InvalidArgument("RowSamplingProtocol: bad options");

@@ -27,7 +27,8 @@ struct SketchGoal {
   /// question. Only linear sketches survive this model: CountSketch
   /// buckets add across shards of the *same* row, while FD merges,
   /// per-shard Grams and row sampling all assume whole rows. Requesting
-  /// this restricts planning to the CountSketch family.
+  /// this restricts planning to the CountSketch family, whose protocol
+  /// runs on a Cluster::CreateAdditive cluster.
   bool arbitrary_partition = false;
 };
 

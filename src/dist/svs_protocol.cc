@@ -26,6 +26,7 @@ constexpr uint8_t kServerLostMassKnown = 2;  // lost in round 2
 }  // namespace
 
 StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   ProtocolRunScope run_scope(cluster, "svs");
   const size_t d = cluster.dim();

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "dist/protocol.h"
 #include "linalg/blas.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/qr.h"
@@ -24,6 +25,7 @@ Matrix SharedSeedGaussian(size_t rows, size_t cols, uint64_t seed) {
 }  // namespace
 
 StatusOr<PcaResult> DistributedPowerIterationPca::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   if (options_.k < 1) {
     return Status::InvalidArgument("DistributedPowerIterationPca: k < 1");

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dist/protocol.h"
 #include "linalg/spectral_kernel.h"
 #include "pca/distributed_power_iteration.h"
 #include "sketch/adaptive_sketch.h"
@@ -25,6 +26,7 @@ CommStats AddStats(const CommStats& a, const CommStats& b) {
 }  // namespace
 
 StatusOr<PcaResult> SketchAndSolvePca::Run(Cluster& cluster) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
   if (options_.k < 1) {
     return Status::InvalidArgument("SketchAndSolvePca: k < 1");

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dist/adaptive_sketch_protocol.h"
+#include "dist/protocol.h"
 #include "linalg/blas.h"
 #include "query/covariance_query.h"
 #include "sketch/error_metrics.h"
@@ -12,6 +13,7 @@ namespace distsketch {
 
 StatusOr<DistributedRidgeResult> DistributedRidge(
     Cluster& cluster, const DistributedRidgeOptions& options) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, "DistributedRidge"));
   if (options.lambda <= 0.0) {
     return Status::InvalidArgument("DistributedRidge: lambda must be > 0");
   }

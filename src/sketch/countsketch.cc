@@ -1,5 +1,6 @@
 #include "sketch/countsketch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -19,6 +20,11 @@ inline uint64_t Mix(uint64_t x) {
 
 }  // namespace
 
+size_t CountSketchBuckets(double eps, double oversample) {
+  return std::max<size_t>(
+      1, static_cast<size_t>(std::ceil(oversample / (eps * eps))));
+}
+
 CountSketchCompressor::CountSketchCompressor(size_t buckets, size_t dim,
                                              uint64_t seed)
     : seed_(seed) {
@@ -33,9 +39,8 @@ StatusOr<CountSketchCompressor> CountSketchCompressor::FromEps(
     return Status::InvalidArgument(
         "CountSketchCompressor: eps and oversample must be > 0");
   }
-  const size_t m = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(oversample / (eps * eps))));
-  return CountSketchCompressor(m, dim, seed);
+  return CountSketchCompressor(CountSketchBuckets(eps, oversample), dim,
+                               seed);
 }
 
 StatusOr<CountSketchCompressor> CountSketchCompressor::FromState(

@@ -9,6 +9,14 @@
 
 namespace distsketch {
 
+/// The oversample the eps-sized CountSketch paths default to.
+inline constexpr double kDefaultCountSketchOversample = 4.0;
+
+/// Buckets for coverr <= eps * ||A||_F^2 with constant probability:
+/// m = max(1, ceil(oversample / eps^2)). Callers validate eps and
+/// oversample > 0.
+size_t CountSketchBuckets(double eps, double oversample);
+
 /// Complete logical state of a CountSketchCompressor: the seed (which
 /// fixes the hash family) and the running compressed matrix. Absorb is a
 /// pure hash-plus-add, so restore-and-continue is bit-identical to an
@@ -43,10 +51,10 @@ class CountSketchCompressor {
   CountSketchCompressor(size_t buckets, size_t dim, uint64_t seed);
 
   /// Sizes the compressor for coverr <= eps * ||A||_F^2 (constant
-  /// probability): m = ceil(oversample / eps^2).
-  static StatusOr<CountSketchCompressor> FromEps(size_t dim, double eps,
-                                                 uint64_t seed,
-                                                 double oversample = 4.0);
+  /// probability): m = CountSketchBuckets(eps, oversample).
+  static StatusOr<CountSketchCompressor> FromEps(
+      size_t dim, double eps, uint64_t seed,
+      double oversample = kDefaultCountSketchOversample);
 
   /// Rebuilds a compressor from captured state (checkpoint restore /
   /// compact form conversion).

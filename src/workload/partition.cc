@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "linalg/blas.h"
+#include "workload/generators.h"
 
 namespace distsketch {
 
@@ -111,6 +113,26 @@ Matrix UnpartitionRows(const std::vector<Matrix>& parts) {
   Matrix out;
   for (const auto& p : parts) out.AppendRows(p);
   return out;
+}
+
+std::vector<Matrix> SplitAdditive(const Matrix& a, size_t s,
+                                  uint64_t seed) {
+  DS_CHECK(s >= 1);
+  std::vector<Matrix> shares;
+  shares.reserve(s);
+  // Scale the random shares like the data so no share is negligible.
+  const double scale = std::sqrt(
+      SquaredFrobeniusNorm(a) /
+      std::max<double>(1.0, static_cast<double>(a.size())));
+  Matrix remainder = a;
+  for (size_t i = 0; i + 1 < s; ++i) {
+    Matrix share = GenerateGaussian(a.rows(), a.cols(), scale,
+                                    Rng::DeriveSeed(seed, i));
+    remainder = Subtract(remainder, share);
+    shares.push_back(std::move(share));
+  }
+  shares.push_back(std::move(remainder));
+  return shares;
 }
 
 }  // namespace distsketch

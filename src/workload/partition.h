@@ -48,6 +48,13 @@ std::vector<Matrix> PartitionRowsZipf(const Matrix& a, size_t s,
 /// what the sketches approximate.
 Matrix UnpartitionRows(const std::vector<Matrix>& parts);
 
+/// Splits `a` into `s` random additive shares for the arbitrary
+/// partition model (Cluster::CreateAdditive): s-1 i.i.d. Gaussian
+/// matrices at the data's scale, the last share making the sum exact —
+/// the adversarial flavour of the model: every share is dense and
+/// individually carries no information about A.
+std::vector<Matrix> SplitAdditive(const Matrix& a, size_t s, uint64_t seed);
+
 }  // namespace distsketch
 
 #endif  // DISTSKETCH_WORKLOAD_PARTITION_H_

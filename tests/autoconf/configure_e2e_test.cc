@@ -180,6 +180,39 @@ TEST(ConfigureE2ETest, FrontDoorProvisionsAConfigThatMeetsGoalAndBudget) {
   EXPECT_EQ(answers[0].code, StatusCode::kFailedPrecondition);
 }
 
+// The solver's arbitrary-partition config, built into a protocol, runs
+// on additive shares and meets the goal against their sum at constant
+// probability.
+TEST(ConfigureE2ETest, ArbitraryPartitionConfigRunsOnAdditiveShares) {
+  AutoConfRequest request;
+  request.goal.eps = kGoalEps;
+  request.goal.delta = 0.01;
+  request.goal.arbitrary_partition = true;
+  request.shape = {kServers, kDim, kRows};
+  auto plan = SolveSketchConfig(request, &Predictor());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_FALSE(plan->ranked.empty());
+  const SketchConfig& config = plan->best().config;
+  ASSERT_EQ(config.family, "countsketch");
+
+  const Matrix a = Workload(/*seed=*/31);
+  int good = 0;
+  for (uint64_t t = 0; t < 5; ++t) {
+    auto cluster = Cluster::CreateAdditive(SplitAdditive(a, kServers, t),
+                                           config.working_eps);
+    ASSERT_TRUE(cluster.ok());
+    auto protocol = BuildProtocol(config, /*seed=*/40 + t);
+    ASSERT_TRUE(protocol.ok()) << protocol.status().ToString();
+    auto result = (*protocol)->Run(*cluster);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (CovarianceError(a, result->sketch) <=
+        kGoalEps * SquaredFrobeniusNorm(a)) {
+      ++good;
+    }
+  }
+  EXPECT_GE(good, 4) << "working_eps " << config.working_eps;
+}
+
 TEST(ConfigureE2ETest, InfeasibleBudgetAnswersFailedPreconditionWithPlan) {
   ServiceRunnerOptions options;
   options.service.tenant = TenantOptions{.dim = kDim, .eps = 0.25,

@@ -2,11 +2,7 @@
 // runs routed through the async ChannelTransport adapter must reproduce
 // the pre-refactor synchronous transcripts bit for bit — transcript
 // digest, analytic word count, wire bytes, control (NAK) bytes, and the
-// result sketch are all pinned. A second suite asserts the two cluster
-// flavours meter identically: the same send schedule through Cluster and
-// AdditiveCluster produces equal CommStats, including the
-// control_wire_bytes that AdditiveCluster's old direct-to-injector path
-// under-counted.
+// result sketch are all pinned.
 
 #include <cstring>
 #include <string>
@@ -15,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "dist/adaptive_sketch_protocol.h"
-#include "dist/additive_cluster.h"
 #include "dist/cluster.h"
 #include "dist/exact_gram_protocol.h"
 #include "dist/fd_merge_protocol.h"
@@ -150,55 +145,6 @@ TEST(ChannelEquivalence, ResetLogReplaysIdenticalTranscript) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(TranscriptDigest(cluster.log(), cluster.faults()), digest1);
   EXPECT_EQ(MatrixDigest(first->sketch), MatrixDigest(second->sketch));
-}
-
-// The two cluster flavours share one transport implementation, so an
-// identical send schedule over identical fault plans must meter
-// identically — in particular the NAK control bytes, which the old
-// AdditiveCluster fast path dropped from its CommStats.
-TEST(ChannelEquivalence, AdditiveClusterMetersLikeCluster) {
-  Matrix a = GenerateGaussian(96, 12, 1.0, 4242);
-  constexpr size_t kServers = 4;
-
-  auto row_cluster = Cluster::Create(
-      PartitionRows(a, kServers, PartitionScheme::kRoundRobin), 0.1);
-  ASSERT_TRUE(row_cluster.ok());
-  auto add_cluster =
-      AdditiveCluster::Create(SplitAdditive(a, kServers, 99), 0.1);
-  ASSERT_TRUE(add_cluster.ok());
-
-  FaultConfig fc = ChaosConfig();
-  fc.default_profile.drop_prob = 0.15;  // force retries -> NAK traffic
-  row_cluster->InstallFaultPlan(fc);
-  add_cluster->InstallFaultPlan(fc);
-
-  Matrix block = GenerateGaussian(6, 12, 1.0, 7);
-  for (int round = 0; round < 3; ++round) {
-    for (int s = 0; s < static_cast<int>(kServers); ++s) {
-      const wire::Message up =
-          wire::DenseMessage("test/up", block);
-      const wire::Message down = wire::ScalarMessage("test/down", 1.5);
-      const SendOutcome row_up = row_cluster->Send(s, kCoordinator, up);
-      const SendOutcome add_up = add_cluster->Send(s, kCoordinator, up);
-      EXPECT_EQ(row_up.delivered, add_up.delivered);
-      EXPECT_EQ(row_up.wire_bytes, add_up.wire_bytes);
-      EXPECT_EQ(row_up.control_bytes, add_up.control_bytes);
-      const SendOutcome row_down = row_cluster->Send(kCoordinator, s, down);
-      const SendOutcome add_down = add_cluster->Send(kCoordinator, s, down);
-      EXPECT_EQ(row_down.delivered, add_down.delivered);
-      EXPECT_EQ(row_down.control_bytes, add_down.control_bytes);
-    }
-  }
-
-  const CommStats row_stats = row_cluster->log().Stats();
-  const CommStats add_stats = add_cluster->log().Stats();
-  EXPECT_EQ(row_stats.total_words, add_stats.total_words);
-  EXPECT_EQ(row_stats.total_wire_bytes, add_stats.total_wire_bytes);
-  EXPECT_EQ(row_stats.control_wire_bytes, add_stats.control_wire_bytes);
-  EXPECT_GT(add_stats.control_wire_bytes, 0u)
-      << "fault plan produced no NAKs; raise drop_prob";
-  EXPECT_EQ(TranscriptDigest(row_cluster->log(), row_cluster->faults()),
-            TranscriptDigest(add_cluster->log(), add_cluster->faults()));
 }
 
 }  // namespace

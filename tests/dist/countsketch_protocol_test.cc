@@ -3,13 +3,17 @@
 // same (global index, row) pairs — CountSketch is linear, so shard-and-
 // sum is exact, not approximate. The approximation lives entirely in the
 // projection itself: coverr(A, SA) <= eps * ||A||_F^2 at the swept seeds.
+// The same protocol sketches additive shares (Cluster::CreateAdditive,
+// the arbitrary partition model), where a lost share fails the run.
 
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "dist/countsketch_protocol.h"
+#include "dist/fault_injection.h"
 #include "linalg/blas.h"
 #include "sketch/countsketch.h"
 #include "sketch/error_metrics.h"
@@ -28,8 +32,7 @@ uint64_t GlobalRowIndex(size_t server, size_t local_row) {
 }
 
 size_t BucketsFor(const CountSketchProtocolOptions& options) {
-  return static_cast<size_t>(
-      std::ceil(options.oversample / (options.eps * options.eps)));
+  return CountSketchBuckets(options.eps, options.oversample);
 }
 
 Cluster MakeCluster(const std::vector<Matrix>& parts) {
@@ -145,6 +148,175 @@ TEST(CountSketchProtocolTest, InvalidOptionsAreRejected) {
     auto result = CountSketchProtocol(options).Run(cluster);
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+Cluster MakeShareCluster(std::vector<Matrix> shares, double eps = 0.2) {
+  auto cluster = Cluster::CreateAdditive(std::move(shares), eps);
+  DS_CHECK(cluster.ok());
+  return std::move(*cluster);
+}
+
+// Integer-valued additive shares of an integer matrix: every bucket sum
+// is an exact integer whatever the association order.
+std::vector<Matrix> IntegerShares(const Matrix& a, size_t s, uint64_t seed) {
+  std::vector<Matrix> shares = SplitAdditive(a, s, seed);
+  Matrix last = a;
+  for (size_t i = 0; i + 1 < s; ++i) {
+    for (size_t k = 0; k < shares[i].size(); ++k) {
+      shares[i].data()[k] = std::round(3.0 * shares[i].data()[k]);
+    }
+    last = Subtract(last, shares[i]);
+  }
+  shares.back() = std::move(last);
+  return shares;
+}
+
+// The trivial exact protocol in the additive model, kept as an oracle:
+// ship every share (O(s n d) words) and sum them at the coordinator.
+SketchProtocolResult ShipEveryShare(Cluster& cluster) {
+  cluster.ResetLog();
+  cluster.log().BeginRound();
+  SketchProtocolResult result;
+  result.sketch.SetZero(cluster.total_rows(), cluster.dim());
+  for (size_t i = 0; i < cluster.num_servers(); ++i) {
+    SendOutcome sent = cluster.Send(
+        static_cast<int>(i), kCoordinator,
+        wire::DenseMessage("raw_share", cluster.server(i).local_rows()));
+    DS_CHECK(sent.delivered);
+    auto share = wire::DecodeMessagePayload(sent.payload);
+    DS_CHECK(share.ok());
+    result.sketch = Add(result.sketch, share->matrix);
+  }
+  result.comm = cluster.log().Stats();
+  return result;
+}
+
+// Under kAdditive every share of row r hashes with the shared index r,
+// so the protocol's sum is S A for the assembled A = sum_i A^(i): bit
+// for bit one compressor over A, on every topology and thread count.
+TEST(CountSketchProtocolTest, AdditiveSharesEqualOneCompressorOverTheSum) {
+  const Matrix a = GenerateSignMatrix(90, 7, /*seed=*/21);
+  const auto shares = IntegerShares(a, kServers, /*seed=*/4);
+  CountSketchProtocolOptions options{.eps = 0.35, .oversample = 2.0,
+                                     .seed = 91};
+  const Matrix sum = MakeShareCluster(shares).AssembleGroundTruth();
+  ASSERT_TRUE(sum == a);
+  CountSketchCompressor oracle(BucketsFor(options), a.cols(), options.seed);
+  for (size_t r = 0; r < sum.rows(); ++r) oracle.Absorb(r, sum.Row(r));
+
+  const size_t saved_threads = ThreadPool::GlobalThreads();
+  for (const size_t threads : {1u, 8u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const MergeTopologyOptions& topo :
+         {MergeTopologyOptions::Star(), MergeTopologyOptions::Tree(3),
+          MergeTopologyOptions::Pipeline()}) {
+      options.topology = topo;
+      Cluster cluster = MakeShareCluster(shares);
+      auto result = CountSketchProtocol(options).Run(cluster);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->sketch == oracle.compressed())
+          << "threads=" << threads << " topology=" << topo.fanout;
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
+}
+
+TEST(CountSketchProtocolTest, ShippingSharesIsExactAtSndWords) {
+  const Matrix a = GenerateLowRankPlusNoise(
+      {.rows = 50, .cols = 10, .rank = 4, .noise_stddev = 0.1, .seed = 3});
+  Cluster cluster = MakeShareCluster(SplitAdditive(a, 4, 9), 0.1);
+  const SketchProtocolResult result = ShipEveryShare(cluster);
+  EXPECT_NEAR(CovarianceError(a, result.sketch), 0.0,
+              1e-6 * SquaredFrobeniusNorm(a));
+  // The words E5 reports for shipping shares without running this.
+  EXPECT_EQ(result.comm.total_words,
+            cluster.num_servers() * cluster.cost_model().MatrixWords(50, 10));
+  EXPECT_EQ(result.comm.total_words, 4u * 50u * 10u);
+}
+
+TEST(CountSketchProtocolTest, AdditiveSharesMeetTheBudget) {
+  const Matrix a = GenerateZipfSpectrum(
+      {.rows = 400, .cols = 16, .alpha = 0.8, .seed = 4});
+  const double eps = 0.25;
+  Cluster cluster = MakeShareCluster(SplitAdditive(a, 6, 10), eps);
+  int good = 0;
+  for (int t = 0; t < 5; ++t) {
+    auto result = CountSketchProtocol(
+                      {.eps = eps, .oversample = 4.0,
+                       .seed = 100 + static_cast<uint64_t>(t)})
+                      .Run(cluster);
+    ASSERT_TRUE(result.ok());
+    // IMPORTANT: error is against the SUM, not any share.
+    if (CovarianceError(a, result->sketch) <=
+        eps * SquaredFrobeniusNorm(a)) {
+      ++good;
+    }
+  }
+  EXPECT_GE(good, 4);
+}
+
+TEST(CountSketchProtocolTest, AdditiveCostIsIndependentOfN) {
+  const double eps = 0.25;
+  uint64_t words_small = 0, words_large = 0;
+  for (const size_t n : {200u, 3200u}) {
+    const Matrix a = GenerateGaussian(n, 12, 1.0, n);
+    Cluster cluster = MakeShareCluster(SplitAdditive(a, 4, 11), eps);
+    auto result = CountSketchProtocol({.eps = eps, .seed = 5}).Run(cluster);
+    ASSERT_TRUE(result.ok());
+    (n == 200u ? words_small : words_large) = result->comm.total_words;
+  }
+  EXPECT_EQ(words_small, words_large);
+}
+
+TEST(CountSketchProtocolTest, RowPartitionIsASpecialCaseOfAdditive) {
+  // Shares with disjoint supports still sketch the sum (sanity that the
+  // model generalizes row partition).
+  const Matrix a = GenerateGaussian(60, 8, 1.0, 6);
+  std::vector<Matrix> shares(3, Matrix(60, 8));
+  for (size_t i = 0; i < 60; ++i) {
+    for (size_t j = 0; j < 8; ++j) shares[i % 3](i, j) = a(i, j);
+  }
+  Cluster cluster = MakeShareCluster(std::move(shares), 0.25);
+  auto result = CountSketchProtocol({.eps = 0.25, .seed = 12}).Run(cluster);
+  ASSERT_TRUE(result.ok());
+  EXPECT_LE(CovarianceError(a, result->sketch),
+            0.25 * SquaredFrobeniusNorm(a));
+}
+
+// A lost share makes the sum unrecoverable (no widening covers the
+// missing cross terms), so the additive run fails closed on any topology;
+// faults that only delay delivery leave the sketch untouched.
+TEST(CountSketchProtocolTest, AdditiveShareLossFailsClosed) {
+  const Matrix a = GenerateSignMatrix(72, 6, /*seed=*/5);
+  const auto shares = IntegerShares(a, kServers, /*seed=*/6);
+  FaultConfig kill_one;
+  kill_one.per_server[3].die_at_time = 0.0;
+  kill_one.seed = 13;
+  FaultConfig transient;
+  transient.default_profile.transient_fail_prob = 0.2;
+  transient.seed = 13;
+  for (const MergeTopologyOptions& topo :
+       {MergeTopologyOptions::Star(), MergeTopologyOptions::Tree(3)}) {
+    const CountSketchProtocolOptions options{
+        .eps = 0.4, .oversample = 2.0, .seed = 8, .topology = topo};
+    Cluster ideal = MakeShareCluster(shares);
+    auto fault_free = CountSketchProtocol(options).Run(ideal);
+    ASSERT_TRUE(fault_free.ok());
+
+    Cluster killed = MakeShareCluster(shares);
+    killed.InstallFaultPlan(kill_one);
+    auto lost = CountSketchProtocol(options).Run(killed);
+    EXPECT_EQ(lost.status().code(), StatusCode::kUnavailable)
+        << "fanout=" << topo.fanout;
+
+    Cluster delayed = MakeShareCluster(shares);
+    delayed.InstallFaultPlan(transient);
+    auto retried = CountSketchProtocol(options).Run(delayed);
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_FALSE(retried->degraded.degraded());
+    EXPECT_GT(retried->comm.num_retransmits, 0u) << "plan never stalled";
+    EXPECT_TRUE(retried->sketch == fault_free->sketch);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "dist/exact_gram_protocol.h"
 #include "dist/fd_merge_protocol.h"
+#include "linalg/blas.h"
 #include "sketch/error_metrics.h"
 #include "telemetry/telemetry.h"
 #include "workload/generators.h"
@@ -387,6 +388,31 @@ TEST(ProtocolPlannerTest, ArbitraryPartitionPlansCountSketch) {
   EXPECT_EQ(plan->protocol->Name(), "countsketch");
   EXPECT_DOUBLE_EQ(plan->predicted_words,
                    PredictCountSketchWords(8, 16, req));
+}
+
+// The arbitrary-partition plan runs end to end on additive shares and
+// meets eps * ||A||_F^2 against the sum at constant probability.
+TEST(ProtocolPlannerTest, ArbitraryPartitionPlanRunsOnAdditiveShares) {
+  const Matrix a = GenerateZipfSpectrum(
+      {.rows = 400, .cols = 16, .alpha = 0.8, .seed = 14});
+  SketchRequest req;
+  req.eps = 0.25;
+  req.arbitrary_partition = true;
+  int good = 0;
+  for (uint64_t t = 0; t < 5; ++t) {
+    req.seed = 200 + t;
+    auto plan = PlanSketchProtocol(6, 16, req);
+    ASSERT_TRUE(plan.ok());
+    auto cluster = Cluster::CreateAdditive(SplitAdditive(a, 6, t), req.eps);
+    ASSERT_TRUE(cluster.ok());
+    auto result = plan->protocol->Run(*cluster);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (CovarianceError(a, result->sketch) <=
+        req.eps * SquaredFrobeniusNorm(a)) {
+      ++good;
+    }
+  }
+  EXPECT_GE(good, 4);
 }
 
 TEST(ProtocolPlannerTest, ArbitraryPartitionRejectsDeterministicAndRankGoals) {
