@@ -37,9 +37,9 @@ void ChannelTransport::Execute(const std::shared_ptr<Transfer>& t) {
       span.SetAttr("from", static_cast<int64_t>(t->from));
       span.SetAttr("to", static_cast<int64_t>(t->to));
       span.SetAttr("server", static_cast<int64_t>(PeerOf(t->from, t->to)));
-      span.SetAttr("tag", t->msg.tag);
+      span.SetAttr("tag", t->msg->tag);
     }
-    out = wire_(t->from, t->to, t->msg);
+    out = wire_(t->from, t->to, *t->msg);
     if (span.active()) {
       span.SetAttr("bytes", out.wire_bytes);
       span.SetAttr("words", out.wire_words);
@@ -55,15 +55,15 @@ void ChannelTransport::Execute(const std::shared_ptr<Transfer>& t) {
     }
   }
   executed_.fetch_add(1);
-  std::function<void(const SendOutcome&)> done;
+  std::function<void(SendOutcome&&)> done;
   {
     std::lock_guard<std::mutex> g(lock_);
-    t->outcome = std::move(out);
-    t->completed = true;
     done = std::move(t->done);
+    if (!done) t->outcome = std::move(out);
+    t->completed = true;
   }
   cv_.notify_all();
-  if (done) done(t->outcome);
+  if (done) done(std::move(out));
 }
 
 SendOutcome ChannelTransport::SendAndWait(int from, int to,
@@ -71,7 +71,7 @@ SendOutcome ChannelTransport::SendAndWait(int from, int to,
   auto t = std::make_shared<Transfer>();
   t->from = from;
   t->to = to;
-  t->msg = msg;
+  t->msg = &msg;
   const int peer = PeerOf(from, to);
   // Enqueue, pumping (or waiting on the loop thread) while the peer's
   // queue is at capacity — blocking sends see backpressure, not sheds.
@@ -114,11 +114,12 @@ SendOutcome ChannelTransport::SendAndWait(int from, int to,
 
 Status ChannelTransport::TrySubmit(
     int from, int to, wire::Message msg,
-    std::function<void(const SendOutcome&)> done) {
+    std::function<void(SendOutcome&&)> done) {
   auto t = std::make_shared<Transfer>();
   t->from = from;
   t->to = to;
-  t->msg = std::move(msg);
+  t->owned = std::move(msg);
+  t->msg = &t->owned;
   t->done = std::move(done);
   const int peer = PeerOf(from, to);
   {

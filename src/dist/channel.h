@@ -86,14 +86,18 @@ class ChannelTransport {
   /// Blocking send: enqueues the transfer (waiting for queue space if the
   /// peer is at capacity — the backpressure path, never a shed) and pumps
   /// the queue until this transfer has executed. Returns its outcome.
+  /// `msg` is borrowed, not copied: the caller blocks until the transfer
+  /// completes, and the wire fn — possibly on the loop thread — reads the
+  /// caller's message in place.
   SendOutcome SendAndWait(int from, int to, const wire::Message& msg);
 
-  /// Non-blocking send: enqueues the transfer and returns OK, or sheds
-  /// with kOverloaded when the peer's queue is at capacity (the transfer
-  /// is NOT enqueued and `done` is NOT called). `done` runs on the
-  /// draining thread after the wire transfer executes.
+  /// Non-blocking send: enqueues the transfer (which owns `msg`) and
+  /// returns OK, or sheds with kOverloaded when the peer's queue is at
+  /// capacity (the transfer is NOT enqueued and `done` is NOT called).
+  /// `done` runs on the draining thread after the wire transfer executes
+  /// and takes ownership of the outcome (no one else reads it).
   Status TrySubmit(int from, int to, wire::Message msg,
-                   std::function<void(const SendOutcome&)> done);
+                   std::function<void(SendOutcome&&)> done);
 
   /// Pumps until the queue is empty (pump mode). Returns the number of
   /// transfers executed. Safe to call concurrently with a running loop
@@ -127,9 +131,13 @@ class ChannelTransport {
   struct Transfer {
     int from = kCoordinator;
     int to = kCoordinator;
-    wire::Message msg;
-    std::function<void(const SendOutcome&)> done;
+    /// The message on the wire: the blocked SendAndWait caller's, or
+    /// `owned` for a TrySubmit transfer.
+    const wire::Message* msg = nullptr;
+    wire::Message owned;
+    std::function<void(SendOutcome&&)> done;
     bool completed = false;
+    /// Set for waiters only; a `done` callback receives the outcome.
     SendOutcome outcome;
   };
 

@@ -6,9 +6,23 @@
 
 #include "common/logging.h"
 #include "telemetry/span.h"
+#include "wire/checksum.h"
 #include "wire/frame.h"
 
 namespace distsketch {
+namespace {
+
+// The receiver's view of a verified frame: the same buffer with the
+// header and tag shifted out, so the payload it decodes is exactly the
+// bytes that crossed the wire (no allocation, one in-place move).
+std::vector<uint8_t> StripFrameHeader(std::vector<uint8_t> frame,
+                                      const wire::FrameView& view) {
+  frame.erase(frame.begin(),
+              frame.begin() + static_cast<std::ptrdiff_t>(view.payload_offset));
+  return frame;
+}
+
+}  // namespace
 
 bool ServerFaultProfile::CanFault() const {
   return drop_prob > 0.0 || duplicate_prob > 0.0 || truncate_prob > 0.0 ||
@@ -134,13 +148,9 @@ void FaultInjector::MeterNak(CommLog& log, int from, int to,
   // The NAK is a real control frame flowing receiver -> sender: empty
   // payload, the rejected message's tag, the rejected attempt index. It
   // piggybacks on the round trip the sender is already waiting out, so
-  // no extra virtual latency is charged.
-  wire::Frame nak;
-  nak.tag = "nak";
-  nak.from = to;
-  nak.to = from;
-  nak.attempt = static_cast<uint32_t>(attempt);
-  const std::vector<uint8_t> buffer = wire::EncodeFrame(nak);
+  // no extra virtual latency is charged. Only its size is metered.
+  constexpr size_t kNakBytes =
+      wire::FrameBytes(std::string_view("nak").size(), 0);
 
   MessageRecord rec;
   rec.from = to;
@@ -148,12 +158,12 @@ void FaultInjector::MeterNak(CommLog& log, int from, int to,
   rec.tag = std::string(tag);
   rec.words = 0;
   rec.bits = 0;
-  rec.wire_bytes = buffer.size();
+  rec.wire_bytes = kNakBytes;
   rec.attempt = attempt;
   rec.control = true;
   rec.time = clock_.Now();
   log.RecordDetailed(std::move(rec));
-  out.control_bytes += buffer.size();
+  out.control_bytes += kNakBytes;
   AddEvent(FaultEventKind::kNak, to, from, tag, attempt, 0);
 }
 
@@ -178,6 +188,12 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
   const ServerFaultProfile& profile = config_.ProfileFor(server);
   Rng& rng = RngFor(server);
   bool receiver_dead = false;
+  // The frame checksum covers the payload only, so every attempt carries
+  // the same value; and every attempt is encoded into the one buffer,
+  // which a clean delivery finally hands to the receiver.
+  const uint64_t payload_checksum =
+      Checksum64(msg.payload.data(), msg.payload.size());
+  std::vector<uint8_t> buffer;
 
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     // Retry attempts get their own retransmit-phase span (nested inside
@@ -223,14 +239,10 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
     }
 
     // The bytes this attempt puts on the wire: a fresh frame per attempt
-    // (the attempt counter is part of the header).
-    wire::Frame frame;
-    frame.tag = tag;
-    frame.from = from;
-    frame.to = to;
-    frame.attempt = static_cast<uint32_t>(attempt);
-    frame.payload = msg.payload;
-    std::vector<uint8_t> buffer = wire::EncodeFrame(frame);
+    // (the attempt counter is part of the header), encoded straight from
+    // the sender's payload.
+    wire::EncodeFrameInto(tag, from, to, static_cast<uint32_t>(attempt),
+                          msg.payload, payload_checksum, &buffer);
 
     if (rng.NextBernoulli(profile.drop_prob)) {
       // Whole payload lost in flight: the words crossed the wire and are
@@ -255,7 +267,7 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
       const size_t kept = static_cast<size_t>(std::clamp<uint64_t>(
           buffer.size() * prefix / words, 1, buffer.size() - 1));
       buffer.resize(kept);
-      DS_CHECK(!wire::DecodeFrame(buffer.data(), buffer.size()).ok());
+      DS_CHECK(!wire::VerifyFrame(buffer.data(), buffer.size()).ok());
       MeterAttempt(log, from, to, tag, prefix, prefix_bits, kept, attempt,
                    /*truncated=*/true, /*duplicate=*/false,
                    /*corrupted=*/false);
@@ -269,13 +281,11 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
     if (!msg.payload.empty() && rng.NextBernoulli(profile.corrupt_prob)) {
       // Corruption: the full frame crosses the wire with one payload
       // byte flipped. The receiver's checksum verification catches it.
-      const size_t off = wire::kFrameHeaderBytes + tag.size() +
+      const size_t off = wire::FrameBytes(tag.size(), 0) +
                          static_cast<size_t>(rng.NextUint64Below(
                              msg.payload.size()));
       buffer[off] ^= static_cast<uint8_t>(1 + rng.NextUint64Below(255));
-      const Status verdict =
-          wire::DecodeFrame(buffer.data(), buffer.size()).status();
-      DS_CHECK(!verdict.ok());
+      DS_CHECK(!wire::VerifyFrame(buffer.data(), buffer.size()).ok());
       MeterAttempt(log, from, to, tag, words, bits, buffer.size(), attempt,
                    /*truncated=*/false, /*duplicate=*/false,
                    /*corrupted=*/true);
@@ -288,9 +298,9 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
     }
 
     // Clean delivery: the receiver parses and checksum-verifies the
-    // frame before acking.
-    auto decoded = wire::DecodeFrame(buffer.data(), buffer.size());
-    DS_CHECK(decoded.ok());
+    // frame in place before acking.
+    auto verified = wire::VerifyFrame(buffer.data(), buffer.size());
+    DS_CHECK(verified.ok());
     double latency = profile.latency;
     if (profile.latency_jitter > 0.0) {
       latency *= 1.0 + profile.latency_jitter * rng.NextDouble();
@@ -313,7 +323,7 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
       AddEvent(FaultEventKind::kDuplicated, from, to, tag, attempt, words);
     }
     out.delivered = true;
-    out.payload = std::move(decoded).value().payload;
+    out.payload = StripFrameHeader(std::move(buffer), *verified);
     return out;
   }
 
@@ -393,41 +403,36 @@ uint64_t TranscriptDigest(const CommLog& log, const FaultInjector* injector) {
 
 SendOutcome SendOverIdealWire(CommLog& log, int from, int to,
                               const wire::Message& msg) {
+  SendOutcome out;
+  out.delivered = true;
+  out.attempts = 1;
+  out.wire_words = msg.words;
   if (msg.cached_frame && msg.cached_frame->from == from &&
       msg.cached_frame->to == to) {
     // Pre-encoded fast path: the sender already ran EncodeFrame (off the
     // transport's serialized wire path — see wire::PreEncodeFrame), and
     // EncodeFrame is deterministic, so the cached bytes are exactly what
     // the encode below would produce. On the ideal wire the frame
-    // arrives unmangled, so the receiver's checksum verification is a
-    // round trip back to msg.payload; skip both and meter the cached
-    // frame.
-    log.Record(from, to, msg.tag, msg.words, msg.bits,
-               msg.cached_frame->bytes.size());
-    SendOutcome out;
-    out.delivered = true;
-    out.attempts = 1;
-    out.wire_words = msg.words;
-    out.wire_bytes = msg.cached_frame->bytes.size();
-    out.payload = msg.payload;
+    // arrives unmangled, so the receiver's checksum verification would
+    // pass by construction; skip it, meter the cached frame, and give
+    // the receiver the payload bytes of that frame.
+    const std::vector<uint8_t>& frame = msg.cached_frame->bytes;
+    log.Record(from, to, msg.tag, msg.words, msg.bits, frame.size());
+    out.wire_bytes = frame.size();
+    out.payload.assign(frame.begin() + static_cast<std::ptrdiff_t>(
+                                           wire::FrameBytes(msg.tag.size(), 0)),
+                       frame.end());
     return out;
   }
-  wire::Frame frame;
-  frame.tag = msg.tag;
-  frame.from = from;
-  frame.to = to;
-  frame.attempt = 0;
-  frame.payload = msg.payload;
-  const std::vector<uint8_t> buffer = wire::EncodeFrame(frame);
-  auto decoded = wire::DecodeFrame(buffer.data(), buffer.size());
-  DS_CHECK(decoded.ok());
+  std::vector<uint8_t> buffer;
+  wire::EncodeFrameInto(msg.tag, from, to, /*attempt=*/0, msg.payload,
+                        Checksum64(msg.payload.data(), msg.payload.size()),
+                        &buffer);
+  auto verified = wire::VerifyFrame(buffer.data(), buffer.size());
+  DS_CHECK(verified.ok());
   log.Record(from, to, msg.tag, msg.words, msg.bits, buffer.size());
-  SendOutcome out;
-  out.delivered = true;
-  out.attempts = 1;
-  out.wire_words = msg.words;
   out.wire_bytes = buffer.size();
-  out.payload = std::move(decoded).value().payload;
+  out.payload = StripFrameHeader(std::move(buffer), *verified);
   return out;
 }
 

@@ -130,9 +130,11 @@ struct SendOutcome {
   uint64_t control_bytes = 0;
   /// True iff the server endpoint is (now) declared permanently lost.
   bool server_lost = false;
-  /// On delivery: the payload bytes the receiver decoded out of the
-  /// verified frame (checksum checked). The receiver-side code decodes
-  /// its matrix/scalar from these bytes, never from sender state.
+  /// On delivery: the payload bytes of the frame that crossed the wire —
+  /// the verified frame buffer itself with its header stripped (on the
+  /// ideal wire's pre-encoded path, the payload bytes of the cached
+  /// frame). The receiver-side code decodes its matrix/scalar from these
+  /// bytes, never from sender state.
   std::vector<uint8_t> payload;
 };
 
@@ -156,12 +158,13 @@ class FaultInjector {
   void Reset();
 
   /// Simulates one logical message, metering every wire attempt into
-  /// `log`. Each attempt encodes the message into a checksummed frame,
-  /// mangles the bytes per the fault draw (truncation cuts the buffer,
-  /// corruption flips a payload byte), and runs the receiver's
-  /// DecodeFrame: only a frame that parses and checksums clean is
-  /// delivered; anything else is discarded and NAKed, and the sender
-  /// retries.
+  /// `log`. The payload checksum is computed once; each attempt encodes
+  /// the message into a frame (reusing one buffer), mangles the bytes per
+  /// the fault draw (truncation cuts the buffer, corruption flips a
+  /// payload byte), and runs the receiver's VerifyFrame: only a frame
+  /// that parses and checksums clean is delivered, as that same buffer
+  /// minus its header; anything else is discarded and NAKed, and the
+  /// sender retries.
   SendOutcome Send(CommLog& log, int from, int to, const wire::Message& msg);
 
   /// Convenience overload for metering-focused callers (tests,
@@ -190,8 +193,9 @@ class FaultInjector {
                     uint64_t words, uint64_t bits, uint64_t wire_bytes,
                     int attempt, bool truncated, bool duplicate,
                     bool corrupted);
-  /// Meters the receiver's NAK for a rejected attempt: a real encoded
-  /// control frame from `to` back to `from`, logged with control=true.
+  /// Meters the receiver's NAK for a rejected attempt: an empty-payload
+  /// control frame tagged "nak" from `to` back to `from` (metered at its
+  /// encoded size), logged with control=true.
   void MeterNak(CommLog& log, int from, int to, std::string_view tag,
                 int attempt, SendOutcome& out);
   // The per-server fault stream, lazily seeded from (config seed, id).
@@ -213,9 +217,10 @@ class FaultInjector {
 uint64_t TranscriptDigest(const CommLog& log, const FaultInjector* injector);
 
 /// Pushes one message over an ideal (fault-free) wire: encodes the
-/// frame, meters it once, and hands the receiver the decoded payload.
-/// The encode/decode round trip still runs — measured wire bytes and the
-/// receiver-side decode path are identical with and without faults.
+/// frame, meters it once, verifies it in place and hands the receiver
+/// the frame's payload bytes. The encode/verify round trip still runs —
+/// measured wire bytes and the receiver-side decode path are identical
+/// with and without faults.
 SendOutcome SendOverIdealWire(CommLog& log, int from, int to,
                               const wire::Message& msg);
 

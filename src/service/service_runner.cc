@@ -46,12 +46,12 @@ Status ServiceRunner::Submit(int client, wire::Message request,
   }
   Status status = channel_->TrySubmit(
       client, kCoordinator, std::move(request),
-      [this, client, cb = std::move(cb)](const SendOutcome& outcome) mutable {
+      [this, client, cb = std::move(cb)](SendOutcome&& outcome) mutable {
         Delivered d;
         d.client = client;
         d.delivered = outcome.delivered;
         d.request_wire_bytes = outcome.wire_bytes;
-        d.payload = outcome.payload;
+        d.payload = std::move(outcome.payload);
         d.cb = std::move(cb);
         if (!outcome.delivered) ++wire_lost_;
         std::lock_guard<std::mutex> g(inbox_lock_);

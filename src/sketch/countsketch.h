@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "common/status.h"
 #include "linalg/matrix.h"
@@ -62,6 +63,10 @@ class CountSketchCompressor {
 
   /// Captures the full logical state (see CountSketchState).
   CountSketchState ExportState() const;
+
+  /// Moves the compressed matrix out of a compressor that is done
+  /// absorbing — ExportState without the m-by-d copy.
+  Matrix TakeCompressed() && { return std::move(compressed_); }
 
   /// Absorbs one row with its *global* index (the index selects the
   /// bucket and sign, so all holders of additive shares of row i must

@@ -58,7 +58,12 @@ void AppendDenseBody(const Matrix& a, std::vector<uint8_t>* out) {
   }
 }
 
-StatusOr<Matrix> DecodeDenseBody(const uint8_t* data, size_t size) {
+namespace {
+
+// Every check DecodeDenseBody makes, without materialising the matrix:
+// on success *rows x *cols f64 entries follow at data + kShapeHeaderBytes.
+Status CheckDenseBody(const uint8_t* data, size_t size, uint64_t* rows,
+                      uint64_t* cols) {
   if (size < sizeof(kDenseMagic) ||
       std::memcmp(data, kDenseMagic, sizeof(kDenseMagic)) != 0) {
     return Status::InvalidArgument("dense codec: bad magic");
@@ -66,21 +71,29 @@ StatusOr<Matrix> DecodeDenseBody(const uint8_t* data, size_t size) {
   if (size < kShapeHeaderBytes) {
     return Status::InvalidArgument("dense codec: truncated header");
   }
-  const uint64_t rows = ReadPod<uint64_t>(data + 4);
-  const uint64_t cols = ReadPod<uint64_t>(data + 12);
-  DS_RETURN_IF_ERROR(ShapeCheck(rows, cols));
-  const uint64_t entries = rows * cols;
-  const size_t want = kShapeHeaderBytes + entries * sizeof(double);
+  *rows = ReadPod<uint64_t>(data + 4);
+  *cols = ReadPod<uint64_t>(data + 12);
+  DS_RETURN_IF_ERROR(ShapeCheck(*rows, *cols));
+  const size_t want = kShapeHeaderBytes + *rows * *cols * sizeof(double);
   if (size < want) {
     return Status::InvalidArgument("dense codec: truncated payload");
   }
   if (size > want) {
     return Status::InvalidArgument("dense codec: trailing bytes after payload");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<Matrix> DecodeDenseBody(const uint8_t* data, size_t size) {
+  uint64_t rows = 0;
+  uint64_t cols = 0;
+  DS_RETURN_IF_ERROR(CheckDenseBody(data, size, &rows, &cols));
   Matrix out(rows, cols);
-  if (entries > 0) {
+  if (out.size() > 0) {
     std::memcpy(out.data(), data + kShapeHeaderBytes,
-                entries * sizeof(double));
+                out.size() * sizeof(double));
   }
   return out;
 }
@@ -256,6 +269,50 @@ StatusOr<DecodedMatrix> DecodeMatrixPayload(const uint8_t* data, size_t size) {
           "matrix payload: unknown encoding byte " +
           std::to_string(static_cast<int>(data[0])));
   }
+}
+
+namespace {
+
+Status CheckAddShape(uint64_t rows, uint64_t cols, const Matrix& dst) {
+  if (rows != dst.rows() || cols != dst.cols()) {
+    return Status::InvalidArgument(
+        "matrix payload: shape " + std::to_string(rows) + "x" +
+        std::to_string(cols) + " does not match destination " +
+        std::to_string(dst.rows()) + "x" + std::to_string(dst.cols()));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status AddMatrixPayloadInto(const uint8_t* data, size_t size, Matrix* dst) {
+  if (size >= 1 &&
+      data[0] == static_cast<uint8_t>(MatrixEncoding::kDense)) {
+    uint64_t rows = 0;
+    uint64_t cols = 0;
+    DS_RETURN_IF_ERROR(CheckDenseBody(data + 1, size - 1, &rows, &cols));
+    DS_RETURN_IF_ERROR(CheckAddShape(rows, cols, *dst));
+    // Entries sit unaligned in the byte stream; memcpy loads keep the
+    // loop well-defined and still vectorise. dst + x rounds exactly like
+    // Add(dst, x).
+    const uint8_t* src = data + 1 + kShapeHeaderBytes;
+    double* out = dst->data();
+    for (size_t i = 0; i < dst->size(); ++i) {
+      double x = 0.0;
+      std::memcpy(&x, src + i * sizeof(double), sizeof(double));
+      out[i] += x;
+    }
+    return Status::OK();
+  }
+  // Quantized entries are only known after the whole stream (padding
+  // included) has been checked, so they are decoded first and dst is
+  // left untouched on any error. Not a hot path: quantized payloads are
+  // a fraction of a dense one's size.
+  DS_ASSIGN_OR_RETURN(DecodedMatrix dec, DecodeMatrixPayload(data, size));
+  DS_RETURN_IF_ERROR(CheckAddShape(dec.matrix.rows(), dec.matrix.cols(), *dst));
+  double* out = dst->data();
+  for (size_t i = 0; i < dst->size(); ++i) out[i] += dec.matrix.data()[i];
+  return Status::OK();
 }
 
 Matrix PackUpperTriangle(const Matrix& g) {

@@ -62,6 +62,15 @@ StatusOr<std::vector<uint8_t>> EncodeQuantizedPayload(const QuantizeResult& q);
 /// entry decodes as +0.0, which compares equal).
 StatusOr<DecodedMatrix> DecodeMatrixPayload(const uint8_t* data, size_t size);
 
+/// *dst += the matrix a payload carries, in place: the receiver-side merge
+/// of a linear sketch without materialising the decoded matrix. Runs every
+/// check DecodeMatrixPayload runs (magic, shape limits, exact size, for
+/// quantized payloads also bits/precision/padding), and rejects a payload
+/// whose shape differs from *dst. Bitwise equal to
+/// Add(*dst, DecodeMatrixPayload(data, size)->matrix); *dst is unchanged
+/// on error.
+Status AddMatrixPayloadInto(const uint8_t* data, size_t size, Matrix* dst);
+
 /// Packs the upper triangle (including diagonal) of the d x d symmetric
 /// matrix `g` into a 1 x d(d+1)/2 row vector, the wire form used by the
 /// exact-gram protocol so its measured words equal the analytic

@@ -11,10 +11,8 @@ namespace wire {
 namespace {
 
 template <typename T>
-void AppendPod(T v, std::vector<uint8_t>* out) {
-  const size_t base = out->size();
-  out->resize(base + sizeof(T));
-  std::memcpy(out->data() + base, &v, sizeof(T));
+void WritePod(T v, uint8_t* p) {
+  std::memcpy(p, &v, sizeof(T));
 }
 
 template <typename T>
@@ -26,7 +24,7 @@ T ReadPod(const uint8_t* p) {
 
 }  // namespace
 
-uint32_t WireTagId(const std::string& tag) {
+uint32_t WireTagId(std::string_view tag) {
   uint32_t h = 2166136261u;
   for (unsigned char c : tag) {
     h ^= c;
@@ -35,37 +33,50 @@ uint32_t WireTagId(const std::string& tag) {
   return h;
 }
 
-std::vector<uint8_t> EncodeFrame(const Frame& frame) {
+void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
+                     std::span<const uint8_t> payload,
+                     uint64_t payload_checksum, std::vector<uint8_t>* out) {
   // Codec cost is always host time (never the virtual clock): the
   // histograms answer "how expensive is the codec", not "when did the
   // simulated transfer happen".
   const bool telem = telemetry::Telemetry::Current()->enabled();
   const uint64_t t0 = telem ? telemetry::Telemetry::WallNowNs() : 0;
-  std::vector<uint8_t> out;
-  out.reserve(kFrameHeaderBytes + frame.tag.size() + frame.payload.size());
-  AppendPod<uint32_t>(kFrameMagic, &out);
-  AppendPod<uint16_t>(kFrameVersion, &out);
-  AppendPod<uint16_t>(static_cast<uint16_t>(frame.tag.size()), &out);
-  AppendPod<uint32_t>(WireTagId(frame.tag), &out);
-  AppendPod<int32_t>(frame.from, &out);
-  AppendPod<int32_t>(frame.to, &out);
-  AppendPod<uint32_t>(frame.attempt, &out);
-  AppendPod<uint64_t>(frame.payload.size(), &out);
-  AppendPod<uint64_t>(
-      Checksum64(frame.payload.data(), frame.payload.size()), &out);
-  out.insert(out.end(), frame.tag.begin(), frame.tag.end());
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  uint8_t header[kFrameHeaderBytes] = {};
+  WritePod<uint32_t>(kFrameMagic, header);
+  WritePod<uint16_t>(kFrameVersion, header + 4);
+  WritePod<uint16_t>(static_cast<uint16_t>(tag.size()), header + 6);
+  WritePod<uint32_t>(WireTagId(tag), header + 8);
+  WritePod<int32_t>(from, header + 12);
+  WritePod<int32_t>(to, header + 16);
+  WritePod<uint32_t>(attempt, header + 20);
+  WritePod<uint64_t>(payload.size(), header + 24);
+  WritePod<uint64_t>(payload_checksum, header + 32);
+  // clear + reserve + range inserts: each byte is written once (no
+  // zero-fill pass), and the reserve is a no-op on a reused buffer.
+  out->clear();
+  out->reserve(FrameBytes(tag.size(), payload.size()));
+  out->insert(out->end(), header, header + kFrameHeaderBytes);
+  out->insert(out->end(), tag.begin(), tag.end());
+  out->insert(out->end(), payload.begin(), payload.end());
   if (telem) {
     telemetry::Observe("wire.encode_ns",
                        telemetry::Telemetry::WallNowNs() - t0);
     telemetry::Count("wire.frames_encoded");
   }
+}
+
+std::vector<uint8_t> EncodeFrame(const Frame& frame) {
+  std::vector<uint8_t> out;
+  EncodeFrameInto(frame.tag, frame.from, frame.to, frame.attempt,
+                  frame.payload,
+                  Checksum64(frame.payload.data(), frame.payload.size()),
+                  &out);
   return out;
 }
 
 namespace {
 
-StatusOr<Frame> DecodeFrameImpl(const uint8_t* data, size_t size) {
+StatusOr<FrameView> VerifyFrameImpl(const uint8_t* data, size_t size) {
   if (size < kFrameHeaderBytes) {
     return Status::InvalidArgument("wire frame: truncated header");
   }
@@ -79,42 +90,54 @@ StatusOr<Frame> DecodeFrameImpl(const uint8_t* data, size_t size) {
   }
   const uint16_t tag_len = ReadPod<uint16_t>(data + 6);
   const uint32_t tag_id = ReadPod<uint32_t>(data + 8);
-  Frame frame;
-  frame.from = ReadPod<int32_t>(data + 12);
-  frame.to = ReadPod<int32_t>(data + 16);
-  frame.attempt = ReadPod<uint32_t>(data + 20);
+  FrameView view;
+  view.from = ReadPod<int32_t>(data + 12);
+  view.to = ReadPod<int32_t>(data + 16);
+  view.attempt = ReadPod<uint32_t>(data + 20);
   const uint64_t payload_len = ReadPod<uint64_t>(data + 24);
   const uint64_t checksum = ReadPod<uint64_t>(data + 32);
   if (payload_len > std::numeric_limits<size_t>::max() - kFrameHeaderBytes -
                         tag_len ||
-      size != kFrameHeaderBytes + tag_len + payload_len) {
+      size != FrameBytes(tag_len, payload_len)) {
     return Status::InvalidArgument("wire frame: length mismatch");
   }
-  frame.tag.assign(reinterpret_cast<const char*>(data + kFrameHeaderBytes),
-                   tag_len);
-  if (WireTagId(frame.tag) != tag_id) {
+  view.tag = std::string_view(
+      reinterpret_cast<const char*>(data + kFrameHeaderBytes), tag_len);
+  if (WireTagId(view.tag) != tag_id) {
     return Status::InvalidArgument("wire frame: tag id mismatch");
   }
-  const uint8_t* payload = data + kFrameHeaderBytes + tag_len;
-  if (Checksum64(payload, payload_len) != checksum) {
+  view.payload_offset = kFrameHeaderBytes + tag_len;
+  view.payload_size = payload_len;
+  if (Checksum64(data + view.payload_offset, payload_len) != checksum) {
     telemetry::Count("wire.checksum_failure");
     return Status::InvalidArgument("wire frame: checksum mismatch");
   }
-  frame.payload.assign(payload, payload + payload_len);
-  return frame;
+  return view;
 }
 
 }  // namespace
 
-StatusOr<Frame> DecodeFrame(const uint8_t* data, size_t size) {
+StatusOr<FrameView> VerifyFrame(const uint8_t* data, size_t size) {
   const bool telem = telemetry::Telemetry::Current()->enabled();
-  if (!telem) return DecodeFrameImpl(data, size);
+  if (!telem) return VerifyFrameImpl(data, size);
   const uint64_t t0 = telemetry::Telemetry::WallNowNs();
-  StatusOr<Frame> result = DecodeFrameImpl(data, size);
+  StatusOr<FrameView> result = VerifyFrameImpl(data, size);
   telemetry::Observe("wire.decode_ns", telemetry::Telemetry::WallNowNs() - t0);
   telemetry::Count("wire.frames_decoded");
   if (!result.ok()) telemetry::Count("wire.decode_failure");
   return result;
+}
+
+StatusOr<Frame> DecodeFrame(const uint8_t* data, size_t size) {
+  DS_ASSIGN_OR_RETURN(FrameView view, VerifyFrame(data, size));
+  Frame frame;
+  frame.tag = std::string(view.tag);
+  frame.from = view.from;
+  frame.to = view.to;
+  frame.attempt = view.attempt;
+  const uint8_t* payload = data + view.payload_offset;
+  frame.payload.assign(payload, payload + view.payload_size);
+  return frame;
 }
 
 }  // namespace wire

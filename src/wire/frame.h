@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -21,10 +23,16 @@ inline constexpr size_t kFrameHeaderBytes = 40;
 inline constexpr uint32_t kFrameMagic = 0x46575344;  // "DSWF" LE
 inline constexpr uint16_t kFrameVersion = 1;
 
+/// Encoded size of a frame with a `tag_len`-byte tag and a
+/// `payload_len`-byte payload — what the wire meters, without building it.
+constexpr size_t FrameBytes(size_t tag_len, size_t payload_len) {
+  return kFrameHeaderBytes + tag_len + payload_len;
+}
+
 /// FNV-1a 32-bit hash of the tag string; a compact id logged next to the
 /// human-readable tag so tooling can group messages without string
 /// compares.
-uint32_t WireTagId(const std::string& tag);
+uint32_t WireTagId(std::string_view tag);
 
 /// A decoded frame: routing metadata plus the raw payload bytes.
 struct Frame {
@@ -35,9 +43,34 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
+/// Serializes header + tag + payload into `out`, replacing its contents
+/// (its capacity is reused, so a sender re-encoding one payload per retry
+/// allocates at most once). `payload_checksum` must be
+/// Checksum64(payload): it covers the payload only, so one value serves
+/// every attempt of a send.
+void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
+                     std::span<const uint8_t> payload,
+                     uint64_t payload_checksum, std::vector<uint8_t>* out);
+
 /// Serializes header + tag + payload into one contiguous buffer. The
 /// checksum field is Checksum64 over the payload bytes only.
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
+
+/// A frame validated in place: the header fields plus where the payload
+/// sits inside the checked buffer. `tag` points into that buffer.
+struct FrameView {
+  std::string_view tag;
+  int from = 0;
+  int to = 0;
+  uint32_t attempt = 0;
+  size_t payload_offset = 0;
+  size_t payload_size = 0;
+};
+
+/// Runs every check DecodeFrame runs, with the same status messages, and
+/// copies nothing: the receiver reads the payload out of `data` at
+/// payload_offset.
+StatusOr<FrameView> VerifyFrame(const uint8_t* data, size_t size);
 
 /// Parses and validates a frame buffer. Rejects, with InvalidArgument:
 /// short buffers ("truncated"), wrong magic ("bad magic"), unknown
@@ -45,7 +78,8 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame);
 /// actual buffer size ("length mismatch"), and payload bytes whose
 /// checksum does not match the header ("checksum mismatch"). Any strict
 /// byte-prefix of a valid frame fails one of these checks, which is what
-/// lets a receiver detect fault-injected truncation.
+/// lets a receiver detect fault-injected truncation. VerifyFrame plus one
+/// copy of the tag and payload.
 StatusOr<Frame> DecodeFrame(const uint8_t* data, size_t size);
 
 }  // namespace wire

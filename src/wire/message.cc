@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "wire/checksum.h"
 #include "wire/frame.h"
 
 namespace distsketch {
@@ -81,16 +82,12 @@ StatusOr<DecodedMatrix> DecodeMessagePayload(
 }
 
 void PreEncodeFrame(Message& msg, int from, int to) {
-  Frame frame;
-  frame.tag = msg.tag;
-  frame.from = from;
-  frame.to = to;
-  frame.attempt = 0;
-  frame.payload = msg.payload;
   auto cached = std::make_shared<PreEncodedFrame>();
   cached->from = from;
   cached->to = to;
-  cached->bytes = EncodeFrame(frame);
+  EncodeFrameInto(msg.tag, from, to, /*attempt=*/0, msg.payload,
+                  Checksum64(msg.payload.data(), msg.payload.size()),
+                  &cached->bytes);
   msg.cached_frame = std::move(cached);
 }
 

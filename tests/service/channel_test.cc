@@ -169,6 +169,72 @@ TEST(ChannelTransport, LoopModeDrainsEverythingBeforeStopping) {
   EXPECT_EQ(channel.pending(), 0u);
 }
 
+// SendAndWait borrows the caller's message. When the loop thread, not the
+// caller, executes the transfer, the wire fn reads that message from the
+// loop thread while the caller blocks — the path TSan watches. The
+// schedule is forced: the loop thread is parked inside transfer "W" while
+// the caller enqueues "B" behind "X"; the caller's own pump takes X (and
+// holds it until B is gone from the queue), so only the loop thread can
+// run B.
+TEST(ChannelTransport, SendAndWaitExecutedByTheLoopThreadReturnsItsOutcome) {
+  std::atomic<bool> w_entered{false};
+  std::atomic<bool> w_release{false};
+  std::atomic<ChannelTransport*> channel_ptr{nullptr};
+  std::thread::id w_thread;
+  std::thread::id b_thread;
+  ChannelTransport channel([&](int from, int to, const wire::Message& msg) {
+    if (msg.tag == "W") {
+      w_thread = std::this_thread::get_id();
+      w_entered = true;
+      while (!w_release) std::this_thread::yield();
+    } else if (msg.tag == "X") {
+      while (channel_ptr.load()->pending() != 0) std::this_thread::yield();
+    } else if (msg.tag == "B") {
+      b_thread = std::this_thread::get_id();
+    }
+    SendOutcome out;
+    out.delivered = true;
+    out.attempts = 1;
+    out.wire_words = msg.words;
+    out.wire_bytes = msg.payload.size();
+    out.payload = msg.payload;
+    (void)from;
+    (void)to;
+    return out;
+  });
+  channel_ptr = &channel;
+  channel.StartLoop();
+  ASSERT_TRUE(channel.TrySubmit(1, kCoordinator, TestMessage("W", 1), nullptr)
+                  .ok());
+  while (!w_entered) std::this_thread::yield();
+  ASSERT_TRUE(channel.TrySubmit(2, kCoordinator, TestMessage("X", 2), nullptr)
+                  .ok());
+
+  const wire::Message b = wire::ScalarsMessage("B", {1.5, -2.5, 4.0});
+  SendOutcome b_out;
+  std::thread::id caller_thread;
+  std::thread caller([&] {
+    caller_thread = std::this_thread::get_id();
+    b_out = channel.SendAndWait(3, kCoordinator, b);
+  });
+  // B is queued and the caller has popped X: only B is left.
+  while (channel.submitted() != 3 || channel.pending() != 1) {
+    std::this_thread::yield();
+  }
+  w_release = true;
+  caller.join();
+  channel.StopLoop();
+
+  EXPECT_EQ(b_thread, w_thread);
+  EXPECT_NE(b_thread, caller_thread);
+  EXPECT_TRUE(b_out.delivered);
+  EXPECT_EQ(b_out.attempts, 1);
+  EXPECT_EQ(b_out.wire_words, 3u);
+  EXPECT_EQ(b_out.wire_bytes, b.payload.size());
+  EXPECT_EQ(b_out.payload, b.payload);
+  EXPECT_EQ(channel.executed(), 3u);
+}
+
 // A drain executed while the global thread pool is wide must observe the
 // same wire schedule as with a single thread: the channel serializes
 // execution regardless of who else is running.

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "linalg/blas.h"
 #include "linalg/matrix.h"
 #include "sketch/quantizer.h"
 
@@ -202,6 +204,75 @@ TEST(QuantizedCodecTest, RejectsNonzeroPaddingBits) {
   std::vector<uint8_t> bad = *payload;
   bad.back() ^= 0x80;  // highest bit of the final byte is padding
   EXPECT_FALSE(DecodeMatrixPayload(bad.data(), bad.size()).ok());
+}
+
+// The in-place add must match decode-then-Add bit for bit, and on any
+// rejection leave the destination untouched.
+std::vector<std::vector<uint8_t>> AddTestPayloads() {
+  std::vector<std::vector<uint8_t>> payloads;
+  payloads.push_back(EncodeDensePayload(RandomMatrix(6, 5, 201)));
+  auto q = QuantizeMatrix(RandomMatrix(6, 5, 202), 1e-3);
+  DS_CHECK(q.ok());
+  auto quantized = EncodeQuantizedPayload(*q);
+  DS_CHECK(quantized.ok());
+  payloads.push_back(std::move(*quantized));
+  return payloads;
+}
+
+TEST(AddMatrixPayloadTest, BitwiseEqualToDecodeThenAdd) {
+  for (const auto& payload : AddTestPayloads()) {
+    const Matrix base = RandomMatrix(6, 5, 203);
+    auto decoded = DecodeMatrixPayload(payload.data(), payload.size());
+    ASSERT_TRUE(decoded.ok());
+    const Matrix want = Add(base, decoded->matrix);
+    Matrix dst = base;
+    ASSERT_TRUE(AddMatrixPayloadInto(payload.data(), payload.size(), &dst)
+                    .ok());
+    EXPECT_TRUE(BitExactEqual(dst, want));
+  }
+}
+
+TEST(AddMatrixPayloadTest, RejectsEveryTruncationAndLeavesDstUntouched) {
+  for (const auto& payload : AddTestPayloads()) {
+    const Matrix base = RandomMatrix(6, 5, 204);
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      // An exact-size copy, so a read past the prefix is an ASan error.
+      const std::vector<uint8_t> prefix(payload.begin(),
+                                        payload.begin() + cut);
+      Matrix dst = base;
+      EXPECT_FALSE(
+          AddMatrixPayloadInto(prefix.data(), prefix.size(), &dst).ok())
+          << "prefix " << cut;
+      EXPECT_TRUE(BitExactEqual(dst, base)) << "prefix " << cut;
+    }
+  }
+}
+
+TEST(AddMatrixPayloadTest, RejectsShapeMismatchAndTrailingBytes) {
+  for (const auto& payload : AddTestPayloads()) {
+    for (const auto& shape : {std::pair<size_t, size_t>{5, 6},
+                              std::pair<size_t, size_t>{6, 4},
+                              std::pair<size_t, size_t>{0, 0}}) {
+      Matrix dst(shape.first, shape.second);
+      auto st = AddMatrixPayloadInto(payload.data(), payload.size(), &dst);
+      ASSERT_FALSE(st.ok());
+      EXPECT_NE(st.message().find("does not match destination"),
+                std::string::npos)
+          << st.message();
+    }
+    std::vector<uint8_t> trailing = payload;
+    trailing.push_back(0);
+    const Matrix base = RandomMatrix(6, 5, 205);
+    Matrix dst = base;
+    auto st = AddMatrixPayloadInto(trailing.data(), trailing.size(), &dst);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("trailing bytes"), std::string::npos)
+        << st.message();
+    EXPECT_TRUE(BitExactEqual(dst, base));
+  }
+  const uint8_t junk[] = {0x7F, 1, 2, 3};
+  Matrix dst(1, 1);
+  EXPECT_FALSE(AddMatrixPayloadInto(junk, sizeof(junk), &dst).ok());
 }
 
 TEST(UpperTriangleTest, PackUnpackRoundTrip) {

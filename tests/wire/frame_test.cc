@@ -98,6 +98,84 @@ TEST(FrameTest, ChecksumCatchesEverySingleBitFlipInPayload) {
   }
 }
 
+TEST(FrameTest, EncodeFrameIntoIsByteEqualToEncodeFrame) {
+  const Frame f = TestFrame();
+  // A reused buffer with stale, larger contents must be fully replaced.
+  std::vector<uint8_t> out(4096, 0xAB);
+  EncodeFrameInto(f.tag, f.from, f.to, f.attempt, f.payload,
+                  Checksum64(f.payload.data(), f.payload.size()), &out);
+  EXPECT_EQ(out, EncodeFrame(f));
+  EXPECT_EQ(out.size(), FrameBytes(f.tag.size(), f.payload.size()));
+
+  EncodeFrameInto("", 0, 0, 0, {}, Checksum64(nullptr, 0), &out);
+  EXPECT_EQ(out, EncodeFrame(Frame{}));
+  EXPECT_EQ(out.size(), FrameBytes(0, 0));
+}
+
+TEST(FrameTest, VerifyFrameViewsTheHeaderAndPayloadInPlace) {
+  const Frame f = TestFrame();
+  const std::vector<uint8_t> buf = EncodeFrame(f);
+  auto view = VerifyFrame(buf.data(), buf.size());
+  ASSERT_TRUE(view.ok()) << view.status().message();
+  EXPECT_EQ(view->tag, f.tag);
+  EXPECT_EQ(view->tag.data(),
+            reinterpret_cast<const char*>(buf.data() + kFrameHeaderBytes));
+  EXPECT_EQ(view->from, f.from);
+  EXPECT_EQ(view->to, f.to);
+  EXPECT_EQ(view->attempt, f.attempt);
+  EXPECT_EQ(view->payload_offset, FrameBytes(f.tag.size(), 0));
+  ASSERT_EQ(view->payload_size, f.payload.size());
+  EXPECT_EQ(std::memcmp(buf.data() + view->payload_offset, f.payload.data(),
+                        f.payload.size()),
+            0);
+}
+
+// VerifyFrame and DecodeFrame must agree on every input: same verdict,
+// same status text, and on acceptance the same header and payload.
+void ExpectVerifyMatchesDecode(const std::vector<uint8_t>& buf,
+                               const std::string& what) {
+  auto decoded = DecodeFrame(buf.data(), buf.size());
+  auto verified = VerifyFrame(buf.data(), buf.size());
+  ASSERT_EQ(decoded.ok(), verified.ok()) << what;
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.status().code(), verified.status().code()) << what;
+    EXPECT_EQ(decoded.status().message(), verified.status().message())
+        << what;
+    return;
+  }
+  EXPECT_EQ(decoded->tag, verified->tag) << what;
+  EXPECT_EQ(decoded->from, verified->from) << what;
+  EXPECT_EQ(decoded->to, verified->to) << what;
+  EXPECT_EQ(decoded->attempt, verified->attempt) << what;
+  const std::vector<uint8_t> payload(
+      buf.begin() + static_cast<std::ptrdiff_t>(verified->payload_offset),
+      buf.end());
+  EXPECT_EQ(decoded->payload, payload) << what;
+}
+
+TEST(FrameTest, VerifyFrameAgreesWithDecodeFrameOnEveryPrefix) {
+  const std::vector<uint8_t> buf = EncodeFrame(TestFrame());
+  for (size_t cut = 0; cut < buf.size(); ++cut) {
+    // An exact-size copy, so a read past the prefix is an ASan error.
+    const std::vector<uint8_t> prefix(buf.begin(), buf.begin() + cut);
+    EXPECT_FALSE(VerifyFrame(prefix.data(), prefix.size()).ok());
+    ExpectVerifyMatchesDecode(prefix, "prefix " + std::to_string(cut));
+  }
+  ExpectVerifyMatchesDecode(buf, "whole frame");
+}
+
+TEST(FrameTest, VerifyFrameAgreesWithDecodeFrameOnEveryBitFlip) {
+  const std::vector<uint8_t> clean = EncodeFrame(TestFrame());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> buf = clean;
+      buf[i] ^= static_cast<uint8_t>(1u << bit);
+      ExpectVerifyMatchesDecode(
+          buf, "byte " + std::to_string(i) + " bit " + std::to_string(bit));
+    }
+  }
+}
+
 TEST(FrameTest, WireTagIdIsStableAndDiscriminates) {
   EXPECT_EQ(WireTagId("local_sketch"), WireTagId("local_sketch"));
   EXPECT_NE(WireTagId("local_sketch"), WireTagId("local_mass"));
