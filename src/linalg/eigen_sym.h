@@ -32,9 +32,10 @@ struct EigenSymOptions {
 /// stop being reallocated on every call.
 struct EigenSymWorkspace {
   Matrix a;                   // spare working copy (kept for callers)
-  Matrix v;                   // working copy -> eigenvector accumulator
+  Matrix v;                   // working copy -> transposed accumulator
   std::vector<double> evals;  // unsorted eigenvalues
   std::vector<double> off;    // tridiagonal subdiagonal scratch
+  std::vector<double> acc;    // Householder back-accumulation row
   std::vector<size_t> order;  // sort permutation
 };
 

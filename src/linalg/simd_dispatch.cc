@@ -180,13 +180,12 @@ void ColRotateScalar(double* base, size_t m, size_t n, size_t p, size_t q,
   }
 }
 
-void QlRotateScalar(double* z, size_t nrows, size_t ncols, size_t i,
-                    double s, double c) {
-  for (size_t k = 0; k < nrows; ++k) {
-    double* row = z + k * ncols;
-    const double f = row[i + 1];
-    row[i + 1] = s * row[i] + c * f;
-    row[i] = c * row[i] - s * f;
+void QlRotateRowsScalar(double* a, double* b, size_t n, double s,
+                        double c) {
+  for (size_t k = 0; k < n; ++k) {
+    const double f = b[k];
+    b[k] = s * a[k] + c * f;
+    a[k] = c * a[k] - s * f;
   }
 }
 
@@ -297,7 +296,7 @@ const SimdKernelTable kScalarTable = {
     .syrk_acc = SyrkAccScalar,
     .col_dot = ColDotScalar,
     .col_rotate = ColRotateScalar,
-    .ql_rotate = QlRotateScalar,
+    .ql_rotate_rows = QlRotateRowsScalar,
     .dot = DotScalar,
     .axpy2 = Axpy2Scalar,
     .axpy = AxpyScalar,

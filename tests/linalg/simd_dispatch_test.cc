@@ -247,13 +247,11 @@ TEST(SimdAgreementTest, QlRotateAndAxpy2WithinEnvelope) {
     const SimdKernelTable& vec = SimdTableFor(backend);
     const SimdKernelTable& ref = SimdTableFor(SimdBackend::kScalar);
     for (const size_t n : {2u, 3u, 5u, 17u, 64u}) {
-      Matrix z0 = RandomMatrix(n, n, n, 1.0);
-      for (size_t i = 0; i + 1 < n; ++i) {
-        Matrix vz = z0, rz = z0;
-        vec.ql_rotate(vz.data(), n, n, i, 0.6, 0.8);
-        ref.ql_rotate(rz.data(), n, n, i, 0.6, 0.8);
-        ExpectWithinEnvelope(vz, rz, 2.0, "ql_rotate");
-      }
+      Matrix vz2 = RandomMatrix(2, n, n, 1.0);
+      Matrix rz2 = vz2;
+      vec.ql_rotate_rows(vz2.data(), vz2.data() + n, n, 0.6, 0.8);
+      ref.ql_rotate_rows(rz2.data(), rz2.data() + n, n, 0.6, 0.8);
+      ExpectWithinEnvelope(vz2, rz2, 2.0, "ql_rotate_rows");
       const Matrix e = RandomMatrix(1, n, 2 * n, 1.0);
       const Matrix zi = RandomMatrix(1, n, 3 * n, 1.0);
       Matrix vz = RandomMatrix(1, n, 4 * n, 1.0);
@@ -390,7 +388,7 @@ TEST(SimdDispatchTest, TableForEverySupportedBackendHasAllEntries) {
     EXPECT_NE(t.syrk_acc, nullptr);
     EXPECT_NE(t.col_dot, nullptr);
     EXPECT_NE(t.col_rotate, nullptr);
-    EXPECT_NE(t.ql_rotate, nullptr);
+    EXPECT_NE(t.ql_rotate_rows, nullptr);
     EXPECT_NE(t.dot, nullptr);
     EXPECT_NE(t.axpy2, nullptr);
     EXPECT_NE(t.pack_window, nullptr);
