@@ -1,5 +1,5 @@
 // Experiment E7 — parallel scaling of the local-sketch hot path, and the
-// Gram-eigen vs Jacobi-SVD fast-shrink A/B (see EXPERIMENTS.md §E7).
+// FD row-Gram shrink timing (see EXPERIMENTS.md §E7).
 //
 // Part 1 sweeps the global thread pool over {1, 2, 4, 8} and times the
 // fd_merge protocol end to end: the per-server FD compression dominates,
@@ -7,9 +7,8 @@
 // or cores. The sketches are asserted bit-identical across thread counts
 // (the engine's core promise), so speedup is never bought with drift.
 //
-// Part 2 pins one thread and A/Bs the two FD shrink kernels on a tall
-// d >> l instance, where the Gram path's O(l^2 d) beats Jacobi's
-// O(d l^2 * sweeps).
+// Part 2 pins one thread and times FD on a tall d >> l instance, where
+// every shrink eigensolves the 2l-by-2l row Gram in O(l^2 d + l^3).
 //
 // Every measurement is appended to BENCH_sketch.json. `--smoke` shrinks
 // the instance so the binary doubles as a CTest perf-smoke (label
@@ -96,8 +95,8 @@ void SweepThreads(const Sizes& sz, BenchJsonWriter& json) {
   ThreadPool::SetGlobalThreads(1);
 }
 
-void ShrinkKernelAb(const Sizes& sz, BenchJsonWriter& json) {
-  Section("E7b: FD shrink kernel A/B (Gram-eigen vs Jacobi SVD)");
+void ShrinkTiming(const Sizes& sz, BenchJsonWriter& json) {
+  Section("E7b: FD shrink (row-Gram eigensolve)");
   std::printf("  n=%zu d=%zu l=%zu (d > 2l: the Gram regime)\n", sz.shrink_n,
               sz.shrink_d, sz.shrink_l);
   const Matrix a = GenerateZipfSpectrum({.rows = sz.shrink_n,
@@ -106,31 +105,21 @@ void ShrinkKernelAb(const Sizes& sz, BenchJsonWriter& json) {
                                          .top_singular_value = 100.0,
                                          .seed = 2});
   ThreadPool::SetGlobalThreads(1);
-  const FdShrinkKernel saved = GetFdShrinkKernel();
-  struct Case {
-    const char* name;
-    FdShrinkKernel kernel;
-  };
-  for (const Case& c : {Case{"fd_shrink_gram", FdShrinkKernel::kGramEigen},
-                        Case{"fd_shrink_jacobi", FdShrinkKernel::kJacobiSvd}}) {
-    SetFdShrinkKernel(c.kernel);
-    WallTimer timer;
-    FrequentDirections fd(sz.shrink_d, sz.shrink_l);
-    fd.AppendRows(a);
-    const Matrix b = fd.Sketch();
-    const double ms = timer.ElapsedMs();
-    std::printf("  %-18s wall_ms=%9.2f coverr/||A||_F^2=%.3e\n", c.name, ms,
-                CovarianceError(a, b) / SquaredFrobeniusNorm(a));
-    json.Add(BenchRecord{.op = c.name,
-                         .n = sz.shrink_n,
-                         .d = sz.shrink_d,
-                         .s = 1,
-                         .l = sz.shrink_l,
-                         .threads = 1,
-                         .wall_ms = ms,
-                         .words = 0});
-  }
-  SetFdShrinkKernel(saved);
+  WallTimer timer;
+  FrequentDirections fd(sz.shrink_d, sz.shrink_l);
+  fd.AppendRows(a);
+  const Matrix b = fd.Sketch();
+  const double ms = timer.ElapsedMs();
+  std::printf("  %-18s wall_ms=%9.2f coverr/||A||_F^2=%.3e\n", "fd_shrink_gram",
+              ms, CovarianceError(a, b) / SquaredFrobeniusNorm(a));
+  json.Add(BenchRecord{.op = "fd_shrink_gram",
+                       .n = sz.shrink_n,
+                       .d = sz.shrink_d,
+                       .s = 1,
+                       .l = sz.shrink_l,
+                       .threads = 1,
+                       .wall_ms = ms,
+                       .words = 0});
 }
 
 }  // namespace
@@ -143,7 +132,7 @@ int main(int argc, char** argv) {
               smoke ? " (smoke sizes)" : "");
   distsketch::bench::BenchJsonWriter json;
   distsketch::SweepThreads(sz, json);
-  distsketch::ShrinkKernelAb(sz, json);
+  distsketch::ShrinkTiming(sz, json);
   json.Flush();
   std::printf("\nwrote BENCH_sketch.json\n");
   return 0;

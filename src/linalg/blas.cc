@@ -44,12 +44,17 @@ Matrix Multiply(const Matrix& a, const Matrix& b) {
 }
 
 Matrix MultiplyTransposeA(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  MultiplyTransposeAInto(a, b, c);
+  return c;
+}
+
+void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& c) {
   DS_CHECK(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
+  c.SetZero(a.cols(), b.cols());
   const SimdKernelTable& kern = ActiveSimd();
   CountSimdKernelCall("gemm_tn");
   kern.gemm_tn(a.data(), a.rows(), a.cols(), b.data(), b.cols(), c.data());
-  return c;
 }
 
 Matrix MultiplyTransposeB(const Matrix& a, const Matrix& b) {

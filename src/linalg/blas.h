@@ -33,6 +33,10 @@ Matrix Multiply(const Matrix& a, const Matrix& b);
 /// C = A^T * B.
 Matrix MultiplyTransposeA(const Matrix& a, const Matrix& b);
 
+/// Workspace-reusing form of MultiplyTransposeA: resizes `c` (reusing its
+/// storage) and writes A^T * B into it, bit-identical to the above.
+void MultiplyTransposeAInto(const Matrix& a, const Matrix& b, Matrix& c);
+
 /// C = A * B^T.
 Matrix MultiplyTransposeB(const Matrix& a, const Matrix& b);
 

@@ -149,12 +149,10 @@ TEST_F(ParallelDeterminismTest, RepeatedRunsAtFixedThreadCountAreIdentical) {
   }
 }
 
-// The Gram-eigen fast shrink is a drop-in replacement for the Jacobi-SVD
-// shrink: both must satisfy the FD covariance guarantee. (They are not
-// bit-identical to each other — different factorizations — which is why
-// the kernel is a process-wide toggle, never schedule-dependent state.)
-TEST(FdShrinkKernelToggleTest, BothKernelsMeetTheFdGuarantee) {
-  // d = 48 with sketch_size 8 forces the d > 2l Gram regime under kAuto.
+// FD's shrink eigensolves the smaller Gram of its buffer: the 2l-by-2l
+// row Gram when d > 2l, the d-by-d column Gram otherwise. Both paths must
+// satisfy the FD covariance guarantee.
+TEST(FdShrinkTest, BothShrinkPathsMeetTheFdGuarantee) {
   const Matrix a = GenerateLowRankPlusNoise({.rows = 400,
                                              .cols = 48,
                                              .rank = 6,
@@ -162,24 +160,22 @@ TEST(FdShrinkKernelToggleTest, BothKernelsMeetTheFdGuarantee) {
                                              .top_singular_value = 20.0,
                                              .noise_stddev = 0.3,
                                              .seed = 9});
-  const FdShrinkKernel saved = GetFdShrinkKernel();
-  EXPECT_TRUE(FdUsesGramShrink(48, 8));  // kAuto picks Gram in this regime
-  for (FdShrinkKernel kernel :
-       {FdShrinkKernel::kGramEigen, FdShrinkKernel::kJacobiSvd}) {
-    SetFdShrinkKernel(kernel);
-    FrequentDirections fd(48, 8);
+  EXPECT_TRUE(FdUsesGramShrink(48, 8));    // d > 2l: row Gram
+  EXPECT_FALSE(FdUsesGramShrink(48, 24));  // d <= 2l: column Gram
+  for (const size_t sketch_size : {8u, 24u}) {
+    SCOPED_TRACE(sketch_size);
+    FrequentDirections fd(48, sketch_size);
     for (size_t i = 0; i < a.rows(); ++i) fd.Append(a.Row(i));
     const Matrix sketch = fd.Sketch();
-    // The FD invariant both kernels must preserve: the covariance error
-    // is bounded by the total spectral mass shrunk away, and the sketch
-    // never gains Frobenius mass.
+    // The FD invariant: the covariance error is bounded by the total
+    // spectral mass shrunk away, and the sketch never gains Frobenius
+    // mass.
     EXPECT_LE(CovarianceError(a, sketch),
               fd.total_shrinkage() * (1.0 + 1e-9) + 1e-9);
     EXPECT_LE(SquaredFrobeniusNorm(sketch),
               SquaredFrobeniusNorm(a) * (1.0 + 1e-12));
     EXPECT_GT(fd.total_shrinkage(), 0.0);  // the shrink path actually ran
   }
-  SetFdShrinkKernel(saved);
 }
 
 }  // namespace
