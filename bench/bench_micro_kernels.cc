@@ -255,8 +255,13 @@ double MinWallMs(int reps, const Fn& fn) {
   return best;
 }
 
-/// Times Gram / Multiply / Jacobi SVD / wire bit-packing under one
-/// backend. Keys of the returned map are the row `op` names.
+// Order of the FD-shaped row Gram the simd_eigen row solves: fd_local's
+// 2l for l = 21.
+constexpr size_t kEigenN = 42;
+
+/// Times Gram / Multiply / Jacobi SVD / wire bit-packing / the FD
+/// eigensolve under one backend. Keys of the returned map are the row
+/// `op` names.
 std::map<std::string, double> TimeSimdKernelsMs(bool smoke) {
   const size_t n = smoke ? 256 : 4096;
   const size_t d = smoke ? 16 : 64;
@@ -286,6 +291,23 @@ std::map<std::string, double> TimeSimdKernelsMs(bool smoke) {
     DS_CHECK(decoded.ok());
     benchmark::DoNotOptimize(decoded);
   });
+  // One FD shrink's eigensolve: the kEigenN x kEigenN row Gram of a
+  // low-rank-plus-noise buffer at d = 64, workspace reused as FD does.
+  LowRankPlusNoiseOptions lr;
+  lr.rows = kEigenN;
+  lr.cols = 64;
+  lr.rank = 8;
+  lr.seed = 205;
+  const Matrix gram = RowGram(GenerateLowRankPlusNoise(lr));
+  EigenSymWorkspace eig_ws;
+  SymmetricEigenResult eig;
+  const int solves = smoke ? 10 : 200;
+  ms["simd_eigen"] = MinWallMs(reps, [&] {
+    for (int t = 0; t < solves; ++t) {
+      DS_CHECK(ComputeSymmetricEigenInto(gram, &eig, &eig_ws).ok());
+    }
+    benchmark::DoNotOptimize(eig);
+  });
   return ms;
 }
 
@@ -304,10 +326,11 @@ std::map<std::string, std::map<std::string, double>> EmitSimdBackendRows(
     SetSimdBackendForTesting(backend);
     const std::string name(SimdBackendName(backend));
     for (const auto& [op, wall_ms] : TimeSimdKernelsMs(smoke)) {
+      const bool eigen = op == "simd_eigen";
       bench::BenchRecord rec;
       rec.op = op;
-      rec.n = n;
-      rec.d = d;
+      rec.n = eigen ? kEigenN : n;
+      rec.d = eigen ? kEigenN : d;
       rec.wall_ms = wall_ms;
       rec.backend = name;
       writer.Add(rec);

@@ -31,18 +31,17 @@ struct EigenSymOptions {
 /// working copy, the eigenvector accumulator and the sort permutation
 /// stop being reallocated on every call.
 struct EigenSymWorkspace {
-  Matrix a;                   // spare working copy (kept for callers)
-  Matrix v;                   // working copy -> transposed accumulator
+  Matrix v;                   // working copy -> Q^T -> eigenvector rows
   std::vector<double> evals;  // unsorted eigenvalues
-  std::vector<double> off;    // tridiagonal subdiagonal scratch
-  std::vector<double> acc;    // Householder back-accumulation row
+  std::vector<double> off;    // subdiagonal and Householder p/q scratch
   std::vector<size_t> order;  // sort permutation
 };
 
 /// Eigendecomposition of a symmetric d-by-d matrix by Householder
-/// tridiagonalization followed by implicit-shift QL iteration — roughly an
-/// order of magnitude fewer flops than cyclic Jacobi at the d <= 128 sizes
-/// the sketches use, and exactly as deterministic (pure serial schedule).
+/// tridiagonalization (full symmetric storage, Q^T accumulated in place)
+/// followed by implicit-shift QL iteration — roughly an order of
+/// magnitude fewer flops than cyclic Jacobi at the d <= 128 sizes the
+/// sketches use, and exactly as deterministic (pure serial schedule).
 /// Returns InvalidArgument if X is empty or not square; mild asymmetry is
 /// averaged away before the reduction.
 StatusOr<SymmetricEigenResult> ComputeSymmetricEigen(

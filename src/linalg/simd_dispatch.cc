@@ -17,10 +17,10 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Scalar kernels. These are the pre-dispatch loops moved verbatim from
-// blas.cc / svd.cc / eigen_sym.cc / wire/codec.cc: identical operation
-// order, so the scalar backend reproduces the historical results
-// bit-for-bit (tests/linalg/simd_dispatch_test pins this against
-// independent reference loops).
+// blas.cc / svd.cc / wire/codec.cc: identical operation order, so the
+// scalar backend reproduces the historical results bit-for-bit
+// (tests/linalg/simd_dispatch_test pins this against independent
+// reference loops). The scalar eigensolver lives in eigen_sym.cc.
 // ---------------------------------------------------------------------
 
 // Rows of B kept hot per tile: 64 rows of a 512-column double matrix is
@@ -180,24 +180,10 @@ void ColRotateScalar(double* base, size_t m, size_t n, size_t p, size_t q,
   }
 }
 
-void QlRotateRowsScalar(double* a, double* b, size_t n, double s,
-                        double c) {
-  for (size_t k = 0; k < n; ++k) {
-    const double f = b[k];
-    b[k] = s * a[k] + c * f;
-    a[k] = c * a[k] - s * f;
-  }
-}
-
 double DotScalar(const double* x, const double* y, size_t n) {
   double acc = 0.0;
   for (size_t i = 0; i < n; ++i) acc += x[i] * y[i];
   return acc;
-}
-
-void Axpy2Scalar(double* z, const double* e, const double* zi, double f,
-                 double g, size_t n) {
-  for (size_t k = 0; k < n; ++k) z[k] -= f * e[k] + g * zi[k];
 }
 
 void AxpyScalar(double* y, const double* x, double alpha, size_t n) {
@@ -296,9 +282,8 @@ const SimdKernelTable kScalarTable = {
     .syrk_acc = SyrkAccScalar,
     .col_dot = ColDotScalar,
     .col_rotate = ColRotateScalar,
-    .ql_rotate_rows = QlRotateRowsScalar,
     .dot = DotScalar,
-    .axpy2 = Axpy2Scalar,
+    .sym_eigen = simd_internal::SymEigenScalar,
     .axpy = AxpyScalar,
     .scatter_axpy = simd_internal::ScatterAxpyScalar,
     .sparse_outer_acc = simd_internal::SparseOuterAccScalar,

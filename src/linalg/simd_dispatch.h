@@ -56,20 +56,19 @@ struct SimdKernelTable {
   void (*col_rotate)(double* base, size_t m, size_t n, size_t p, size_t q,
                      double c, double s);
 
-  /// QL Givens rotation of two contiguous rows a, b of length n. The
-  /// eigensolver keeps its eigenvector accumulator transposed, so each
-  /// tql2 step rotates rows i and i+1 (EISPACK tql2 order):
-  ///   f = b[k]; b[k] = s*a[k] + c*f; a[k] = c*a[k] - s*f.
-  /// Each backend fixes its per-element rounding (table in DESIGN.md
-  /// §12); the pinned eigensolver outputs depend on it.
-  void (*ql_rotate_rows)(double* a, double* b, size_t n, double s, double c);
-
-  /// Contiguous dot product of length n (Householder row-row products).
+  /// Contiguous dot product of length n (the public Dot in blas.h).
   double (*dot)(const double* x, const double* y, size_t n);
 
-  /// Householder two-term update z[k] -= f*e[k] + g*zi[k] for k < n.
-  void (*axpy2)(double* z, const double* e, const double* zi, double f,
-                double g, size_t n);
+  /// Symmetric eigensolve of the n x n row-major z (n >= 2, exactly
+  /// symmetric): Householder tridiagonalization, Q^T accumulated in
+  /// place, implicit-shift QL deflating at relative tolerance eps. On
+  /// return d holds the unsorted eigenvalues and row j of z the
+  /// eigenvector of d[j]; e is n doubles of scratch. Returns false if an
+  /// eigenvalue needs more than max_iters QL iterations. One solver body
+  /// (eigen_sym_solver.h) instantiated per backend with its kernels
+  /// inlined; DESIGN.md §12 fixes each backend's rounding.
+  bool (*sym_eigen)(double* z, size_t n, double* d, double* e, double eps,
+                    int max_iters);
 
   /// Dense accumulate y[j] += alpha * x[j] for j < n — the CountSketch
   /// bucket add (one +-1-scaled row) and the CSR row-times-dense-row

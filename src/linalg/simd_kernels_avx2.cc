@@ -15,7 +15,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 namespace distsketch {
@@ -308,37 +307,6 @@ void ColRotateAvx2(double* base, size_t m, size_t n, size_t p, size_t q,
   }
 }
 
-void QlRotateRowsAvx2(double* a, double* b, size_t n, double s, double c) {
-  // The per-element rounding is fixed (DESIGN.md §12), because the
-  // pinned eigensolver outputs depend on it: a' = fma(a, c, b*(-s)),
-  // b' = fma(b, c, a*s) on [0, n & ~1), and for odd n the last element
-  // takes a' = fma(c, a, -(s*b)), b' = fma(s, a, c*b). Both are spelled
-  // out so the bits do not hang on -ffp-contract.
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  const __m256d vns = _mm256_set1_pd(-s);
-  const size_t even = n & ~size_t{1};
-  size_t k = 0;
-  for (; k + 4 <= even; k += 4) {
-    const __m256d va = _mm256_loadu_pd(a + k);
-    const __m256d vb = _mm256_loadu_pd(b + k);
-    _mm256_storeu_pd(a + k, _mm256_fmadd_pd(va, vc, _mm256_mul_pd(vb, vns)));
-    _mm256_storeu_pd(b + k, _mm256_fmadd_pd(vb, vc, _mm256_mul_pd(va, vs)));
-  }
-  for (; k < even; ++k) {
-    const double ak = a[k];
-    const double bk = b[k];
-    a[k] = std::fma(ak, c, bk * -s);
-    b[k] = std::fma(bk, c, ak * s);
-  }
-  if (k < n) {
-    const double ak = a[k];
-    const double bk = b[k];
-    a[k] = std::fma(c, ak, -(s * bk));
-    b[k] = std::fma(s, ak, c * bk);
-  }
-}
-
 double DotAvx2(const double* x, const double* y, size_t n) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
@@ -356,20 +324,6 @@ double DotAvx2(const double* x, const double* y, size_t n) {
   double acc = HSum256(_mm256_add_pd(acc0, acc1));
   for (; i < n; ++i) acc += x[i] * y[i];
   return acc;
-}
-
-void Axpy2Avx2(double* z, const double* e, const double* zi, double f,
-               double g, size_t n) {
-  const __m256d vf = _mm256_set1_pd(f);
-  const __m256d vg = _mm256_set1_pd(g);
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d t = _mm256_fmadd_pd(
-        vf, _mm256_loadu_pd(e + k),
-        _mm256_mul_pd(vg, _mm256_loadu_pd(zi + k)));
-    _mm256_storeu_pd(z + k, _mm256_sub_pd(_mm256_loadu_pd(z + k), t));
-  }
-  for (; k < n; ++k) z[k] -= f * e[k] + g * zi[k];
 }
 
 void AxpyAvx2(double* y, const double* x, double alpha, size_t n) {
@@ -494,9 +448,8 @@ const SimdKernelTable& Avx2KernelTable() {
       .syrk_acc = SyrkAccAvx2,
       .col_dot = ColDotAvx2,
       .col_rotate = ColRotateAvx2,
-      .ql_rotate_rows = QlRotateRowsAvx2,
       .dot = DotAvx2,
-      .axpy2 = Axpy2Avx2,
+      .sym_eigen = SymEigenAvx2,
       .axpy = AxpyAvx2,
       // Index-gather bound: the shared scalar loops (see
       // simd_kernels_internal.h).

@@ -12,7 +12,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 namespace distsketch {
@@ -340,38 +339,6 @@ void ColRotateAvx512(double* base, size_t m, size_t n, size_t p, size_t q,
   }
 }
 
-void QlRotateRowsAvx512(double* a, double* b, size_t n, double s,
-                        double c) {
-  // Same fixed per-element rounding as the AVX2 kernel (see there).
-  const __m512d vc = _mm512_set1_pd(c);
-  const __m512d vs = _mm512_set1_pd(s);
-  const __m512d vns = _mm512_set1_pd(-s);
-  const size_t even = n & ~size_t{1};
-  size_t k = 0;
-  for (; k + 8 <= even; k += 8) {
-    const __m512d va = _mm512_loadu_pd(a + k);
-    const __m512d vb = _mm512_loadu_pd(b + k);
-    _mm512_storeu_pd(a + k, _mm512_fmadd_pd(va, vc, _mm512_mul_pd(vb, vns)));
-    _mm512_storeu_pd(b + k, _mm512_fmadd_pd(vb, vc, _mm512_mul_pd(va, vs)));
-  }
-  if (k < even) {
-    const __mmask8 tail = TailMask(k, even);
-    const __m512d va = _mm512_maskz_loadu_pd(tail, a + k);
-    const __m512d vb = _mm512_maskz_loadu_pd(tail, b + k);
-    _mm512_mask_storeu_pd(a + k, tail,
-                          _mm512_fmadd_pd(va, vc, _mm512_mul_pd(vb, vns)));
-    _mm512_mask_storeu_pd(b + k, tail,
-                          _mm512_fmadd_pd(vb, vc, _mm512_mul_pd(va, vs)));
-    k = even;
-  }
-  if (k < n) {
-    const double ak = a[k];
-    const double bk = b[k];
-    a[k] = std::fma(c, ak, -(s * bk));
-    b[k] = std::fma(s, ak, c * bk);
-  }
-}
-
 double DotAvx512(const double* x, const double* y, size_t n) {
   __m512d acc0 = _mm512_setzero_pd();
   __m512d acc1 = _mm512_setzero_pd();
@@ -392,28 +359,6 @@ double DotAvx512(const double* x, const double* y, size_t n) {
                            _mm512_maskz_loadu_pd(tail, y + i), acc1);
   }
   return HSum512(_mm512_add_pd(acc0, acc1));
-}
-
-void Axpy2Avx512(double* z, const double* e, const double* zi, double f,
-                 double g, size_t n) {
-  const __m512d vf = _mm512_set1_pd(f);
-  const __m512d vg = _mm512_set1_pd(g);
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m512d t = _mm512_fmadd_pd(
-        vf, _mm512_loadu_pd(e + k),
-        _mm512_mul_pd(vg, _mm512_loadu_pd(zi + k)));
-    _mm512_storeu_pd(z + k, _mm512_sub_pd(_mm512_loadu_pd(z + k), t));
-  }
-  if (k < n) {
-    const __mmask8 tail = TailMask(k, n);
-    const __m512d t = _mm512_fmadd_pd(
-        vf, _mm512_maskz_loadu_pd(tail, e + k),
-        _mm512_mul_pd(vg, _mm512_maskz_loadu_pd(tail, zi + k)));
-    _mm512_mask_storeu_pd(
-        z + k, tail,
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(tail, z + k), t));
-  }
 }
 
 void AxpyAvx512(double* y, const double* x, double alpha, size_t n) {
@@ -530,9 +475,8 @@ const SimdKernelTable& Avx512KernelTable() {
       .syrk_acc = SyrkAccAvx512,
       .col_dot = ColDotAvx512,
       .col_rotate = ColRotateAvx512,
-      .ql_rotate_rows = QlRotateRowsAvx512,
       .dot = DotAvx512,
-      .axpy2 = Axpy2Avx512,
+      .sym_eigen = SymEigenAvx512,
       .axpy = AxpyAvx512,
       // Index-gather bound: the shared scalar loops (see
       // simd_kernels_internal.h).

@@ -29,15 +29,25 @@ void ScatterAxpyScalar(double* y, const size_t* idx, const double* vals,
 void SparseOuterAccScalar(const size_t* idx, const double* vals, size_t nnz,
                           size_t d, double* g);
 
+// The symmetric eigensolver (SimdKernelTable::sym_eigen), one instance of
+// eigen_sym_solver.h per backend: scalar in eigen_sym.cc, the vector ones
+// in eigen_sym_avx2.cc / eigen_sym_avx512.cc.
+bool SymEigenScalar(double* z, size_t n, double* d, double* e, double eps,
+                    int max_iters);
+
 #if defined(DS_SIMD_COMPILED_AVX2)
 // Defined in simd_kernels_avx2.cc (compiled with -mavx2 -mfma). Only
 // called after DetectCpuFeatures() confirmed the ISA.
 const SimdKernelTable& Avx2KernelTable();
+bool SymEigenAvx2(double* z, size_t n, double* d, double* e, double eps,
+                  int max_iters);
 #endif
 
 #if defined(DS_SIMD_COMPILED_AVX512)
 // Defined in simd_kernels_avx512.cc (compiled with -mavx512{f,dq,bw,vl}).
 const SimdKernelTable& Avx512KernelTable();
+bool SymEigenAvx512(double* z, size_t n, double* d, double* e, double eps,
+                    int max_iters);
 #endif
 
 }  // namespace simd_internal

@@ -308,7 +308,7 @@ std::vector<ServiceResponse> SketchService::HandleBatch(
       switch (req.kind) {
         case ServiceRequestKind::kIngest: {
           status = tenant->AbsorbRows(req.rows);
-          rows_absorbed += req.rows.rows();
+          if (status.ok()) rows_absorbed += req.rows.rows();
           while (status.ok() && tenant->EpochReady()) {
             tenant->SealEpoch();
             sealed[gi] = 1;

@@ -1,5 +1,6 @@
 #include "service/tenant.h"
 
+#include <cmath>
 #include <utility>
 
 #include "wire/sketch_serde.h"
@@ -100,6 +101,15 @@ Status TenantSketch::AbsorbRows(const Matrix& rows) {
   if (rows.cols() != options_.dim && rows.rows() > 0) {
     return Status::InvalidArgument(
         "TenantSketch: row dimension mismatch (tenant " + name_ + ")");
+  }
+  // One NaN or Inf would poison the next shrink's eigensolve, so the whole
+  // batch is refused before either sketch sees it.
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (!std::isfinite(rows.data()[k])) {
+      return Status::InvalidArgument(
+          "TenantSketch: non-finite value in ingest rows (tenant " + name_ +
+          ")");
+    }
   }
   epoch_fd_.AppendRows(rows);
   rows_ingested_ += rows.rows();

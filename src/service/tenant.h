@@ -54,6 +54,8 @@ class TenantSketch {
 
   /// Absorbs rows into the open epoch (no seal — the caller drives epoch
   /// boundaries so batch-parallel absorb stays pure per-tenant compute).
+  /// A batch with the wrong width or any NaN/Inf entry is refused with
+  /// InvalidArgument and leaves the tenant untouched.
   Status AbsorbRows(const Matrix& rows);
 
   /// True iff the open epoch has reached epoch_rows and should be sealed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "linalg/blas.h"
 #include "linalg/eigen_sym.h"
@@ -9,6 +10,18 @@
 #include "telemetry/span.h"
 
 namespace distsketch {
+
+namespace {
+
+// b *= 2^shift entry by entry: exact unless an entry leaves the double
+// range, and shift may exceed what 2^shift itself can represent.
+void ScaleByPowerOfTwo(Matrix& b, int shift) {
+  for (size_t k = 0; k < b.size(); ++k) {
+    b.data()[k] = std::ldexp(b.data()[k], shift);
+  }
+}
+
+}  // namespace
 
 bool FdUsesGramShrink(size_t dim, size_t sketch_size) {
   return dim > 2 * sketch_size;
@@ -27,6 +40,34 @@ double FdGramShrink(Matrix& buffer, size_t sketch_size, SvdWorkspace* ws) {
   // All scratch lives in `ws`, so a streaming FD's repeated shrinks stop
   // paying the allocator.
   RowGramInto(buffer, ws->gram);
+  // Extreme buffers are pre-scaled, as ComputeSigmaVt does: an entry past
+  // ~1e154 overflows G (and the eigensolve fails), one below ~1e-154
+  // underflows it. G's largest entry is on its diagonal, so in-range
+  // buffers are recognised from G alone and left untouched. Others are
+  // scaled by the power of two that brings max|b_ij| into [1, 2); delta
+  // and the kept rows are scaled back exactly at the end.
+  double gmax = 0.0;
+  for (size_t i = 0; i < m; ++i) gmax = std::max(gmax, ws->gram(i, i));
+  int shift = 0;
+  if (!(gmax >= 1e-200 && gmax <= 1e200)) {
+    const double alpha = MaxAbs(buffer);
+    if (alpha > 0.0 && alpha <= std::numeric_limits<double>::max()) {
+      shift = -std::ilogb(alpha);
+      ScaleByPowerOfTwo(buffer, shift);
+      RowGramInto(buffer, ws->gram);
+      // Such a buffer can mix rows hundreds of decades apart (one 1e300
+      // entry among O(1) rows), and the small rows' Gram entries would
+      // reach the eigensolve as subnormals, where QL's relative deflation
+      // stalls. Entries below 2^-200 of the largest are zeroed: far under
+      // the 1e-30 relative floor below which no direction is kept anyway.
+      gmax = 0.0;
+      for (size_t i = 0; i < m; ++i) gmax = std::max(gmax, ws->gram(i, i));
+      const double tiny = std::ldexp(gmax, -200);
+      for (size_t k = 0; k < m * m; ++k) {
+        if (std::abs(ws->gram.data()[k]) < tiny) ws->gram.data()[k] = 0.0;
+      }
+    }
+  }
   const Status eig_status =
       ComputeSymmetricEigenInto(ws->gram, &ws->eig, &ws->eig_ws);
   DS_CHECK(eig_status.ok());
@@ -67,6 +108,10 @@ double FdGramShrink(Matrix& buffer, size_t sketch_size, SvdWorkspace* ws) {
   buffer.SetZero(0, dim);
   buffer.Reserve(2 * sketch_size);
   if (keep > 0) buffer.AppendRows(ws->w);
+  if (shift != 0) {
+    ScaleByPowerOfTwo(buffer, -shift);
+    return std::ldexp(delta, -2 * shift);
+  }
   return delta;
 }
 

@@ -27,7 +27,9 @@ bool FdUsesGramShrink(size_t dim, size_t sketch_size);
 /// returns the subtracted delta = sigma_{sketch_size+1}^2. Deterministic.
 /// `ws` (optional) keeps the row-Gram, eigensolver and output scratch
 /// alive across repeated shrinks: with it, a steady-state shrink makes no
-/// heap allocation.
+/// heap allocation. A buffer whose row Gram would leave [1e-200, 1e200]
+/// is first scaled by a power of two; delta and the kept rows are scaled
+/// back exactly, and in-range buffers are untouched.
 double FdGramShrink(Matrix& buffer, size_t sketch_size,
                     SvdWorkspace* ws = nullptr);
 

@@ -100,14 +100,14 @@ struct SketchPin {
 };
 
 const SketchPin kSketchPins[] = {
-    {"fd_merge", 0x7466c596cf33c92aull, 0x4fb9a203c497fd72ull,
-     0xd3e1ad353d72d160ull},
-    {"svs", 0xa6adf5e0458a662bull, 0xfcf26492580fb419ull,
-     0xf6fd6633fc456b93ull},
-    {"adaptive_sketch", 0x039883444bdf0911ull, 0xa6ba539ed9f3a80cull,
-     0x2b91145ab3547980ull},
-    {"exact_gram", 0x961038b818908180ull, 0xcfffdb8e49ad176full,
-     0xae715f3829f40709ull},
+    {"fd_merge", 0xc54528b8629948aaull, 0xf463975a8206c6fbull,
+     0xda1f11206e3fed65ull},
+    {"svs", 0x3ffd1ff0ec0dd584ull, 0x5d599c5ba8e091a6ull,
+     0x42d966d28adce1dbull},
+    {"adaptive_sketch", 0xf9cb759a870268e9ull, 0xa0dd7517a6ab1175ull,
+     0xcb65afcc3b2fde99ull},
+    {"exact_gram", 0x7f2fd595049344e6ull, 0x81a2a156d22f54daull,
+     0xe18ceccc10339d84ull},
     {"row_sampling", 0x92706e644040b951ull, 0x92706e644040b951ull,
      0x92706e644040b951ull},
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -335,49 +334,39 @@ TEST(EigenSymBackendSweep, KnownSpectraRecovered) {
   }
 }
 
-// Each backend's ql_rotate_rows has a fixed per-element rounding
-// (DESIGN.md §12) that the pinned eigensolver outputs depend on. Scalar:
-// the unfused tql2 expressions. AVX2 / AVX-512: one FMA form on
-// [0, n & ~1) and, for odd n, another on the last element.
-TEST(QlRotateRowsParity, MatchesEachBackendsPerElementFormula) {
-  Rng rng(42);
-  for (const SimdBackend backend : SupportedBackends()) {
-    const SimdKernelTable& kern = SimdTableFor(backend);
-    for (const size_t n :
-         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 41u, 42u, 64u, 65u}) {
-      for (int trial = 0; trial < 8; ++trial) {
-        SCOPED_TRACE(std::string(BackendName(backend)) + " n=" +
-                     std::to_string(n) + " trial=" + std::to_string(trial));
-        const double theta = 6.283185307179586 * rng.NextDouble();
-        const double s = std::sin(theta);
-        const double c = std::cos(theta);
-        std::vector<double> a(n), b(n);
-        for (size_t k = 0; k < n; ++k) {
-          const double mag = std::pow(10.0, 12.0 * rng.NextDouble() - 6.0);
-          a[k] = mag * (2.0 * rng.NextDouble() - 1.0);
-          b[k] = (2.0 * rng.NextDouble() - 1.0);
-        }
-        std::vector<double> want_a(n), want_b(n);
-        for (size_t k = 0; k < n; ++k) {
-          const double ak = a[k];
-          const double bk = b[k];
-          if (backend == SimdBackend::kScalar) {
-            want_b[k] = s * ak + c * bk;
-            want_a[k] = c * ak - s * bk;
-          } else if (k < (n & ~size_t{1})) {
-            want_a[k] = std::fma(ak, c, bk * -s);
-            want_b[k] = std::fma(bk, c, ak * s);
-          } else {
-            want_a[k] = std::fma(c, ak, -(s * bk));
-            want_b[k] = std::fma(s, ak, c * bk);
-          }
-        }
-        kern.ql_rotate_rows(a.data(), b.data(), n, s, c);
-        EXPECT_EQ(std::memcmp(a.data(), want_a.data(), n * sizeof(double)),
-                  0);
-        EXPECT_EQ(std::memcmp(b.data(), want_b.data(), n * sizeof(double)),
-                  0);
+// Each backend compiles its own instance of the solver (fused dots,
+// axpys and rotations on the vector backends), so bits differ across
+// backends; on FD-shaped Grams (the shrink's 2l x 2l row Gram) every
+// vector backend's eigenvalues stay within the DESIGN.md §12 envelope of
+// the scalar ones, 8 n eps max|lambda|, and its residual and
+// orthogonality within the sweep's bounds.
+TEST(EigenSymBackendSweep, VectorBackendsAgreeWithScalarOnFdGrams) {
+  BackendGuard guard;
+  for (const size_t n : {22u, 42u, 64u}) {
+    LowRankPlusNoiseOptions lr;
+    lr.rows = n;
+    lr.cols = 64;
+    lr.rank = 8;
+    lr.seed = 500 + n;
+    const Matrix g = RowGram(GenerateLowRankPlusNoise(lr));
+    SetSimdBackendForTesting(SimdBackend::kScalar);
+    auto ref = ComputeSymmetricEigen(g);
+    ASSERT_TRUE(ref.ok());
+    const double nd = static_cast<double>(n);
+    const double tol = 8.0 * nd * kEps * std::abs(ref->eigenvalues[0]);
+    for (const SimdBackend backend : SupportedBackends()) {
+      if (backend == SimdBackend::kScalar) continue;
+      SCOPED_TRACE(std::string(BackendName(backend)) + " n=" +
+                   std::to_string(n));
+      SetSimdBackendForTesting(backend);
+      auto eig = ComputeSymmetricEigen(g);
+      ASSERT_TRUE(eig.ok());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(eig->eigenvalues[i], ref->eigenvalues[i], tol);
       }
+      const SolveError err = Measure(g, *eig);
+      EXPECT_LE(err.residual, 64.0 * nd * kEps + 3.0 * nd * 1e-12);
+      EXPECT_LE(err.orthogonality, 64.0 * nd * kEps);
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include "linalg/simd_dispatch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -241,24 +242,33 @@ TEST(SimdAgreementTest, ColDotAndRotateWithinEnvelope) {
   }
 }
 
-TEST(SimdAgreementTest, QlRotateAndAxpy2WithinEnvelope) {
-  BackendGuard guard;
+// The sym_eigen entry on raw storage, FD-shaped row Grams (2l x 2l):
+// each vector backend's eigenvalues agree with scalar's within the
+// envelope for n-term reductions, and its eigenvector rows stay
+// orthonormal.
+TEST(SimdAgreementTest, SymEigenWithinEnvelope) {
+  const SimdKernelTable& ref = SimdTableFor(SimdBackend::kScalar);
   for (const SimdBackend backend : SupportedVectorBackends()) {
     const SimdKernelTable& vec = SimdTableFor(backend);
-    const SimdKernelTable& ref = SimdTableFor(SimdBackend::kScalar);
-    for (const size_t n : {2u, 3u, 5u, 17u, 64u}) {
-      Matrix vz2 = RandomMatrix(2, n, n, 1.0);
-      Matrix rz2 = vz2;
-      vec.ql_rotate_rows(vz2.data(), vz2.data() + n, n, 0.6, 0.8);
-      ref.ql_rotate_rows(rz2.data(), rz2.data() + n, n, 0.6, 0.8);
-      ExpectWithinEnvelope(vz2, rz2, 2.0, "ql_rotate_rows");
-      const Matrix e = RandomMatrix(1, n, 2 * n, 1.0);
-      const Matrix zi = RandomMatrix(1, n, 3 * n, 1.0);
-      Matrix vz = RandomMatrix(1, n, 4 * n, 1.0);
-      Matrix rz = vz;
-      vec.axpy2(vz.data(), e.data(), zi.data(), 0.7, -1.3, n);
-      ref.axpy2(rz.data(), e.data(), zi.data(), 0.7, -1.3, n);
-      ExpectWithinEnvelope(vz, rz, 2.0, "axpy2");
+    for (const size_t n : {22u, 42u, 64u}) {
+      const Matrix g = RowGram(RandomMatrix(n, 64, 7 * n, 1.0));
+      auto solve = [&](const SimdKernelTable& t, Matrix* z) {
+        *z = g;
+        std::vector<double> d(n), e(n);
+        EXPECT_TRUE(t.sym_eigen(z->data(), n, d.data(), e.data(), 1e-12, 60));
+        std::sort(d.begin(), d.end());
+        Matrix lambda(1, n);
+        for (size_t i = 0; i < n; ++i) lambda(0, i) = d[i];
+        return lambda;
+      };
+      Matrix vz, rz;
+      const Matrix vl = solve(vec, &vz);
+      const Matrix rl = solve(ref, &rz);
+      ExpectWithinEnvelope(vl, rl, static_cast<double>(n), "sym_eigen");
+      EXPECT_TRUE(AlmostEqual(MultiplyTransposeB(vz, vz), Matrix::Identity(n),
+                              64.0 * static_cast<double>(n) *
+                                  std::numeric_limits<double>::epsilon()))
+          << "n=" << n;
     }
   }
 }
@@ -388,9 +398,8 @@ TEST(SimdDispatchTest, TableForEverySupportedBackendHasAllEntries) {
     EXPECT_NE(t.syrk_acc, nullptr);
     EXPECT_NE(t.col_dot, nullptr);
     EXPECT_NE(t.col_rotate, nullptr);
-    EXPECT_NE(t.ql_rotate_rows, nullptr);
     EXPECT_NE(t.dot, nullptr);
-    EXPECT_NE(t.axpy2, nullptr);
+    EXPECT_NE(t.sym_eigen, nullptr);
     EXPECT_NE(t.pack_window, nullptr);
     EXPECT_NE(t.unpack_window, nullptr);
   }

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -196,6 +197,52 @@ TEST(SketchService, IngestSealsEpochsAndAnswersQueries) {
       service->Handle({ServiceRequestKind::kIngest, "../evil", Rows(1, 1)});
   EXPECT_EQ(bad.code, StatusCode::kInvalidArgument);
   EXPECT_EQ(service->known_tenants(), 1u);
+}
+
+// A NaN or Inf in one ingest row used to reach FD's next shrink and abort
+// the process in the eigensolve. The batch is now refused whole: the
+// request is answered with an error, the next one is served, and the
+// tenant's sketch matches a shadow that never saw the poisoned batch.
+TEST(SketchService, NonFiniteIngestRowIsRefusedWithoutTouchingTheTenant) {
+  constexpr size_t kWide = 32;
+  const TenantOptions tenant{.dim = kWide, .eps = 0.25, .epoch_rows = 16};
+  const double kPoison[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (const double poison : kPoison) {
+    SCOPED_TRACE(poison);
+    auto service = SketchService::Create(
+        {.tenant = tenant, .max_tenants = 4, .max_resident = 4});
+    auto shadow = SketchService::Create(
+        {.tenant = tenant, .max_tenants = 4, .max_resident = 4});
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE(shadow.ok());
+    const ServiceRequest first{ServiceRequestKind::kIngest, "a",
+                               GenerateGaussian(64, kWide, 1.0, 41)};
+    EXPECT_EQ(service->Handle(first).code, StatusCode::kOk);
+    EXPECT_EQ(shadow->Handle(first).code, StatusCode::kOk);
+
+    Matrix bad = GenerateGaussian(64, kWide, 1.0, 42);
+    bad(37, 5) = poison;
+    const ServiceResponse refused =
+        service->Handle({ServiceRequestKind::kIngest, "a", bad});
+    EXPECT_EQ(refused.code, StatusCode::kInvalidArgument);
+
+    const ServiceRequest next{ServiceRequestKind::kIngest, "a",
+                              GenerateGaussian(64, kWide, 1.0, 43)};
+    EXPECT_EQ(service->Handle(next).code, StatusCode::kOk);
+    EXPECT_EQ(shadow->Handle(next).code, StatusCode::kOk);
+
+    const ServiceRequest query{ServiceRequestKind::kQuery, "a", Matrix(0, 0)};
+    const ServiceResponse got = service->Handle(query);
+    const ServiceResponse want = shadow->Handle(query);
+    ASSERT_EQ(got.code, StatusCode::kOk);
+    ASSERT_EQ(want.code, StatusCode::kOk);
+    EXPECT_EQ(got.rows_ingested, 128u);
+    EXPECT_EQ(got.rows_ingested, want.rows_ingested);
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(MatrixDigest(got.sketch), MatrixDigest(want.sketch));
+  }
 }
 
 TEST(SketchService, AdmissionControlShedsBeyondMaxTenants) {

@@ -1,5 +1,6 @@
 #include "sketch/frequent_directions.h"
 
+#include <cmath>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -55,6 +56,81 @@ TEST(FrequentDirectionsTest, CoverrBoundedByTotalShrinkage) {
   // The FD invariant: coverr <= total shrinkage.
   EXPECT_LE(CovarianceError(a, b),
             fd.total_shrinkage() * (1.0 + 1e-9) + 1e-9);
+}
+
+// Row-Gram path (d > 2l) on streams scaled by 2^+-664 (~1e+-200): G =
+// B B^T would overflow or underflow, so each such shrink pre-scales the
+// buffer by a power of two. Power-of-two scaling commutes with every
+// rounding, so the sketch is exactly the scaled sketch of the unscaled
+// stream, whose Thm-1 bound is checked directly.
+TEST(FrequentDirectionsTest, ExtremeScaleStreamsScaleExactly) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kSketch = 5;
+  ASSERT_TRUE(FdUsesGramShrink(kDim, kSketch));
+  const Matrix a = GenerateGaussian(300, kDim, 1.0, 31);
+  FrequentDirections ref(kDim, kSketch);
+  ref.AppendRows(a);
+  const Matrix want = ref.Sketch();
+  EXPECT_LE(CovarianceError(a, want),
+            ref.total_shrinkage() * (1.0 + 1e-9) + 1e-9);
+  for (const int e : {664, -664}) {
+    SCOPED_TRACE(e);
+    Matrix scaled = a;
+    for (size_t k = 0; k < scaled.size(); ++k) {
+      scaled.data()[k] = std::ldexp(scaled.data()[k], e);
+    }
+    FrequentDirections fd(kDim, kSketch);
+    fd.AppendRows(scaled);
+    EXPECT_EQ(fd.shrink_count(), ref.shrink_count());
+    Matrix got = fd.Sketch();
+    ASSERT_EQ(got.rows(), want.rows());
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(std::ldexp(got.data()[k], -e), want.data()[k]) << k;
+    }
+    // Sigma delta scales by 2^(2e); at 2^+-1328 that leaves the double
+    // range, so the comparison is made where it is representable.
+    EXPECT_EQ(fd.total_shrinkage(),
+              std::ldexp(ref.total_shrinkage(), 2 * e));
+  }
+}
+
+// One huge entry (1e160, 1e200 or 1e300) in an ordinary row-Gram stream,
+// plus rows at 1e-200, used to overflow G and abort the shrink. Now no
+// shrink aborts and the sketch stays finite. ||A||_F^2 is past the double
+// range, and so is the certificate's rounding-level delta (~eps ||A||^2),
+// so total_shrinkage() may be +inf; the bound is checked after dividing A
+// and B by the same power of two near the huge entry, where it shows that
+// the huge direction is carried (the ordinary rows' share underflows).
+TEST(FrequentDirectionsTest, HugeAndTinyEntriesDoNotAbort) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kSketch = 5;
+  for (const double big : {1e160, 1e200, 1e300}) {
+    SCOPED_TRACE(big);
+    Matrix a = GenerateGaussian(200, kDim, 1.0, 32);
+    a(57, 3) = big;
+    for (size_t j = 0; j < kDim; ++j) {
+      for (const size_t r : {90u, 91u, 92u, 150u}) a(r, j) *= 1e-200;
+    }
+    FrequentDirections fd(kDim, kSketch);
+    fd.AppendRows(a);
+    EXPECT_GT(fd.shrink_count(), 0u);
+    EXPECT_GE(fd.total_shrinkage(), 0.0);
+    const Matrix b = fd.Sketch();
+    for (size_t k = 0; k < b.size(); ++k) {
+      ASSERT_TRUE(std::isfinite(b.data()[k])) << k;
+    }
+    const int e = -std::ilogb(big);
+    Matrix as = a, bs = b;
+    for (size_t k = 0; k < as.size(); ++k) {
+      as.data()[k] = std::ldexp(as.data()[k], e);
+    }
+    for (size_t k = 0; k < bs.size(); ++k) {
+      bs.data()[k] = std::ldexp(bs.data()[k], e);
+    }
+    EXPECT_LE(CovarianceError(as, bs),
+              std::ldexp(fd.total_shrinkage(), 2 * e) * (1.0 + 1e-9) +
+                  1e-9 * SquaredFrobeniusNorm(as));
+  }
 }
 
 TEST(FrequentDirectionsTest, FrobeniusNormNeverGrows) {
