@@ -3,9 +3,11 @@
 // symmetric eigensolve, spectral norm (power iteration), SVS, and Gram.
 //
 // Besides the google-benchmark tables, the binary appends svd-kernel rows
-// (Jacobi vs Gram route vs threaded Jacobi) to BENCH_sketch.json so the
-// dispatch policy's claims live next to the protocol measurements.
-// `--smoke` runs only those rows at tiny sizes for the perf-smoke CTest.
+// (Jacobi vs Gram route vs threaded Jacobi), per-SIMD-backend kernel rows
+// and the fd_block_absorb rows to BENCH_sketch.json so the dispatch
+// policy's claims live next to the protocol measurements. `--smoke` runs
+// only those rows at tiny sizes for the perf-smoke CTest; `--check
+// <baseline.json>` runs them at full size and gates them.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -342,6 +345,61 @@ std::map<std::string, std::map<std::string, double>> EmitSimdBackendRows(
   return all;
 }
 
+// ---------------------------------------------------------------------------
+// fd_block_absorb (E17): a service tenant's ingest shape, 64-row blocks at
+// d = 32 and l = 11, absorbed through AppendBlock (one column-Gram shrink
+// per block) and through AppendRows (a 22x22 row-Gram shrink every 11
+// rows). Each sketch keeps absorbing across passes, so its workspace is
+// warm. The gate compares the two on the active backend: it fails if
+// FdBlockShrinkFires stops firing on the service shape.
+
+struct FdAbsorbMs {
+  double rows = 0.0;   // one pass of AppendRows over every block
+  double block = 0.0;  // one pass of AppendBlock over every block
+};
+
+FdAbsorbMs EmitFdBlockAbsorbRows(bool smoke) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kSketch = 11;
+  constexpr size_t kBlock = 64;
+  const size_t blocks = smoke ? 16 : 512;
+  const int reps = smoke ? 1 : 7;
+  const Matrix a = GenerateLowRankPlusNoise(
+      {.rows = blocks * kBlock, .cols = kDim, .rank = 8, .seed = 206});
+  std::vector<Matrix> parts;
+  for (size_t t = 0; t < blocks; ++t) {
+    parts.push_back(a.RowRange(t * kBlock, (t + 1) * kBlock));
+  }
+  FrequentDirections by_rows(kDim, kSketch);
+  FrequentDirections by_block(kDim, kSketch);
+  FdAbsorbMs ms;
+  ms.rows = MinWallMs(reps, [&] {
+    for (const Matrix& p : parts) by_rows.AppendRows(p);
+  });
+  ms.block = MinWallMs(reps, [&] {
+    for (const Matrix& p : parts) by_block.AppendBlock(p);
+  });
+
+  bench::BenchJsonWriter writer;
+  const double per_block_us = 1000.0 / static_cast<double>(blocks);
+  std::printf("\nfd block absorb (%zu blocks of %zux%zu, l=%zu)%s\n", blocks,
+              kBlock, kDim, kSketch, smoke ? " (smoke sizes)" : "");
+  for (const auto& [op, wall_ms] :
+       {std::pair<const char*, double>{"fd_rows_absorb", ms.rows},
+        std::pair<const char*, double>{"fd_block_absorb", ms.block}}) {
+    bench::BenchRecord rec;
+    rec.op = op;
+    rec.n = blocks * kBlock;
+    rec.d = kDim;
+    rec.l = kSketch;
+    rec.wall_ms = wall_ms;
+    writer.Add(rec);
+    std::printf("  %-16s %8.3f ms  (%.1f us per block)\n", op, wall_ms,
+                wall_ms * per_block_us);
+  }
+  return ms;
+}
+
 double JsonNumber(const std::string& text, const std::string& key,
                   double fallback) {
   const std::string tag = "\"" + key + "\":";
@@ -351,12 +409,15 @@ double JsonNumber(const std::string& text, const std::string& key,
   return std::strtod(text.c_str() + pos, nullptr);
 }
 
-/// Gate for CI: the best SIMD backend must beat scalar by at least the
-/// per-kernel floor in the committed baseline JSON. Exits 0 with a
-/// notice when the host has no SIMD backend (nothing to compare).
+/// Gate for CI: AppendBlock must beat AppendRows on the tenant shape by
+/// at least fd_block_min_speedup, and the best SIMD backend must beat
+/// scalar by at least the per-kernel floor in the committed baseline
+/// JSON. The SIMD part is skipped with a notice when the host has no SIMD
+/// backend (nothing to compare).
 int CheckAgainstBaseline(
     const char* path,
-    const std::map<std::string, std::map<std::string, double>>& all) {
+    const std::map<std::string, std::map<std::string, double>>& all,
+    const FdAbsorbMs& fd) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot read baseline %s\n", path);
@@ -365,12 +426,25 @@ int CheckAgainstBaseline(
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
+  int rc = 0;
+  const double fd_floor = JsonNumber(text, "fd_block_min_speedup", -1.0);
+  if (fd_floor > 0.0) {
+    const double speedup = fd.rows / fd.block;
+    std::printf("kernel gate: %-16s AppendBlock vs AppendRows %.2fx "
+                "(floor %.2fx)\n",
+                "fd_block_absorb", speedup, fd_floor);
+    if (speedup < fd_floor) {
+      std::fprintf(stderr,
+                   "FAIL: fd_block_absorb %.2fx below baseline floor %.2fx\n",
+                   speedup, fd_floor);
+      rc = 1;
+    }
+  }
   if (SupportedBackends().size() == 1) {
     std::printf("kernel gate: host supports only the scalar backend; "
-                "nothing to compare — skipping\n");
-    return 0;
+                "no SIMD comparison — skipping\n");
+    return rc;
   }
-  int rc = 0;
   for (const auto& [op, by_backend] : all) {
     const double floor = JsonNumber(text, op + "_min_speedup", -1.0);
     if (floor <= 0.0) continue;  // kernel not gated by this baseline
@@ -413,12 +487,14 @@ int main(int argc, char** argv) {
     // CI kernel-regression gate: full-size backend rows, compared
     // against the committed speedup floors.
     const auto all = distsketch::EmitSimdBackendRows(/*smoke=*/false);
-    return distsketch::CheckAgainstBaseline(baseline_path, all);
+    const auto fd = distsketch::EmitFdBlockAbsorbRows(/*smoke=*/false);
+    return distsketch::CheckAgainstBaseline(baseline_path, all, fd);
   }
   if (smoke) {
     // CTest perf-smoke entry: only the JSON-emitting kernel rows, tiny.
     distsketch::EmitSvdKernelRows(/*smoke=*/true);
     distsketch::EmitSimdBackendRows(/*smoke=*/true);
+    distsketch::EmitFdBlockAbsorbRows(/*smoke=*/true);
     return 0;
   }
   benchmark::Initialize(&argc, argv);
@@ -427,5 +503,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   distsketch::EmitSvdKernelRows(/*smoke=*/false);
   distsketch::EmitSimdBackendRows(/*smoke=*/false);
+  distsketch::EmitFdBlockAbsorbRows(/*smoke=*/false);
   return 0;
 }

@@ -135,6 +135,14 @@ Matrix GramParallel(const Matrix& a) {
   return g;
 }
 
+void GramAccumulate(const Matrix& a, Matrix& g) {
+  DS_CHECK(g.rows() == a.cols() && g.cols() == a.cols());
+  const SimdKernelTable& kern = ActiveSimd();
+  CountSimdKernelCall("gram");
+  kern.gram_acc(a.data(), 0, a.rows(), a.cols(), g.data());
+  MirrorUpperTriangle(g);
+}
+
 void GramUpdate(const Matrix& a, Matrix& c, double alpha) {
   DS_CHECK(c.rows() == a.rows() && c.cols() == a.rows());
   const size_t m = a.rows();

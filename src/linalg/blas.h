@@ -56,6 +56,12 @@ Matrix GramParallel(const Matrix& a);
 /// (reusing its storage) and writes A^T A into it.
 void GramParallelInto(const Matrix& a, Matrix& g);
 
+/// Accumulating column Gram: g += A^T A, with g a symmetric a.cols()-by-
+/// a.cols() matrix on entry. One serial pass over A's rows in order (the
+/// gram kernel on the upper triangle, then mirrored), so a caller can form
+/// the Gram of stacked row blocks without concatenating them.
+void GramAccumulate(const Matrix& a, Matrix& g);
+
 /// SYRK-style accumulating row Gram: C += alpha * A * A^T, with C an
 /// a.rows()-by-a.rows() matrix that must be symmetric on entry (only the
 /// upper triangle is computed; the lower triangle is mirrored). This is

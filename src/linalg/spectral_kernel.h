@@ -16,9 +16,10 @@ enum class SpectralRoute {
   /// check vetoes it; one-sided Jacobi otherwise.
   kAuto,
   /// Always eigendecompose A^T A. Callers that only consume sigma^2
-  /// (FD's shrink works in squared-singular-value space) force this:
-  /// the eigensolve delivers lambda = sigma^2 directly, so the Gram's
-  /// squared condition number costs them nothing.
+  /// force this: the eigensolve delivers lambda = sigma^2 directly, so
+  /// the Gram's squared condition number costs them nothing. (FD's shrink
+  /// works in that space too and runs the same route inline, in
+  /// FdColumnShrink.)
   kGram,
   /// Always one-sided Jacobi (the accuracy reference).
   kJacobi,

@@ -111,7 +111,7 @@ Status TenantSketch::AbsorbRows(const Matrix& rows) {
           ")");
     }
   }
-  epoch_fd_.AppendRows(rows);
+  epoch_fd_.AppendBlock(rows);
   rows_ingested_ += rows.rows();
   rows_in_epoch_ += rows.rows();
   return Status::OK();

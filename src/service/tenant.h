@@ -54,6 +54,9 @@ class TenantSketch {
 
   /// Absorbs rows into the open epoch (no seal — the caller drives epoch
   /// boundaries so batch-parallel absorb stays pure per-tenant compute).
+  /// The batch is one FrequentDirections::AppendBlock, so the tenant's
+  /// state depends on the batch boundaries as well as the rows: one call
+  /// per request, as the service and its shadows make.
   /// A batch with the wrong width or any NaN/Inf entry is refused with
   /// InvalidArgument and leaves the tenant untouched.
   Status AbsorbRows(const Matrix& rows);

@@ -21,6 +21,31 @@ void ScaleByPowerOfTwo(Matrix& b, int shift) {
   }
 }
 
+// Zeroes the entries of the symmetric Gram g below 2^-200 of its largest
+// diagonal. A power-of-two pre-scaled buffer can mix rows hundreds of
+// decades apart (one 1e300 entry among O(1) rows), and the small rows'
+// Gram entries would reach the eigensolve as subnormals, where QL's
+// relative deflation stalls. The zeroed entries sit far below any
+// direction FD keeps.
+void ZeroNegligibleGramEntries(Matrix& g) {
+  double gmax = 0.0;
+  for (size_t i = 0; i < g.rows(); ++i) gmax = std::max(gmax, g(i, i));
+  const double tiny = std::ldexp(gmax, -200);
+  for (size_t k = 0; k < g.size(); ++k) {
+    if (std::abs(g.data()[k]) < tiny) g.data()[k] = 0.0;
+  }
+}
+
+// Shrink scratch shared by every FrequentDirections on this thread. A
+// shrink needs it only while it runs, so a service holding thousands of
+// tenant sketches keeps one workspace per thread rather than one per
+// sketch; once it has grown to the largest shape the thread shrinks, a
+// steady-state shrink allocates nothing. Reuse changes no bit.
+SvdWorkspace& ThreadShrinkWorkspace() {
+  thread_local SvdWorkspace ws;
+  return ws;
+}
+
 }  // namespace
 
 bool FdUsesGramShrink(size_t dim, size_t sketch_size) {
@@ -40,7 +65,7 @@ double FdGramShrink(Matrix& buffer, size_t sketch_size, SvdWorkspace* ws) {
   // All scratch lives in `ws`, so a streaming FD's repeated shrinks stop
   // paying the allocator.
   RowGramInto(buffer, ws->gram);
-  // Extreme buffers are pre-scaled, as ComputeSigmaVt does: an entry past
+  // Extreme buffers are pre-scaled, as in FdColumnShrink: an entry past
   // ~1e154 overflows G (and the eigensolve fails), one below ~1e-154
   // underflows it. G's largest entry is on its diagonal, so in-range
   // buffers are recognised from G alone and left untouched. Others are
@@ -55,17 +80,7 @@ double FdGramShrink(Matrix& buffer, size_t sketch_size, SvdWorkspace* ws) {
       shift = -std::ilogb(alpha);
       ScaleByPowerOfTwo(buffer, shift);
       RowGramInto(buffer, ws->gram);
-      // Such a buffer can mix rows hundreds of decades apart (one 1e300
-      // entry among O(1) rows), and the small rows' Gram entries would
-      // reach the eigensolve as subnormals, where QL's relative deflation
-      // stalls. Entries below 2^-200 of the largest are zeroed: far under
-      // the 1e-30 relative floor below which no direction is kept anyway.
-      gmax = 0.0;
-      for (size_t i = 0; i < m; ++i) gmax = std::max(gmax, ws->gram(i, i));
-      const double tiny = std::ldexp(gmax, -200);
-      for (size_t k = 0; k < m * m; ++k) {
-        if (std::abs(ws->gram.data()[k]) < tiny) ws->gram.data()[k] = 0.0;
-      }
+      ZeroNegligibleGramEntries(ws->gram);
     }
   }
   const Status eig_status =
@@ -113,6 +128,86 @@ double FdGramShrink(Matrix& buffer, size_t sketch_size, SvdWorkspace* ws) {
     return std::ldexp(delta, -2 * shift);
   }
   return delta;
+}
+
+double FdColumnShrink(Matrix& buffer, const Matrix* block, size_t sketch_size,
+                      SvdWorkspace* ws) {
+  const size_t dim = buffer.cols();
+  const size_t m = buffer.rows() + (block == nullptr ? 0 : block->rows());
+  DS_CHECK(block == nullptr || block->cols() == dim);
+  DS_CHECK(m > sketch_size);
+  SvdWorkspace local;
+  if (ws == nullptr) ws = &local;
+
+  // Extreme rows are pre-scaled: the Gram squares entries (overflow past
+  // ~1e154, underflow below ~1e-154). The buffer is scaled in place and a
+  // block, which is read-only, through a scaled copy; both by the power of
+  // two that brings max|a_ij| into [1, 2), so delta and the kept rows
+  // scale back exactly.
+  double alpha = MaxAbs(buffer);
+  if (block != nullptr) alpha = std::max(alpha, MaxAbs(*block));
+  int shift = 0;
+  if (alpha > 0.0 && alpha <= std::numeric_limits<double>::max() &&
+      (alpha > 1e100 || alpha < 1e-100)) {
+    shift = -std::ilogb(alpha);
+    ScaleByPowerOfTwo(buffer, shift);
+    if (block != nullptr) {
+      ws->scaled = *block;
+      ScaleByPowerOfTwo(ws->scaled, shift);
+      block = &ws->scaled;
+    }
+  }
+  // G = B^T B (+ block^T block) is d-by-d: the buffer's part on the same
+  // schedule as the spectral kernel's Gram route, then the block's rows.
+  GramParallelInto(buffer, ws->gram);
+  if (block != nullptr) GramAccumulate(*block, ws->gram);
+  if (shift != 0) ZeroNegligibleGramEntries(ws->gram);
+  const Status eig_status =
+      ComputeSymmetricEigenInto(ws->gram, &ws->eig, &ws->eig_ws);
+  DS_CHECK(eig_status.ok());
+  const auto& lambda = ws->eig.eigenvalues;
+  const Matrix& v = ws->eig.eigenvectors;
+
+  // sigma_j = sqrt(lambda_j) for the min(m, d) values the stacked rows can
+  // carry; delta = sigma_{l+1}^2 (the first value that must be zeroed). If
+  // they have rank <= sketch_size the shrink is free.
+  const size_t r = std::min(m, dim);
+  auto sigma = [&](size_t j) { return std::sqrt(std::max(lambda[j], 0.0)); };
+  const double delta =
+      (r > sketch_size) ? sigma(sketch_size) * sigma(sketch_size) : 0.0;
+  size_t keep = 0;
+  while (keep < std::min(sketch_size, r) &&
+         sigma(keep) * sigma(keep) - delta > 0.0) {
+    ++keep;
+  }
+
+  // B <- sqrt(Sigma^2 - delta I) V^T, top rows only, in the buffer's own
+  // storage (it is reserved for 2l rows, so a reused buffer allocates
+  // nothing).
+  buffer.Reserve(2 * sketch_size);
+  buffer.SetZero(keep, dim);
+  for (size_t j = 0; j < keep; ++j) {
+    const double s = std::sqrt(sigma(j) * sigma(j) - delta);
+    for (size_t i = 0; i < dim; ++i) buffer(j, i) = s * v(i, j);
+  }
+  if (shift != 0) {
+    ScaleByPowerOfTwo(buffer, -shift);
+    return std::ldexp(delta, -2 * shift);
+  }
+  return delta;
+}
+
+bool FdBlockShrinkFires(size_t dim, size_t sketch_size, size_t buffer_rows,
+                        size_t block_rows) {
+  const size_t rows = buffer_rows + block_rows;
+  const size_t full = 2 * sketch_size;
+  if (rows < std::max(full, dim)) return false;
+  // Shrinks the row-by-row path would run on this block: the first when
+  // the buffer reaches 2l, then one per l further rows.
+  const double k = static_cast<double>(1 + (rows - full) / sketch_size);
+  const double d = static_cast<double>(dim);
+  const double n = static_cast<double>(full);
+  return d * d * d <= k * n * n * n;
 }
 
 FrequentDirections::FrequentDirections(size_t dim, size_t sketch_size)
@@ -195,6 +290,16 @@ void FrequentDirections::AppendRows(const Matrix& rows) {
   for (size_t i = 0; i < rows.rows(); ++i) Append(rows.Row(i));
 }
 
+void FrequentDirections::AppendBlock(const Matrix& rows) {
+  if (!FdBlockShrinkFires(dim_, sketch_size_, buffer_.rows(), rows.rows())) {
+    AppendRows(rows);
+    return;
+  }
+  DS_CHECK(rows.cols() == dim_);
+  rows_seen_ += rows.rows();
+  ShrinkWith(&rows);
+}
+
 void FrequentDirections::Merge(const FrequentDirections& other) {
   DS_CHECK(other.dim() == dim_);
   AppendRows(other.buffer());
@@ -202,49 +307,24 @@ void FrequentDirections::Merge(const FrequentDirections& other) {
 
 void FrequentDirections::Shrink() {
   if (buffer_.rows() <= sketch_size_) return;
+  ShrinkWith(nullptr);
+}
+
+void FrequentDirections::ShrinkWith(const Matrix* block) {
+  const size_t rows =
+      buffer_.rows() + (block == nullptr ? 0 : block->rows());
   telemetry::Span span("fd/shrink", telemetry::Phase::kShrink);
   span.SetAttr("l", static_cast<uint64_t>(sketch_size_));
-  span.SetAttr("rows", static_cast<uint64_t>(buffer_.rows()));
+  span.SetAttr("rows", static_cast<uint64_t>(rows));
   telemetry::Count("fd.shrinks");
-
-  if (FdUsesGramShrink(dim_, sketch_size_)) {
-    total_shrinkage_ += FdGramShrink(buffer_, sketch_size_, &svd_ws_);
-    ++shrink_count_;
-    return;
-  }
-
-  // Column-dimension path (d <= 2l): the spectral kernel computes
-  // (Sigma, V) without ever forming U. The shrink consumes sigma^2 = lambda
-  // directly, so the Gram route's squared condition number costs nothing —
-  // it is forced.
-  SpectralKernelOptions kopts;
-  kopts.route = SpectralRoute::kGram;
-  auto spec = ComputeSigmaVt(buffer_, kopts, &svd_ws_);
-  DS_CHECK(spec.ok());
-  auto& sigma = spec->singular_values;
-
-  // delta = sigma_{l+1}^2 (the first value that must be zeroed). If the
-  // buffer already has rank <= sketch_size the shrink is free.
-  const double delta = (sigma.size() > sketch_size_)
-                           ? sigma[sketch_size_] * sigma[sketch_size_]
-                           : 0.0;
-  total_shrinkage_ += delta;
+  // A block always takes the column Gram (FdBlockShrinkFires priced it);
+  // the buffer alone eigensolves the smaller of its two Grams.
+  SvdWorkspace& ws = ThreadShrinkWorkspace();
+  total_shrinkage_ +=
+      (block == nullptr && FdUsesGramShrink(dim_, sketch_size_))
+          ? FdGramShrink(buffer_, sketch_size_, &ws)
+          : FdColumnShrink(buffer_, block, sketch_size_, &ws);
   ++shrink_count_;
-
-  // B <- sqrt(max(Sigma^2 - delta I, 0)) V^T, keeping the top rows.
-  const size_t keep =
-      std::min<size_t>(sketch_size_, sigma.size());
-  Matrix next(0, dim_);
-  next.Reserve(2 * sketch_size_);
-  std::vector<double> scaled_row(dim_);
-  for (size_t j = 0; j < keep; ++j) {
-    const double s2 = sigma[j] * sigma[j] - delta;
-    if (s2 <= 0.0) break;  // sigma sorted: the rest are zero too.
-    const double s = std::sqrt(s2);
-    for (size_t i = 0; i < dim_; ++i) scaled_row[i] = s * spec->v(i, j);
-    next.AppendRow(scaled_row);
-  }
-  buffer_ = std::move(next);
 }
 
 Matrix FrequentDirections::Sketch() {

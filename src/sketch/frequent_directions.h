@@ -18,7 +18,7 @@ namespace distsketch {
 /// (at most 2l rows by d). For d > 2l that is the 2l-by-2l row Gram
 /// G = B B^T, whose eigenpairs give sigma_j = sqrt(lambda_j) and the
 /// scaled right singular rows u_j^T B; otherwise it is the d-by-d column
-/// Gram via ComputeSigmaVt. Both leave B^T B unchanged up to the same
+/// Gram via FdColumnShrink. Both leave B^T B unchanged up to the same
 /// delta-subtraction, so the FD guarantee is identical (see DESIGN.md).
 bool FdUsesGramShrink(size_t dim, size_t sketch_size);
 
@@ -32,6 +32,30 @@ bool FdUsesGramShrink(size_t dim, size_t sketch_size);
 /// back exactly, and in-range buffers are untouched.
 double FdGramShrink(Matrix& buffer, size_t sketch_size,
                     SvdWorkspace* ws = nullptr);
+
+/// In-place column-Gram shrink, the path for d <= 2l and for block
+/// shrinks: eigensolves the d-by-d Gram of `buffer`'s rows followed by
+/// `block`'s rows (`block` may be null; it is read, never copied), writes
+/// the at most `sketch_size` rows sqrt(sigma_j^2 - delta) v_j^T back into
+/// `buffer`'s own storage, and returns delta = sigma_{sketch_size+1}^2
+/// (0 when the stacked rows have rank <= sketch_size). `buffer` has d
+/// columns (it may have no rows). Deterministic. With a reused `ws` a
+/// steady-state shrink makes no heap allocation.
+/// Stacked rows whose max|a_ij| leaves [1e-100, 1e100] are first scaled by
+/// the power of two that brings it into [1, 2); delta and the kept rows
+/// are scaled back exactly, and in-range rows are untouched.
+double FdColumnShrink(Matrix& buffer, const Matrix* block, size_t sketch_size,
+                      SvdWorkspace* ws = nullptr);
+
+/// True iff FrequentDirections::AppendBlock shrinks a buffer of
+/// `buffer_rows` rows plus a block of `block_rows` rows once, through the
+/// d-by-d column Gram, instead of streaming the block row by row. It fires
+/// iff the stacked rows reach max(2l, d) and a d-by-d eigensolve costs no
+/// more than the k (2l)-by-(2l) ones the row-by-row path would run,
+/// d^3 <= k (2l)^3 with k = 1 + floor((b + m - 2l) / l). So it always
+/// fires for d <= 2l once b + m >= 2l, and declines when d >> l.
+bool FdBlockShrinkFires(size_t dim, size_t sketch_size, size_t buffer_rows,
+                        size_t block_rows);
 
 /// Complete logical state of a FrequentDirections sketch. Capturing this
 /// state, restoring it, and continuing the stream is bit-identical to an
@@ -87,15 +111,26 @@ class FrequentDirections {
   /// count equals dim, buffer rows <= 2 * sketch_size.
   static StatusOr<FrequentDirections> FromState(FdSketchState state);
 
-  /// Captures the full logical state (see FdSketchState). Scratch space
-  /// (the spectral-kernel workspace) is not state and is rebuilt lazily.
+  /// Captures the full logical state (see FdSketchState). Shrink scratch
+  /// is not state: it lives in one workspace per thread, shared by every
+  /// sketch that shrinks on that thread.
   FdSketchState ExportState() const;
 
   /// Processes one input row.
   void Append(std::span<const double> row);
 
-  /// Processes every row of `rows`.
+  /// Processes every row of `rows`. The sketch is a pure function of the
+  /// row sequence: any split into AppendRows calls gives the same bits.
   void AppendRows(const Matrix& rows);
+
+  /// Processes `rows` as one block. When FdBlockShrinkFires says so, the
+  /// buffer and the whole block take a single column-Gram shrink (one
+  /// shrink in shrink_count(), total_shrinkage() and the fd/shrink span),
+  /// leaving at most sketch_size rows; otherwise this is AppendRows. The
+  /// sketch is a pure function of the rows *and the block boundaries*, and
+  /// keeps Theorem 1's guarantee and the total_shrinkage() certificate:
+  /// any shrink removes at least (sketch_size + 1) * delta of mass.
+  void AppendBlock(const Matrix& rows);
 
   /// Merges another FD sketch (mergeable-summaries property [1]): the
   /// other sketch's current rows are fed through this sketch. Both must
@@ -132,12 +167,12 @@ class FrequentDirections {
   // Shrinks the buffer to at most sketch_size_ non-trivial rows.
   void Shrink();
 
+  // One shrink of the buffer stacked over `block` (null: the buffer alone).
+  void ShrinkWith(const Matrix* block);
+
   size_t dim_;
   size_t sketch_size_;
   Matrix buffer_;
-  // Spectral-kernel scratch reused across every shrink of this sketch
-  // (both the row-Gram path and the column-dimension kernel path).
-  SvdWorkspace svd_ws_;
   double total_shrinkage_ = 0.0;
   uint64_t shrink_count_ = 0;
   uint64_t rows_seen_ = 0;

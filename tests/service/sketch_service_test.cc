@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -242,6 +243,49 @@ TEST(SketchService, NonFiniteIngestRowIsRefusedWithoutTouchingTheTenant) {
     EXPECT_EQ(got.rows_ingested, want.rows_ingested);
     EXPECT_EQ(got.epoch, want.epoch);
     EXPECT_EQ(MatrixDigest(got.sketch), MatrixDigest(want.sketch));
+  }
+}
+
+// A huge but finite entry is valid ingest. Through a d <= 2l tenant (the
+// column-Gram shrink) it used to overflow sigma^2 and abort the process in
+// the next shrink's eigensolve; a d > 2l tenant now takes one block shrink
+// per request through the same column shrink. Both tenants answer the
+// request, serve the next one and answer queries with a finite sketch.
+TEST(SketchService, HugeFiniteIngestEntryDoesNotAbort) {
+  auto request = [](ServiceRequestKind kind, Matrix rows) {
+    ServiceRequest req;
+    req.kind = kind;
+    req.tenant = "a";
+    req.rows = std::move(rows);
+    return req;
+  };
+  for (const size_t dim : {size_t{16}, size_t{32}}) {
+    for (const double big : {1e160, 1e200, 1e300}) {
+      SCOPED_TRACE(testing::Message() << "dim=" << dim << " big=" << big);
+      const TenantOptions tenant{.dim = dim, .eps = 0.1, .epoch_rows = 96};
+      auto service = SketchService::Create(
+          {.tenant = tenant, .max_tenants = 4, .max_resident = 4});
+      ASSERT_TRUE(service.ok());
+      Matrix huge = GenerateGaussian(64, dim, 1.0, 51);
+      huge(37, 5) = big;
+      const ServiceResponse absorbed =
+          service->Handle(request(ServiceRequestKind::kIngest, huge));
+      EXPECT_EQ(absorbed.code, StatusCode::kOk);
+      for (uint64_t seed = 52; seed < 54; ++seed) {
+        const ServiceResponse next = service->Handle(request(
+            ServiceRequestKind::kIngest, GenerateGaussian(64, dim, 1.0, seed)));
+        EXPECT_EQ(next.code, StatusCode::kOk);
+      }
+      const ServiceResponse query =
+          service->Handle(request(ServiceRequestKind::kQuery, Matrix(0, 0)));
+      ASSERT_EQ(query.code, StatusCode::kOk);
+      EXPECT_EQ(query.rows_ingested, 192u);
+      EXPECT_EQ(query.epoch, 1u);
+      ASSERT_GT(query.sketch.rows(), 0u);
+      for (size_t k = 0; k < query.sketch.size(); ++k) {
+        ASSERT_TRUE(std::isfinite(query.sketch.data()[k])) << k;
+      }
+    }
   }
 }
 

@@ -1,7 +1,11 @@
 #include "sketch/frequent_directions.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -58,78 +62,121 @@ TEST(FrequentDirectionsTest, CoverrBoundedByTotalShrinkage) {
             fd.total_shrinkage() * (1.0 + 1e-9) + 1e-9);
 }
 
-// Row-Gram path (d > 2l) on streams scaled by 2^+-664 (~1e+-200): G =
-// B B^T would overflow or underflow, so each such shrink pre-scales the
-// buffer by a power of two. Power-of-two scaling commutes with every
-// rounding, so the sketch is exactly the scaled sketch of the unscaled
-// stream, whose Thm-1 bound is checked directly.
+// A stream fed to an FD sketch: row by row through AppendRows, or through
+// AppendBlock in blocks whose sizes cycle through kBlockSizes, so streams
+// mix blocks below and above FdBlockShrinkFires' threshold.
+constexpr size_t kBlockSizes[] = {64, 5, 40, 128, 7, 64, 200, 56};
+
+std::vector<Matrix> SplitIntoBlocks(const Matrix& a) {
+  std::vector<Matrix> blocks;
+  size_t begin = 0;
+  for (size_t t = 0; begin < a.rows(); ++t) {
+    const size_t end =
+        std::min(a.rows(), begin + kBlockSizes[t % std::size(kBlockSizes)]);
+    blocks.push_back(a.RowRange(begin, end));
+    begin = end;
+  }
+  return blocks;
+}
+
+void Feed(FrequentDirections& fd, const Matrix& a, bool blocks) {
+  if (!blocks) {
+    fd.AppendRows(a);
+    return;
+  }
+  for (const Matrix& block : SplitIntoBlocks(a)) fd.AppendBlock(block);
+}
+
+// The three shrink routes a stream can take: the row Gram (d > 2l, rows),
+// the column Gram (d <= 2l, rows) and the block shrink (AppendBlock).
+struct FdFeed {
+  size_t dim;
+  size_t sketch_size;
+  bool blocks;
+};
+constexpr FdFeed kFeeds[] = {
+    {32, 5, false}, {8, 5, false}, {32, 11, true}, {16, 11, true}};
+
+// Every shrink route on streams scaled by 2^+-664 (~1e+-200): the Gram
+// would overflow or underflow, so each such shrink pre-scales its rows by
+// a power of two. Power-of-two scaling commutes with every rounding, so
+// the sketch is exactly the scaled sketch of the unscaled stream, whose
+// Thm-1 bound is checked directly.
 TEST(FrequentDirectionsTest, ExtremeScaleStreamsScaleExactly) {
-  constexpr size_t kDim = 32;
-  constexpr size_t kSketch = 5;
-  ASSERT_TRUE(FdUsesGramShrink(kDim, kSketch));
-  const Matrix a = GenerateGaussian(300, kDim, 1.0, 31);
-  FrequentDirections ref(kDim, kSketch);
-  ref.AppendRows(a);
-  const Matrix want = ref.Sketch();
-  EXPECT_LE(CovarianceError(a, want),
-            ref.total_shrinkage() * (1.0 + 1e-9) + 1e-9);
-  for (const int e : {664, -664}) {
-    SCOPED_TRACE(e);
-    Matrix scaled = a;
-    for (size_t k = 0; k < scaled.size(); ++k) {
-      scaled.data()[k] = std::ldexp(scaled.data()[k], e);
+  ASSERT_TRUE(FdUsesGramShrink(32, 5));
+  ASSERT_FALSE(FdUsesGramShrink(8, 5));
+  for (const FdFeed& feed : kFeeds) {
+    SCOPED_TRACE(testing::Message() << "d=" << feed.dim << " l="
+                                    << feed.sketch_size
+                                    << " blocks=" << feed.blocks);
+    const Matrix a = GenerateGaussian(300, feed.dim, 1.0, 31);
+    FrequentDirections ref(feed.dim, feed.sketch_size);
+    Feed(ref, a, feed.blocks);
+    const Matrix want = ref.Sketch();
+    EXPECT_LE(CovarianceError(a, want),
+              ref.total_shrinkage() * (1.0 + 1e-9) + 1e-9);
+    for (const int e : {664, -664}) {
+      SCOPED_TRACE(e);
+      Matrix scaled = a;
+      for (size_t k = 0; k < scaled.size(); ++k) {
+        scaled.data()[k] = std::ldexp(scaled.data()[k], e);
+      }
+      FrequentDirections fd(feed.dim, feed.sketch_size);
+      Feed(fd, scaled, feed.blocks);
+      EXPECT_EQ(fd.shrink_count(), ref.shrink_count());
+      Matrix got = fd.Sketch();
+      ASSERT_EQ(got.rows(), want.rows());
+      for (size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(std::ldexp(got.data()[k], -e), want.data()[k]) << k;
+      }
+      // Sigma delta scales by 2^(2e); at 2^+-1328 that leaves the double
+      // range, so the comparison is made where it is representable.
+      EXPECT_EQ(fd.total_shrinkage(),
+                std::ldexp(ref.total_shrinkage(), 2 * e));
     }
-    FrequentDirections fd(kDim, kSketch);
-    fd.AppendRows(scaled);
-    EXPECT_EQ(fd.shrink_count(), ref.shrink_count());
-    Matrix got = fd.Sketch();
-    ASSERT_EQ(got.rows(), want.rows());
-    for (size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(std::ldexp(got.data()[k], -e), want.data()[k]) << k;
-    }
-    // Sigma delta scales by 2^(2e); at 2^+-1328 that leaves the double
-    // range, so the comparison is made where it is representable.
-    EXPECT_EQ(fd.total_shrinkage(),
-              std::ldexp(ref.total_shrinkage(), 2 * e));
   }
 }
 
-// One huge entry (1e160, 1e200 or 1e300) in an ordinary row-Gram stream,
-// plus rows at 1e-200, used to overflow G and abort the shrink. Now no
-// shrink aborts and the sketch stays finite. ||A||_F^2 is past the double
-// range, and so is the certificate's rounding-level delta (~eps ||A||^2),
-// so total_shrinkage() may be +inf; the bound is checked after dividing A
-// and B by the same power of two near the huge entry, where it shows that
-// the huge direction is carried (the ordinary rows' share underflows).
+// One huge entry (1e160, 1e200 or 1e300) in an ordinary stream, plus rows
+// at 1e-200, used to overflow the Gram and abort the shrink: the row-Gram
+// path's G, and on the column path sigma^2 after the kernel scaled sigma
+// back. Now no shrink on any route aborts and the sketch stays finite.
+// ||A||_F^2 is past the double range, and so is the certificate's
+// rounding-level delta (~eps ||A||^2), so total_shrinkage() may be +inf;
+// the bound is checked after dividing A and B by the same power of two
+// near the huge entry, where it shows that the huge direction is carried
+// (the ordinary rows' share underflows).
 TEST(FrequentDirectionsTest, HugeAndTinyEntriesDoNotAbort) {
-  constexpr size_t kDim = 32;
-  constexpr size_t kSketch = 5;
-  for (const double big : {1e160, 1e200, 1e300}) {
-    SCOPED_TRACE(big);
-    Matrix a = GenerateGaussian(200, kDim, 1.0, 32);
-    a(57, 3) = big;
-    for (size_t j = 0; j < kDim; ++j) {
-      for (const size_t r : {90u, 91u, 92u, 150u}) a(r, j) *= 1e-200;
+  for (const FdFeed& feed : kFeeds) {
+    for (const double big : {1e160, 1e200, 1e300}) {
+      SCOPED_TRACE(testing::Message()
+                   << "d=" << feed.dim << " l=" << feed.sketch_size
+                   << " blocks=" << feed.blocks << " big=" << big);
+      Matrix a = GenerateGaussian(200, feed.dim, 1.0, 32);
+      a(57, 3) = big;
+      for (size_t j = 0; j < feed.dim; ++j) {
+        for (const size_t r : {90u, 91u, 92u, 150u}) a(r, j) *= 1e-200;
+      }
+      FrequentDirections fd(feed.dim, feed.sketch_size);
+      Feed(fd, a, feed.blocks);
+      EXPECT_GT(fd.shrink_count(), 0u);
+      EXPECT_GE(fd.total_shrinkage(), 0.0);
+      const Matrix b = fd.Sketch();
+      for (size_t k = 0; k < b.size(); ++k) {
+        ASSERT_TRUE(std::isfinite(b.data()[k])) << k;
+      }
+      const int e = -std::ilogb(big);
+      Matrix as = a, bs = b;
+      for (size_t k = 0; k < as.size(); ++k) {
+        as.data()[k] = std::ldexp(as.data()[k], e);
+      }
+      for (size_t k = 0; k < bs.size(); ++k) {
+        bs.data()[k] = std::ldexp(bs.data()[k], e);
+      }
+      EXPECT_LE(CovarianceError(as, bs),
+                std::ldexp(fd.total_shrinkage(), 2 * e) * (1.0 + 1e-9) +
+                    1e-9 * SquaredFrobeniusNorm(as));
     }
-    FrequentDirections fd(kDim, kSketch);
-    fd.AppendRows(a);
-    EXPECT_GT(fd.shrink_count(), 0u);
-    EXPECT_GE(fd.total_shrinkage(), 0.0);
-    const Matrix b = fd.Sketch();
-    for (size_t k = 0; k < b.size(); ++k) {
-      ASSERT_TRUE(std::isfinite(b.data()[k])) << k;
-    }
-    const int e = -std::ilogb(big);
-    Matrix as = a, bs = b;
-    for (size_t k = 0; k < as.size(); ++k) {
-      as.data()[k] = std::ldexp(as.data()[k], e);
-    }
-    for (size_t k = 0; k < bs.size(); ++k) {
-      bs.data()[k] = std::ldexp(bs.data()[k], e);
-    }
-    EXPECT_LE(CovarianceError(as, bs),
-              std::ldexp(fd.total_shrinkage(), 2 * e) * (1.0 + 1e-9) +
-                  1e-9 * SquaredFrobeniusNorm(as));
   }
 }
 
@@ -233,6 +280,147 @@ TEST(FrequentDirectionsTest, MergeRequiresMatchingDim) {
   b.AppendRows(rows);
   a.Merge(b);  // different sketch_size is fine
   EXPECT_GT(a.rows_seen(), 0u);
+}
+
+// Finishes `fd`, a sketch of `a`, and checks Theorem 1's certificate:
+// coverr <= total_shrinkage() and l * total_shrinkage() <= ||A||_F^2 -
+// ||B||_F^2. Returns the sketch.
+Matrix SketchWithCertificate(const Matrix& a, FrequentDirections& fd) {
+  const Matrix b = fd.Sketch();
+  const double a2 = SquaredFrobeniusNorm(a);
+  EXPECT_LE(CovarianceError(a, b),
+            fd.total_shrinkage() * (1.0 + 1e-9) + 1e-12 * a2);
+  EXPECT_LE(static_cast<double>(fd.sketch_size()) * fd.total_shrinkage(),
+            a2 - SquaredFrobeniusNorm(b) + 1e-9 * a2);
+  return b;
+}
+
+// AppendBlock: Theorem 1 and the total_shrinkage() certificate on streams
+// fed in mixed block sizes, at the service shape (d = 32, l = 11: a 64-row
+// block takes one d-by-d shrink instead of ~5 row-Gram shrinks), at
+// d <= 2l, and at fd_local's d = 64, l = 21 (only blocks of 105+ rows fire).
+class FdAppendBlockTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, int>> {};
+
+TEST_P(FdAppendBlockTest, KeepsTheoremOneAndCertificate) {
+  const auto [dim, sketch_size, workload] = GetParam();
+  const Matrix a =
+      workload == 0
+          ? GenerateLowRankPlusNoise({.rows = 900,
+                                      .cols = dim,
+                                      .rank = 6,
+                                      .noise_stddev = 0.2,
+                                      .seed = 61})
+          : GenerateGaussian(900, dim, 1.0, 62);
+  FrequentDirections fd(dim, sketch_size);
+  size_t fired = 0;
+  for (const Matrix& block : SplitIntoBlocks(a)) {
+    const bool fires = FdBlockShrinkFires(dim, sketch_size,
+                                          fd.buffer().rows(), block.rows());
+    const uint64_t shrinks = fd.shrink_count();
+    fd.AppendBlock(block);
+    if (fires) {
+      ++fired;
+      EXPECT_EQ(fd.shrink_count(), shrinks + 1);
+      EXPECT_LE(fd.buffer().rows(), sketch_size);
+    }
+    EXPECT_LE(fd.buffer().rows(), 2 * sketch_size);
+  }
+  EXPECT_GT(fired, 0u);
+  EXPECT_EQ(fd.rows_seen(), a.rows());
+
+  const double coverr = CovarianceError(a, SketchWithCertificate(a, fd));
+  for (const size_t k : {size_t{1}, size_t{4}}) {
+    EXPECT_LE(coverr, OptimalTailEnergy(a, k) /
+                          static_cast<double>(sketch_size - k) *
+                          (1.0 + 1e-9))
+        << "k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FdAppendBlockTest,
+    ::testing::Values(std::make_tuple(size_t{32}, size_t{11}, 0),
+                      std::make_tuple(size_t{32}, size_t{11}, 1),
+                      std::make_tuple(size_t{16}, size_t{11}, 0),
+                      std::make_tuple(size_t{16}, size_t{11}, 1),
+                      std::make_tuple(size_t{64}, size_t{21}, 0),
+                      std::make_tuple(size_t{64}, size_t{21}, 1)),
+    [](const auto& info) {
+      return "d" + std::to_string(std::get<0>(info.param)) + "_l" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) == 0 ? "_lowrank" : "_gaussian");
+    });
+
+// The service checkpoints tenants between requests, i.e. at block
+// boundaries: export -> restore -> continue there is bit-identical to an
+// uninterrupted block stream.
+TEST(FrequentDirectionsTest, AppendBlockRestoreAtBlockBoundaryIsBitIdentical) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kSketch = 11;
+  const Matrix a = GenerateGaussian(700, kDim, 1.0, 63);
+  const std::vector<Matrix> blocks = SplitIntoBlocks(a);
+  FrequentDirections whole(kDim, kSketch);
+  for (const Matrix& block : blocks) whole.AppendBlock(block);
+  for (size_t cut = 1; cut < blocks.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    FrequentDirections head(kDim, kSketch);
+    for (size_t t = 0; t < cut; ++t) head.AppendBlock(blocks[t]);
+    auto resumed = FrequentDirections::FromState(head.ExportState());
+    ASSERT_TRUE(resumed.ok());
+    for (size_t t = cut; t < blocks.size(); ++t) {
+      resumed->AppendBlock(blocks[t]);
+    }
+    EXPECT_TRUE(resumed->buffer() == whole.buffer());
+    EXPECT_EQ(resumed->total_shrinkage(), whole.total_shrinkage());
+    EXPECT_EQ(resumed->shrink_count(), whole.shrink_count());
+    EXPECT_EQ(resumed->rows_seen(), whole.rows_seen());
+  }
+  SketchWithCertificate(a, whole);
+}
+
+// Both sides of the rule. It fires on the service shape at any buffer
+// fill and, for d <= 2l, exactly once the stacked rows reach 2l; it
+// declines below max(2l, d) rows and when a d-by-d solve would cost more
+// than the small shrinks it replaces (d = 1000, l = 10).
+TEST(FrequentDirectionsTest, BlockShrinkRuleFiresOnlyWhereItPays) {
+  for (size_t b = 0; b < 22; ++b) {
+    EXPECT_TRUE(FdBlockShrinkFires(32, 11, b, 64)) << b;
+    EXPECT_FALSE(FdBlockShrinkFires(32, 11, b, 31 - b)) << b;
+    for (size_t m = 1; m < 80; ++m) {
+      EXPECT_EQ(FdBlockShrinkFires(16, 11, b, m), b + m >= 22) << b << m;
+    }
+  }
+  for (const size_t m : {64u, 1000u, 10000u, 100000u}) {
+    EXPECT_FALSE(FdBlockShrinkFires(1000, 10, 0, m)) << m;
+    EXPECT_FALSE(FdBlockShrinkFires(1000, 10, 19, m)) << m;
+  }
+}
+
+// Below the threshold AppendBlock is AppendRows, bit for bit: 5-row blocks
+// at d = 32, l = 11 never reach 32 stacked rows, and a 1200-row block at
+// d = 1000, l = 10 declines on cost.
+TEST(FrequentDirectionsTest, AppendBlockBelowThresholdEqualsAppendRows) {
+  struct Case {
+    size_t dim, sketch_size, rows, block;
+  };
+  for (const Case& c : {Case{32, 11, 400, 5}, Case{1000, 10, 1200, 1200}}) {
+    SCOPED_TRACE(c.dim);
+    const Matrix a = GenerateGaussian(c.rows, c.dim, 1.0, 64);
+    FrequentDirections rows(c.dim, c.sketch_size);
+    FrequentDirections blocks(c.dim, c.sketch_size);
+    rows.AppendRows(a);
+    for (size_t begin = 0; begin < a.rows(); begin += c.block) {
+      ASSERT_FALSE(FdBlockShrinkFires(c.dim, c.sketch_size,
+                                      blocks.buffer().rows(), c.block));
+      blocks.AppendBlock(a.RowRange(begin, begin + c.block));
+    }
+    EXPECT_GT(blocks.shrink_count(), 0u);
+    EXPECT_EQ(blocks.shrink_count(), rows.shrink_count());
+    EXPECT_EQ(blocks.total_shrinkage(), rows.total_shrinkage());
+    EXPECT_TRUE(blocks.buffer() == rows.buffer());
+    SketchWithCertificate(a, blocks);
+  }
 }
 
 TEST(FrequentDirectionsTest, SketchUsableAfterFinish) {
