@@ -143,6 +143,27 @@ void GramAccumulate(const Matrix& a, Matrix& g) {
   MirrorUpperTriangle(g);
 }
 
+void UnpackSymmetric(std::span<const double> upper, size_t n, Matrix& g) {
+  DS_CHECK(upper.size() == n * (n + 1) / 2);
+  g.SetZero(n, n);
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i; j < n; ++j, ++k) {
+      g(i, j) = upper[k];
+      g(j, i) = upper[k];
+    }
+  }
+}
+
+void PackUpperTriangle(const Matrix& g, std::span<double> upper) {
+  const size_t n = g.rows();
+  DS_CHECK(g.cols() == n && upper.size() == n * (n + 1) / 2);
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i; j < n; ++j) upper[k++] = g(i, j);
+  }
+}
+
 void GramUpdate(const Matrix& a, Matrix& c, double alpha) {
   DS_CHECK(c.rows() == a.rows() && c.cols() == a.rows());
   const size_t m = a.rows();
@@ -218,9 +239,19 @@ double SquaredFrobeniusNorm(const Matrix& a) {
 }
 
 double MaxAbs(const Matrix& a) {
-  double m = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a.data()[i]));
-  return m;
+  bool finite = true;
+  return MaxAbs(a, &finite);
+}
+
+double MaxAbs(const Matrix& a, bool* finite) {
+  CountSimdKernelCall("max_abs");
+  return ActiveSimd().max_abs(a.data(), a.size(), finite);
+}
+
+void ScaleByPowerOfTwo(Matrix& a, int shift) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    a.data()[k] = std::ldexp(a.data()[k], shift);
+  }
 }
 
 Matrix ConcatRows(const Matrix& a, const Matrix& b) {

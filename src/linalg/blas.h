@@ -62,6 +62,15 @@ void GramParallelInto(const Matrix& a, Matrix& g);
 /// the Gram of stacked row blocks without concatenating them.
 void GramAccumulate(const Matrix& a, Matrix& g);
 
+/// Resizes `g` to n-by-n (reusing its storage) and fills both triangles
+/// from `upper`, the n(n+1)/2-entry upper triangle of a symmetric matrix
+/// packed row by row.
+void UnpackSymmetric(std::span<const double> upper, size_t n, Matrix& g);
+
+/// Packs the upper triangle of the square `g`, row by row, into `upper`
+/// (g.rows()(g.rows() + 1)/2 entries): the inverse of UnpackSymmetric.
+void PackUpperTriangle(const Matrix& g, std::span<double> upper);
+
 /// SYRK-style accumulating row Gram: C += alpha * A * A^T, with C an
 /// a.rows()-by-a.rows() matrix that must be symmetric on entry (only the
 /// upper triangle is computed; the lower triangle is mirrored). This is
@@ -97,8 +106,16 @@ double FrobeniusNorm(const Matrix& a);
 /// Squared Frobenius norm of A.
 double SquaredFrobeniusNorm(const Matrix& a);
 
-/// Max absolute entry of A (0 for the empty matrix).
+/// Max absolute entry of A (0 for the empty matrix; NaN entries ignored).
 double MaxAbs(const Matrix& a);
+
+/// MaxAbs(a), bit for bit, from the same single vectorized pass that
+/// checks the entries: *finite is false iff A holds a NaN or an infinity.
+double MaxAbs(const Matrix& a, bool* finite);
+
+/// A *= 2^shift entry by entry: exact unless an entry leaves the double
+/// range, and shift may exceed what 2^shift itself can represent.
+void ScaleByPowerOfTwo(Matrix& a, int shift);
 
 /// [A; B] — rows of A followed by rows of B. Either side may be empty.
 Matrix ConcatRows(const Matrix& a, const Matrix& b);

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
 #include "common/logging.h"
@@ -194,6 +196,18 @@ void AxpyScalar(double* y, const double* x, double alpha, size_t n) {
 
 namespace simd_internal {
 
+double MaxAbsScalar(const double* x, size_t n, bool* finite) {
+  double m = 0.0;
+  bool all_finite = true;
+  for (size_t i = 0; i < n; ++i) {
+    const double a = std::abs(x[i]);
+    m = std::max(m, a);  // a NaN never compares greater: ignored
+    all_finite &= a <= std::numeric_limits<double>::max();
+  }
+  *finite = all_finite;
+  return m;
+}
+
 size_t PackWindowScalar(const int64_t* quotients, size_t i0, size_t entries,
                         uint64_t bpe, uint8_t* bytes, size_t payload_bytes,
                         uint64_t* bit) {
@@ -283,6 +297,7 @@ const SimdKernelTable kScalarTable = {
     .col_dot = ColDotScalar,
     .col_rotate = ColRotateScalar,
     .dot = DotScalar,
+    .max_abs = simd_internal::MaxAbsScalar,
     .sym_eigen = simd_internal::SymEigenScalar,
     .axpy = AxpyScalar,
     .scatter_axpy = simd_internal::ScatterAxpyScalar,

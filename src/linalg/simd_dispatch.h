@@ -59,6 +59,11 @@ struct SimdKernelTable {
   /// Contiguous dot product of length n (the public Dot in blas.h).
   double (*dot)(const double* x, const double* y, size_t n);
 
+  /// Max |x_i| over n doubles, NaN ignored (0 for n = 0), and in the same
+  /// pass *finite = whether every x_i is finite: the public MaxAbs in
+  /// blas.h. Max is exact, so every backend returns the same bits.
+  double (*max_abs)(const double* x, size_t n, bool* finite);
+
   /// Symmetric eigensolve of the n x n row-major z (n >= 2, exactly
   /// symmetric): Householder tridiagonalization, Q^T accumulated in
   /// place, implicit-shift QL deflating at relative tolerance eps. On

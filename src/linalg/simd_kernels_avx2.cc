@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace distsketch {
 namespace simd_internal {
@@ -326,6 +327,38 @@ double DotAvx2(const double* x, const double* y, size_t n) {
   return acc;
 }
 
+// vmaxpd returns its second operand when the first is NaN, so with the
+// running max second a NaN entry is ignored, as in the scalar kernel. A
+// lane is flagged once it sees |x| !<= DBL_MAX (an infinity or a NaN).
+double MaxAbsAvx2(const double* x, size_t n, bool* finite) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d dmax = _mm256_set1_pd(std::numeric_limits<double>::max());
+  __m256d m0 = _mm256_setzero_pd();
+  __m256d m1 = _mm256_setzero_pd();
+  __m256d bad = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a0 = _mm256_andnot_pd(sign, _mm256_loadu_pd(x + i));
+    const __m256d a1 = _mm256_andnot_pd(sign, _mm256_loadu_pd(x + i + 4));
+    m0 = _mm256_max_pd(a0, m0);
+    m1 = _mm256_max_pd(a1, m1);
+    bad = _mm256_or_pd(bad, _mm256_cmp_pd(a0, dmax, _CMP_NLE_UQ));
+    bad = _mm256_or_pd(bad, _mm256_cmp_pd(a1, dmax, _CMP_NLE_UQ));
+  }
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a0 = _mm256_andnot_pd(sign, _mm256_loadu_pd(x + i));
+    m0 = _mm256_max_pd(a0, m0);
+    bad = _mm256_or_pd(bad, _mm256_cmp_pd(a0, dmax, _CMP_NLE_UQ));
+  }
+  double lanes[4];
+  _mm256_storeu_pd(lanes, _mm256_max_pd(m0, m1));
+  bool tail_finite = true;
+  double m = MaxAbsScalar(x + i, n - i, &tail_finite);
+  for (const double lane : lanes) m = std::max(m, lane);
+  *finite = tail_finite && _mm256_movemask_pd(bad) == 0;
+  return m;
+}
+
 void AxpyAvx2(double* y, const double* x, double alpha, size_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
   size_t j = 0;
@@ -449,6 +482,7 @@ const SimdKernelTable& Avx2KernelTable() {
       .col_dot = ColDotAvx2,
       .col_rotate = ColRotateAvx2,
       .dot = DotAvx2,
+      .max_abs = MaxAbsAvx2,
       .sym_eigen = SymEigenAvx2,
       .axpy = AxpyAvx2,
       // Index-gather bound: the shared scalar loops (see

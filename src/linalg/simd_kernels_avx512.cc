@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace distsketch {
 namespace simd_internal {
@@ -361,6 +362,33 @@ double DotAvx512(const double* x, const double* y, size_t n) {
   return HSum512(_mm512_add_pd(acc0, acc1));
 }
 
+// As MaxAbsAvx2: vmaxpd with the running max second ignores NaN, and a
+// lane is flagged once it sees |x| !<= DBL_MAX. The masked tail loads
+// zeros, which change neither result.
+double MaxAbsAvx512(const double* x, size_t n, bool* finite) {
+  const __m512d dmax = _mm512_set1_pd(std::numeric_limits<double>::max());
+  __m512d m0 = _mm512_setzero_pd();
+  __m512d m1 = _mm512_setzero_pd();
+  __mmask8 bad = 0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512d a0 = _mm512_abs_pd(_mm512_loadu_pd(x + i));
+    const __m512d a1 = _mm512_abs_pd(_mm512_loadu_pd(x + i + 8));
+    m0 = _mm512_max_pd(a0, m0);
+    m1 = _mm512_max_pd(a1, m1);
+    bad |= _mm512_cmp_pd_mask(a0, dmax, _CMP_NLE_UQ);
+    bad |= _mm512_cmp_pd_mask(a1, dmax, _CMP_NLE_UQ);
+  }
+  for (; i < n; i += 8) {
+    const __mmask8 tail = i + 8 <= n ? __mmask8{0xff} : TailMask(i, n);
+    const __m512d a0 = _mm512_abs_pd(_mm512_maskz_loadu_pd(tail, x + i));
+    m0 = _mm512_max_pd(a0, m0);
+    bad |= _mm512_cmp_pd_mask(a0, dmax, _CMP_NLE_UQ);
+  }
+  *finite = bad == 0;
+  return _mm512_reduce_max_pd(_mm512_max_pd(m0, m1));
+}
+
 void AxpyAvx512(double* y, const double* x, double alpha, size_t n) {
   const __m512d va = _mm512_set1_pd(alpha);
   size_t j = 0;
@@ -476,6 +504,7 @@ const SimdKernelTable& Avx512KernelTable() {
       .col_dot = ColDotAvx512,
       .col_rotate = ColRotateAvx512,
       .dot = DotAvx512,
+      .max_abs = MaxAbsAvx512,
       .sym_eigen = SymEigenAvx512,
       .axpy = AxpyAvx512,
       // Index-gather bound: the shared scalar loops (see

@@ -21,6 +21,10 @@ size_t UnpackWindowScalar(const uint8_t* stream, size_t stream_bytes,
                           size_t i0, size_t entries, uint64_t bpe,
                           double precision, double* out, uint64_t* bit);
 
+// The max-abs scan (SimdKernelTable::max_abs); the vector TUs run their
+// tails through it.
+double MaxAbsScalar(const double* x, size_t n, bool* finite);
+
 // Index-gather-bound sparse kernels: one deterministic scalar loop
 // shared by every backend's table (vectorizing a data-dependent scatter
 // buys nothing and would fork the reduction order).

@@ -1,6 +1,8 @@
 #include "linalg/blas.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -99,6 +101,30 @@ TEST(BlasTest, FrobeniusNormKnown) {
   EXPECT_DOUBLE_EQ(FrobeniusNorm(a), 5.0);
   EXPECT_DOUBLE_EQ(MaxAbs(a), 4.0);
   EXPECT_DOUBLE_EQ(MaxAbs(Matrix()), 0.0);
+}
+
+TEST(BlasTest, MaxAbsReportsNonFiniteEntries) {
+  bool finite = false;
+  EXPECT_EQ(MaxAbs(Matrix{{-3, 2}, {0, 1}}, &finite), 3.0);
+  EXPECT_TRUE(finite);
+  Matrix nan{{1, -2}};
+  nan(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MaxAbs(nan, &finite), 2.0);  // NaN ignored, as MaxAbs(nan)
+  EXPECT_FALSE(finite);
+  Matrix inf{{1, 2}};
+  inf(0, 1) = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(MaxAbs(inf, &finite), std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(finite);
+}
+
+TEST(BlasTest, PackUpperTriangleInvertsUnpackSymmetric) {
+  const Matrix g{{1, 2, 3}, {2, 4, 5}, {3, 5, 6}};
+  std::vector<double> upper(6);
+  PackUpperTriangle(g, upper);
+  EXPECT_EQ(upper, (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  Matrix back;
+  UnpackSymmetric(upper, 3, back);
+  EXPECT_TRUE(back == g);
 }
 
 TEST(BlasTest, ConcatRowsStacks) {

@@ -8,6 +8,7 @@
 #include "linalg/simd_dispatch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -297,6 +298,48 @@ TEST(SimdAgreementTest, DotHandlesDenormalsAndExtremes) {
   }
 }
 
+// The max-abs scan is exact, so every backend must return the scalar
+// kernel's bits, ignore NaN in the max, and flag any NaN or infinity, at
+// every length and position (vector bodies and tails alike).
+TEST(SimdAgreementTest, MaxAbsBitIdenticalAndFlagsNonFinite) {
+  const double kSpecial[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             -0.0};
+  std::vector<SimdBackend> backends = SupportedVectorBackends();
+  backends.push_back(SimdBackend::kScalar);
+  for (const SimdBackend backend : backends) {
+    const SimdKernelTable& vec = SimdTableFor(backend);
+    for (const size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 13u, 16u, 31u, 64u}) {
+      const Matrix x = RandomMatrix(1, n, n + 3, 1e-3);
+      for (size_t pos = 0; pos < n; ++pos) {
+        for (const double special : kSpecial) {
+          std::vector<double> v(x.data(), x.data() + n);
+          v[pos] = special;
+          double want = 0.0;
+          bool want_finite = true;
+          for (const double e : v) {
+            if (!std::isnan(e)) want = std::max(want, std::abs(e));
+            want_finite &= std::isfinite(e);
+          }
+          bool finite = !want_finite;
+          const double got = vec.max_abs(v.data(), n, &finite);
+          EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(want))
+              << SimdBackendName(backend) << " n=" << n << " pos=" << pos;
+          EXPECT_EQ(finite, want_finite)
+              << SimdBackendName(backend) << " n=" << n << " pos=" << pos;
+        }
+      }
+      bool finite = false;
+      EXPECT_EQ(vec.max_abs(x.data(), n, &finite), MaxAbs(x));
+      EXPECT_TRUE(finite);
+    }
+  }
+}
+
 // Unaligned row strides: the kernels take raw pointers, so running them
 // on a view whose rows start at odd offsets (stride == cols but base
 // pointer offset by one element from a 32-byte boundary) must work; the
@@ -399,6 +442,7 @@ TEST(SimdDispatchTest, TableForEverySupportedBackendHasAllEntries) {
     EXPECT_NE(t.col_dot, nullptr);
     EXPECT_NE(t.col_rotate, nullptr);
     EXPECT_NE(t.dot, nullptr);
+    EXPECT_NE(t.max_abs, nullptr);
     EXPECT_NE(t.sym_eigen, nullptr);
     EXPECT_NE(t.pack_window, nullptr);
     EXPECT_NE(t.unpack_window, nullptr);

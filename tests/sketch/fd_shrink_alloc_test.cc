@@ -1,60 +1,23 @@
 // Allocation budget of the FD shrink. This binary replaces the global
-// operator new with one that counts every allocation, so the tests can
-// pin that a steady-state shrink reuses its workspace on every route (row
-// Gram, column Gram, AppendBlock): the Gram, the eigensolver scratch, the
-// kept eigenvectors and U_keep^T B all live in SvdWorkspace, and the
-// shrunk rows go back into the buffer's storage.
-// The replacement forwards to malloc/free, so it also runs under ASan.
+// operator new with one that counts every allocation (alloc_counter.h),
+// so the tests can pin that a steady-state shrink reuses its workspace on
+// every route (row Gram, column Gram, AppendBlock): the Gram, the
+// eigensolver scratch, the kept eigenvectors and U_keep^T B all live in
+// SvdWorkspace, and the shrunk rows go back into the buffer's storage.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../alloc_counter.h"
 #include "linalg/matrix.h"
 #include "linalg/spectral_kernel.h"
 #include "sketch/frequent_directions.h"
 #include "workload/generators.h"
 
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<uint64_t> g_allocs{0};
-
-void* CountedAlloc(size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(size_t n) { return CountedAlloc(n); }
-void* operator new[](size_t n) { return CountedAlloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-
 namespace distsketch {
 namespace {
-
-// Counts every heap allocation while in scope.
-class AllocCounter {
- public:
-  AllocCounter() {
-    g_allocs.store(0);
-    g_counting.store(true);
-  }
-  ~AllocCounter() { g_counting.store(false); }
-  uint64_t count() const { return g_allocs.load(); }
-};
 
 // fd_local's shape: d = 64 > 2l with l = 21, so every shrink takes the
 // row-Gram path and eigensolves a 42-by-42 Gram.
