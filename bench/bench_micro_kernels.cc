@@ -261,10 +261,14 @@ double MinWallMs(int reps, const Fn& fn) {
 // Order of the FD-shaped row Gram the simd_eigen row solves: fd_local's
 // 2l for l = 21.
 constexpr size_t kEigenN = 42;
+// Shape of the tenant request the simd_max_abs row scans (service_mixed's
+// 64-row requests at d = 32).
+constexpr size_t kScanRows = 64;
+constexpr size_t kScanDim = 32;
 
 /// Times Gram / Multiply / Jacobi SVD / wire bit-packing / the FD
-/// eigensolve under one backend. Keys of the returned map are the row
-/// `op` names.
+/// eigensolve / the tenant request scan under one backend. Keys of the
+/// returned map are the row `op` names.
 std::map<std::string, double> TimeSimdKernelsMs(bool smoke) {
   const size_t n = smoke ? 256 : 4096;
   const size_t d = smoke ? 16 : 64;
@@ -311,6 +315,16 @@ std::map<std::string, double> TimeSimdKernelsMs(bool smoke) {
     }
     benchmark::DoNotOptimize(eig);
   });
+  // A tenant ingest's one scan of its request: max|a| and the finiteness
+  // flag. The scalar backend's row is the plain fused loop.
+  const Matrix request = GenerateGaussian(kScanRows, kScanDim, 1.0, 206);
+  const int scans = smoke ? 100 : 20000;
+  ms["simd_max_abs"] = MinWallMs(reps, [&] {
+    bool finite = true;
+    for (int t = 0; t < scans; ++t) {
+      benchmark::DoNotOptimize(MaxAbs(request, &finite));
+    }
+  });
   return ms;
 }
 
@@ -330,10 +344,11 @@ std::map<std::string, std::map<std::string, double>> EmitSimdBackendRows(
     const std::string name(SimdBackendName(backend));
     for (const auto& [op, wall_ms] : TimeSimdKernelsMs(smoke)) {
       const bool eigen = op == "simd_eigen";
+      const bool scan = op == "simd_max_abs";
       bench::BenchRecord rec;
       rec.op = op;
-      rec.n = eigen ? kEigenN : n;
-      rec.d = eigen ? kEigenN : d;
+      rec.n = eigen ? kEigenN : scan ? kScanRows : n;
+      rec.d = eigen ? kEigenN : scan ? kScanDim : d;
       rec.wall_ms = wall_ms;
       rec.backend = name;
       writer.Add(rec);
