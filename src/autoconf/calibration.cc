@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 
 #include "autoconf/protocol_factory.h"
@@ -87,25 +88,55 @@ std::vector<std::string> ParseStringArray(const std::string& array_text) {
 
 }  // namespace
 
+std::vector<std::string> CalibratedFamilyKeys() {
+  std::vector<std::string> keys;
+  for (ProtocolFamily family :
+       {ProtocolFamily::kFdMerge, ProtocolFamily::kExactGram,
+        ProtocolFamily::kRowSampling, ProtocolFamily::kSvs,
+        ProtocolFamily::kCountSketch}) {
+    SketchConfig config;
+    config.family = family;
+    keys.push_back(FamilyKey(config));
+    // The variants whose measured behaviour differs get their own key.
+    if (family == ProtocolFamily::kFdMerge) {
+      config.quantize_bits = 1;
+      keys.push_back(FamilyKey(config));
+    } else if (family == ProtocolFamily::kSvs) {
+      config.sampling = SamplingFunctionKind::kLinear;
+      keys.push_back(FamilyKey(config));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 CalibrationSpec DefaultCalibrationSpec() { return CalibrationSpec(); }
 
-SketchConfig ConfigForFamilyKey(const std::string& key, double eps) {
+StatusOr<SketchConfig> ConfigForFamilyKey(const std::string& key, double eps) {
   SketchConfig config;
   config.working_eps = eps;
-  if (key == "fd_merge_q") {
-    config.family = "fd_merge";
+  std::string_view name = key;
+  auto strip = [&name](std::string_view suffix) {
+    if (!name.ends_with(suffix)) return false;
+    name.remove_suffix(suffix.size());
+    return true;
+  };
+  if (strip("_q")) {
     config.quantize_bits = 1;  // sentinel: quantized wire on; the protocol
                                // derives the §3.3 bit width itself.
-  } else if (key == "svs_linear") {
-    config.family = "svs";
+  } else if (strip("_linear")) {
     config.sampling = SamplingFunctionKind::kLinear;
-  } else if (key == "svs_quadratic") {
-    config.family = "svs";
-    config.sampling = SamplingFunctionKind::kQuadratic;
   } else {
-    config.family = key;
+    strip("_quadratic");
   }
-  return config;
+  auto family = ParseProtocolFamily(name);
+  if (family.ok()) {
+    config.family = *family;
+    // Only the forms FamilyKey produces are keys: a bare svs or an
+    // exact_gram_q is not.
+    if (FamilyKey(config) == key) return config;
+  }
+  return Status::InvalidArgument("unknown calibration family key: " + key);
 }
 
 StatusOr<CalibrationMeasurement> MeasureCalibrationPoint(
@@ -125,7 +156,8 @@ StatusOr<CalibrationMeasurement> MeasureCalibrationPoint(
       Cluster cluster,
       Cluster::Create(PartitionRows(a, s, PartitionScheme::kRoundRobin), eps));
 
-  const SketchConfig config = ConfigForFamilyKey(family, eps);
+  DS_ASSIGN_OR_RETURN(const SketchConfig config,
+                      ConfigForFamilyKey(family, eps));
   DS_ASSIGN_OR_RETURN(auto protocol, BuildProtocol(config, seed));
   DS_ASSIGN_OR_RETURN(SketchProtocolResult result, protocol->Run(cluster));
 
@@ -282,6 +314,10 @@ StatusOr<CalibrationTable> ParseCalibrationJson(const std::string& json) {
       spec.servers_grid.empty() || spec.families.empty()) {
     return Status::InvalidArgument("calibration JSON: incomplete spec");
   }
+  for (const std::string& family : spec.families) {
+    DS_RETURN_IF_ERROR(
+        ConfigForFamilyKey(family, spec.eps_grid.front()).status());
+  }
 
   const size_t points_at = json.find("\"points\":");
   if (points_at == std::string::npos) {
@@ -305,10 +341,11 @@ StatusOr<CalibrationTable> ParseCalibrationJson(const std::string& json) {
     p.bits = std::atof(FieldOf(row, "bits").c_str());
     p.coord_words = std::atof(FieldOf(row, "coord_words").c_str());
     p.wire_bytes = std::atof(FieldOf(row, "wire_bytes").c_str());
-    if (p.family.empty() || p.eps <= 0.0 || p.s == 0) {
+    if (p.eps <= 0.0 || p.s == 0) {
       return Status::InvalidArgument("calibration JSON: malformed point: " +
                                      row);
     }
+    DS_RETURN_IF_ERROR(ConfigForFamilyKey(p.family, p.eps).status());
     table.points.push_back(std::move(p));
     pos = end + 1;
   }

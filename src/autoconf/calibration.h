@@ -12,6 +12,11 @@
 namespace distsketch {
 namespace autoconf {
 
+/// Family keys (protocol_factory FamilyKey vocabulary) of every (eps, 0)
+/// variant the solver prices, sorted: countsketch, exact_gram, fd_merge,
+/// its quantized wire, row_sampling and both svs sampling functions.
+std::vector<std::string> CalibratedFamilyKeys();
+
 /// The offline calibration experiment: a fixed low-rank-plus-noise
 /// workload swept over (family x eps x s) with several replicate seeds.
 /// Everything here is part of the committed calibration artifact
@@ -31,10 +36,7 @@ struct CalibrationSpec {
   /// Sweep axes. eps ascending; servers ascending.
   std::vector<double> eps_grid = {0.05, 0.12, 0.25};
   std::vector<size_t> servers_grid = {4, 16};
-  /// Family keys (protocol_factory FamilyKey vocabulary).
-  std::vector<std::string> families = {
-      "countsketch", "exact_gram",    "fd_merge", "fd_merge_q",
-      "row_sampling", "svs_linear",   "svs_quadratic"};
+  std::vector<std::string> families = CalibratedFamilyKeys();
   /// Replicate seeds: each drives both the workload draw and the
   /// protocol's RNG stream, so the band captures workload variation for
   /// the deterministic families and sampling variation for the
@@ -93,6 +95,9 @@ StatusOr<CalibrationTable> RunCalibrationSweep(const CalibrationSpec& spec);
 /// Committed-artifact serialization (stable key order, %.17g doubles —
 /// byte-identical re-encoding of a parsed table).
 std::string CalibrationTableToJson(const CalibrationTable& table);
+/// Parsing refuses (InvalidArgument) any family key that
+/// ConfigForFamilyKey does not map to a configuration, in the spec and in
+/// the points alike: the file is outside input (DS_AUTOCONF_CALIBRATION).
 StatusOr<CalibrationTable> ParseCalibrationJson(const std::string& json);
 StatusOr<CalibrationTable> LoadCalibrationTable(const std::string& path);
 
@@ -105,9 +110,11 @@ std::vector<std::string> DiffCalibrationTables(const CalibrationTable& committed
                                                double tolerance);
 
 /// Maps a calibration family key back to the SketchConfig the factory
-/// runs ("fd_merge_q" -> quantized fd_merge, "svs_linear" -> svs with
-/// the Thm 5 function, ...). Star topology; `eps` is the working eps.
-SketchConfig ConfigForFamilyKey(const std::string& key, double eps);
+/// runs (fd_merge_q -> quantized fd_merge, svs_linear -> svs with the
+/// Thm 5 function, ...): the inverse of FamilyKey. Star topology; `eps`
+/// is the working eps. InvalidArgument for any string FamilyKey cannot
+/// produce.
+StatusOr<SketchConfig> ConfigForFamilyKey(const std::string& key, double eps);
 
 }  // namespace autoconf
 }  // namespace distsketch

@@ -45,8 +45,8 @@ std::string PlanSummary(const ConfigPlan& plan) {
   out << "feasible=" << (plan.feasible() ? 1 : 0) << "\n";
   for (size_t i = 0; i < plan.ranked.size(); ++i) {
     const ConfigCandidate& c = plan.ranked[i];
-    out << i << ". " << c.config.family;
-    if (c.config.family == "svs") {
+    out << i << ". " << ProtocolFamilyName(c.config.family);
+    if (c.config.family == ProtocolFamily::kSvs) {
       out << "/"
           << (c.config.sampling == SamplingFunctionKind::kLinear
                   ? "linear"

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "dist/merge_topology.h"
+#include "dist/protocol_family.h"
 #include "dist/sketch_goal.h"
 #include "sketch/sampling_function.h"
 
@@ -17,9 +18,9 @@ namespace autoconf {
 
 /// Communication / latency budget the solver treats as first-class
 /// constraints (not outputs). 0 means unconstrained. Units follow the
-/// planner's cost model: words are 64-bit machine words of payload,
+/// solver's cost model: words are 64-bit machine words of payload,
 /// wire bytes are encoded frame bytes, the critical path is the
-/// serialized-receive word count of PredictCriticalPathWords.
+/// serialized-receive word count of the reduction (solver.h).
 struct Budget {
   /// Payload words received by the coordinator — the quantity
   /// aggregation trees shrink while total words stay put.
@@ -52,9 +53,7 @@ struct InstanceShape {
 /// had to hand-pick. BuildProtocol (protocol_factory.h) turns one of
 /// these into a runnable SketchProtocol.
 struct SketchConfig {
-  /// Protocol family: "fd_merge", "exact_gram", "row_sampling", "svs",
-  /// "adaptive_sketch", "countsketch".
-  std::string family;
+  ProtocolFamily family = ProtocolFamily::kFdMerge;
   /// The eps parameter the protocol actually runs at. The solver may
   /// relax it above the goal's eps when the calibrated predictor
   /// certifies the measured error still meets the goal.

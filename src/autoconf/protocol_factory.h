@@ -15,21 +15,21 @@ namespace autoconf {
 /// Turns a solved SketchConfig into a runnable protocol — the executable
 /// half of the plan's machine-checkable rationale: tests and the
 /// calibration sweep run exactly what the solver priced. Rejects
-/// unknown families and invalid combinations (quantization off the
-/// fd_merge star) with InvalidArgument.
+/// invalid combinations (working_eps outside (0,1), quantization off
+/// the fd_merge star) with InvalidArgument.
 StatusOr<std::unique_ptr<SketchProtocol>> BuildProtocol(
     const SketchConfig& config, uint64_t seed);
 
 /// Rows (FD l / CountSketch buckets m / expected samples t) of the
 /// family's uplink message at `eps` — the l knob of Table 1 the solver
 /// reports in SketchConfig::sketch_rows.
-size_t FamilySketchRows(const std::string& family, double eps, size_t k,
+size_t FamilySketchRows(ProtocolFamily family, double eps, size_t k,
                         size_t dim);
 
-/// The calibration/predictor key of a configuration: the family plus the
-/// knobs that change its measured behaviour ("fd_merge_q" for the
-/// quantized wire, "svs_linear" / "svs_quadratic" for the Thm 5 / Thm 6
-/// sampling functions).
+/// The calibration/predictor key of a configuration: the family name
+/// plus the knobs that change its measured behaviour (a "_q" suffix for
+/// the quantized fd_merge wire, "_linear" / "_quadratic" on svs for the
+/// Thm 5 / Thm 6 sampling functions).
 std::string FamilyKey(const SketchConfig& config);
 
 }  // namespace autoconf

@@ -4,21 +4,27 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "autoconf/protocol_factory.h"
-#include "dist/protocol_planner.h"
 #include "sketch/quantizer.h"
 
 namespace distsketch {
 namespace autoconf {
 namespace {
 
-// Frame header charged per uplink when no calibrated bytes-per-word is
-// available (matches the planner's kPerMessageOverheadWords at the
-// default 64-bit word).
+// Frame header charged per message, in encoded bytes and in words at
+// the default 64-bit word.
 constexpr double kFrameBytes = 40.0;
+constexpr double kPerMessageOverheadWords = kFrameBytes / 8.0;
+
+// One synchronization round expressed in words. This is the
+// latency/bandwidth knob of the topology model: without it a binary
+// chain always wins on serialized receives; with it deep trees stop
+// paying once messages are small relative to a round trip.
+constexpr double kRoundOverheadWords = 128.0;
 
 std::string FormatEps(double eps) {
   char buf[32];
@@ -26,44 +32,106 @@ std::string FormatEps(double eps) {
   return buf;
 }
 
+double LogTerm(size_t d, double delta) {
+  return std::max(1.0, std::log(static_cast<double>(d) / delta));
+}
+
 // Families whose merge is associative: the uplink payload size is fixed
 // per hop, so non-star aggregation topologies apply.
-bool Associative(const std::string& family) {
-  return family == "fd_merge" || family == "exact_gram" ||
-         family == "countsketch";
+bool Associative(ProtocolFamily family) {
+  return family == ProtocolFamily::kFdMerge ||
+         family == ProtocolFamily::kExactGram ||
+         family == ProtocolFamily::kCountSketch;
 }
 
 // The analytic covariance-error bound of `family` at working_eps,
 // relative to ||A||_F^2 (k >= 1 bounds are eps * tail / k <= eps, so
 // working_eps is the honest relative ceiling there too).
-double AnalyticRelativeBound(const std::string& family, double working_eps) {
-  if (family == "exact_gram") return 0.0;
+double AnalyticRelativeBound(ProtocolFamily family, double working_eps) {
+  if (family == ProtocolFamily::kExactGram) return 0.0;
   return working_eps;
 }
 
 // Uplink message size in words for the associative families (what each
-// hop of a reduction carries).
+// hop of a reduction carries): the packed d x d Gram, the l x d FD
+// sketch, the m x d CountSketch buckets.
 double MessageWords(const SketchConfig& config, size_t d) {
-  if (config.family == "exact_gram") {
+  if (config.family == ProtocolFamily::kExactGram) {
     return static_cast<double>(d) * static_cast<double>(d + 1) / 2.0;
   }
   return static_cast<double>(config.sketch_rows) * static_cast<double>(d);
 }
 
-// Table 1 words for the family via the protocol_planner cost oracle.
-double OracleTotalWords(const SketchConfig& config, size_t s, size_t d) {
-  SketchRequest req;
-  req.eps = config.working_eps;
-  req.k = config.k;
-  req.delta = config.delta;
-  if (config.family == "exact_gram") return PredictExactGramWords(s, d);
-  if (config.family == "fd_merge") return PredictFdMergeWords(s, d, req);
-  if (config.family == "row_sampling") {
-    return PredictRowSamplingWords(s, d, req);
+// Total words per the paper's Table 1 (constants calibrated to this
+// implementation).
+double TotalWords(const SketchConfig& config, size_t s, size_t d) {
+  const double sd = static_cast<double>(s);
+  const double dd = static_cast<double>(d);
+  switch (config.family) {
+    case ProtocolFamily::kExactGram:
+    case ProtocolFamily::kFdMerge:
+      // Every server ships one message (Thm 2 for FD: s * l * d).
+      return sd * MessageWords(config, d);
+    case ProtocolFamily::kCountSketch:
+      // Every server uplinks its bucket matrix and receives the 1-word
+      // seed.
+      return sd * MessageWords(config, d) + sd;
+    case ProtocolFamily::kRowSampling: {
+      // Only provides the (eps, 0) guarantee; t = 2/eps^2 samples (the
+      // oversample BuildProtocol runs).
+      const double t = 2.0 / (config.working_eps * config.working_eps);
+      return t * dd + 3.0 * sd;
+    }
+    case ProtocolFamily::kSvs: {
+      // Thm 6 at alpha = eps/4 (the calibration the protocols use); the
+      // linear sampling function of Thm 5 pays log(d/delta) where the
+      // quadratic one pays its square root.
+      const double alpha = config.working_eps / 4.0;
+      const double log_term = LogTerm(d, config.delta);
+      return std::sqrt(sd) * dd / alpha *
+                 (config.sampling == SamplingFunctionKind::kLinear
+                      ? log_term
+                      : std::sqrt(log_term)) +
+             2.0 * sd;
+    }
+    case ProtocolFamily::kAdaptiveSketch: {
+      // Thm 7: s*k*d for the adaptive sketches plus the SVS round.
+      const double k = static_cast<double>(config.k);
+      return sd * k * dd +
+             std::sqrt(sd) * k * dd / config.working_eps *
+                 std::sqrt(LogTerm(d, config.delta)) +
+             2.0 * sd;
+    }
   }
-  if (config.family == "svs") return PredictSvsWords(s, d, req);
-  if (config.family == "adaptive_sketch") return PredictAdaptiveWords(s, d, req);
-  return PredictCountSketchWords(s, d, req);
+  return 0.0;
+}
+
+// Coordinator inbound and critical path of an s-server reduction of
+// `message_words`-word uplinks under `topology`. Inbound: every interior
+// merge keeps the per-hop payload fixed, so the coordinator receives
+// top_width messages. Critical path: per stage the busiest receiver
+// takes its inbound messages back to back (message plus frame header
+// each) and each stage adds one round charge — star pays s serialized
+// receives in one round, a k-ary tree fewer receives over more rounds.
+void PriceReduction(size_t s, const MergeTopologyOptions& topology,
+                    double message_words, CostPrediction& cost) {
+  auto topo = MergeTopology::Build(s, topology);
+  DS_CHECK(topo.ok());
+  cost.coordinator_words =
+      static_cast<double>(topo->top_width()) * message_words;
+  const double per_message = message_words + kPerMessageOverheadWords;
+  cost.critical_path_words = 0.0;
+  for (const auto& stage : topo->stages()) {
+    std::map<int, size_t> inbound;
+    size_t busiest = 0;
+    for (int node : stage) {
+      const size_t count =
+          ++inbound[topo->node(static_cast<size_t>(node)).parent];
+      busiest = std::max(busiest, count);
+    }
+    cost.critical_path_words +=
+        static_cast<double>(busiest) * per_message + kRoundOverheadWords;
+  }
 }
 
 // §3.3 bit width of the quantized fd_merge uplink (analytic fallback
@@ -79,28 +147,23 @@ uint64_t AnalyticQuantizeBits(const InstanceShape& shape, double eps) {
 
 CostPrediction PriceConfig(const SketchConfig& config,
                            const InstanceShape& shape,
-                           const ErrorPredictor* predictor,
-                           const std::string& family_key) {
+                           const ErrorPredictor* predictor) {
   const size_t s = shape.num_servers;
   const size_t d = shape.dim;
   CostPrediction cost;
-  cost.total_words = OracleTotalWords(config, s, d);
+  cost.total_words = TotalWords(config, s, d);
   if (Associative(config.family)) {
-    const double message = MessageWords(config, d);
-    cost.coordinator_words =
-        PredictCoordinatorInboundWords(s, config.topology, message);
-    cost.critical_path_words =
-        PredictCriticalPathWords(s, config.topology, message);
+    PriceReduction(s, config.topology, MessageWords(config, d), cost);
   } else {
     // Star-only families: everything lands at the coordinator; the
     // critical path serializes the s uplinks of the (averaged) size.
+    PriceReduction(s, MergeTopologyOptions::Star(),
+                   cost.total_words / static_cast<double>(s), cost);
     cost.coordinator_words = cost.total_words;
-    cost.critical_path_words = PredictCriticalPathWords(
-        s, MergeTopologyOptions::Star(),
-        cost.total_words / static_cast<double>(s));
   }
   const double bytes_per_word =
-      predictor ? predictor->BytesPerWord(family_key, config.working_eps, s)
+      predictor ? predictor->BytesPerWord(FamilyKey(config),
+                                          config.working_eps, s)
                 : 0.0;
   if (bytes_per_word > 0.0) {
     cost.total_wire_bytes = cost.total_words * bytes_per_word;
@@ -219,7 +282,7 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
 
   // Family variants the goal admits (family, sampling kind, quantized).
   struct Variant {
-    std::string family;
+    ProtocolFamily family;
     SamplingFunctionKind sampling = SamplingFunctionKind::kQuadratic;
     bool quantized = false;
   };
@@ -233,21 +296,25 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
           "(eps,k>0) guarantee over arbitrary partitions; only the "
           "randomized (eps,0) CountSketch projection is linear in A");
     }
-    variants.push_back({"countsketch"});
+    variants.push_back({ProtocolFamily::kCountSketch});
   } else if (goal.k == 0) {
-    variants.push_back({"fd_merge"});
-    variants.push_back({"fd_merge", SamplingFunctionKind::kQuadratic, true});
-    variants.push_back({"exact_gram"});
+    variants.push_back({ProtocolFamily::kFdMerge});
+    variants.push_back(
+        {ProtocolFamily::kFdMerge, SamplingFunctionKind::kQuadratic, true});
+    variants.push_back({ProtocolFamily::kExactGram});
     if (goal.allow_randomized) {
-      variants.push_back({"row_sampling"});
-      variants.push_back({"svs", SamplingFunctionKind::kLinear});
-      variants.push_back({"svs", SamplingFunctionKind::kQuadratic});
-      variants.push_back({"countsketch"});
+      variants.push_back({ProtocolFamily::kRowSampling});
+      variants.push_back({ProtocolFamily::kSvs, SamplingFunctionKind::kLinear});
+      variants.push_back(
+          {ProtocolFamily::kSvs, SamplingFunctionKind::kQuadratic});
+      variants.push_back({ProtocolFamily::kCountSketch});
     }
   } else {
-    variants.push_back({"fd_merge"});
-    variants.push_back({"exact_gram"});
-    if (goal.allow_randomized) variants.push_back({"adaptive_sketch"});
+    variants.push_back({ProtocolFamily::kFdMerge});
+    variants.push_back({ProtocolFamily::kExactGram});
+    if (goal.allow_randomized) {
+      variants.push_back({ProtocolFamily::kAdaptiveSketch});
+    }
   }
 
   // working_eps ladder, cheapest (largest) first: the goal eps always
@@ -275,15 +342,16 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
     base.k = goal.k;
     base.delta = goal.delta;
     base.sampling = variant.sampling;
-    base.quantize_bits = 0;
+    // 1 marks the quantized wire (its FamilyKey) until the bit width is
+    // resolved below.
+    base.quantize_bits = variant.quantized ? 1 : 0;
     bool resolved = false;
     ErrorPrediction resolved_error;
     for (double eps : ladder) {
       base.working_eps = eps;
       base.sketch_rows =
           FamilySketchRows(variant.family, eps, goal.k, shape.dim);
-      std::string key = FamilyKey(base);
-      if (variant.quantized) key = "fd_merge_q";
+      const std::string key = FamilyKey(base);
       const double analytic = AnalyticRelativeBound(variant.family, eps);
       // The shape enters the prediction: off-spec rows/dim widen the
       // calibrated band (kClampWiden per axis), so relaxation is only
@@ -304,7 +372,7 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
 
     if (variant.quantized) {
       const double bits_per_word =
-          predictor ? predictor->BitsPerWord("fd_merge_q", base.working_eps,
+          predictor ? predictor->BitsPerWord(FamilyKey(base), base.working_eps,
                                              shape.num_servers)
                     : 0.0;
       base.quantize_bits =
@@ -329,8 +397,7 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
       c.config = base;
       c.config.topology = topology;
       c.error = resolved_error;
-      std::string key = FamilyKey(c.config);
-      c.cost = PriceConfig(c.config, shape, predictor, key);
+      c.cost = PriceConfig(c.config, shape, predictor);
       JudgeCandidate(request.budget, c);
       c.rationale = Rationale(c, goal);
       plan.ranked.push_back(std::move(c));
@@ -344,7 +411,9 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
 
   // Rank: feasible before infeasible; feasible by the budgeted cost
   // dimension, infeasible by how close they come (largest headroom
-  // first). Every tie breaks on the deterministic candidate key.
+  // first). Ties break on total words, then on the critical path (so
+  // equal-word topologies resolve to the shortest one), then on the
+  // deterministic candidate key.
   const Budget& budget = request.budget;
   std::stable_sort(
       plan.ranked.begin(), plan.ranked.end(),
@@ -359,6 +428,9 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
         }
         if (a.cost.total_words != b.cost.total_words) {
           return a.cost.total_words < b.cost.total_words;
+        }
+        if (a.cost.critical_path_words != b.cost.critical_path_words) {
+          return a.cost.critical_path_words < b.cost.critical_path_words;
         }
         return CandidateKey(a.config) < CandidateKey(b.config);
       });

@@ -27,12 +27,17 @@ struct AutoConfRequest {
 
 /// Solves goal x budget -> ranked sketch configurations.
 ///
-/// The search space is protocol family x working_eps x sampling function
-/// x quantization x merge topology, priced through the protocol_planner
-/// cost oracle (Table 1 word formulas, topology inbound/critical-path
-/// model) and the calibrated error predictor. A pure single-threaded
-/// function of its inputs: the returned plan (and PlanSummary) is
-/// byte-identical at any DS_THREADS.
+/// The one protocol selector. The search space is protocol family x
+/// working_eps x sampling function x quantization x merge topology,
+/// priced by the paper's Table 1 word formulas, a topology model
+/// (coordinator inbound = top_width messages; critical path = per stage,
+/// the busiest receiver's serialized receives plus one round charge) and
+/// the calibrated error predictor. With no predictor and no budget the
+/// best candidate is the Table 1 cheapest family, and among its
+/// equal-word topologies the one with the shortest critical path.
+/// BuildProtocol (protocol_factory.h) turns any candidate into a
+/// runnable protocol. A pure single-threaded function of its inputs: the
+/// returned plan (and PlanSummary) is byte-identical at any DS_THREADS.
 ///
 /// Errors: InvalidArgument for malformed inputs; FailedPrecondition when
 /// the goal itself is unsatisfiable by any family (e.g. a deterministic

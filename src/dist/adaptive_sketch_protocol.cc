@@ -18,7 +18,7 @@ namespace distsketch {
 StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
   DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
-  ProtocolRunScope run_scope(cluster, "adaptive_sketch");
+  ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   CommLog& log = cluster.log();

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "dist/protocol.h"
+#include "dist/protocol_family.h"
 #include "sketch/sampling_function.h"
 
 namespace distsketch {
@@ -44,7 +45,9 @@ class AdaptiveSketchProtocol : public SketchProtocol {
   explicit AdaptiveSketchProtocol(AdaptiveSketchOptions options)
       : options_(options) {}
 
-  std::string_view Name() const override { return "adaptive_sketch"; }
+  std::string_view Name() const override {
+    return ProtocolFamilyName(ProtocolFamily::kAdaptiveSketch);
+  }
   StatusOr<SketchProtocolResult> Run(Cluster& cluster) override;
 
   const AdaptiveSketchOptions& options() const { return options_; }

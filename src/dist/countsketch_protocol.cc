@@ -17,7 +17,7 @@ namespace distsketch {
 
 StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
-  ProtocolRunScope run_scope(cluster, "countsketch");
+  ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   CommLog& log = cluster.log();

@@ -5,6 +5,7 @@
 
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "dist/protocol_family.h"
 #include "sketch/countsketch.h"
 
 namespace distsketch {
@@ -45,7 +46,9 @@ class CountSketchProtocol : public SketchProtocol {
   explicit CountSketchProtocol(CountSketchProtocolOptions options)
       : options_(options) {}
 
-  std::string_view Name() const override { return "countsketch"; }
+  std::string_view Name() const override {
+    return ProtocolFamilyName(ProtocolFamily::kCountSketch);
+  }
   StatusOr<SketchProtocolResult> Run(Cluster& cluster) override;
 
   const CountSketchProtocolOptions& options() const { return options_; }

@@ -41,7 +41,7 @@ StatusOr<Matrix> GramToSketch(const Matrix& total_gram) {
 StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
-  ProtocolRunScope run_scope(cluster, "exact_gram");
+  ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   CommLog& log = cluster.log();

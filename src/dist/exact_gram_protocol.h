@@ -3,6 +3,7 @@
 
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "dist/protocol_family.h"
 
 namespace distsketch {
 
@@ -36,7 +37,9 @@ class ExactGramProtocol : public SketchProtocol {
   ExactGramProtocol() = default;
   explicit ExactGramProtocol(ExactGramOptions options) : options_(options) {}
 
-  std::string_view Name() const override { return "exact_gram"; }
+  std::string_view Name() const override {
+    return ProtocolFamilyName(ProtocolFamily::kExactGram);
+  }
   StatusOr<SketchProtocolResult> Run(Cluster& cluster) override;
 
   const ExactGramOptions& options() const { return options_; }

@@ -29,7 +29,7 @@ StatusOr<FrequentDirections> MakeFd(size_t dim, const FdMergeOptions& opt) {
 StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
   DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
-  ProtocolRunScope run_scope(cluster, "fd_merge");
+  ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   CommLog& log = cluster.log();

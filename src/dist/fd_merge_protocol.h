@@ -6,6 +6,7 @@
 #include "dist/checkpoint.h"
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "dist/protocol_family.h"
 
 namespace distsketch {
 
@@ -44,7 +45,9 @@ class FdMergeProtocol : public SketchProtocol {
  public:
   explicit FdMergeProtocol(FdMergeOptions options) : options_(options) {}
 
-  std::string_view Name() const override { return "fd_merge"; }
+  std::string_view Name() const override {
+    return ProtocolFamilyName(ProtocolFamily::kFdMerge);
+  }
   StatusOr<SketchProtocolResult> Run(Cluster& cluster) override;
 
   const FdMergeOptions& options() const { return options_; }

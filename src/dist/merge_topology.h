@@ -102,7 +102,7 @@ class MergeTopology {
   /// The maximum number of uplink payloads any single receiver (server
   /// or coordinator) absorbs — the per-node merge bottleneck. Star: s at
   /// the coordinator. Tree: max(fanout - 1 + 1-ish, top width). Exposed
-  /// for the planner's analytic cost model and its tests.
+  /// for the solver's analytic cost model and its tests.
   size_t max_inbound() const;
 
  private:

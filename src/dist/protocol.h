@@ -129,7 +129,8 @@ class SketchProtocol {
  public:
   virtual ~SketchProtocol() = default;
 
-  /// Protocol name for tables ("fd_merge", "svs", ...).
+  /// Protocol name for tables and run scopes (ProtocolFamilyName for the
+  /// six Table 1 families).
   virtual std::string_view Name() const = 0;
 
   /// Runs the protocol. Resets the cluster's log first so the stats in

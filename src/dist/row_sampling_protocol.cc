@@ -18,7 +18,7 @@ StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
   if (options_.eps <= 0.0 || options_.oversample <= 0.0) {
     return Status::InvalidArgument("RowSamplingProtocol: bad options");
   }
-  ProtocolRunScope run_scope(cluster, "row_sampling");
+  ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   const size_t t = std::max<size_t>(

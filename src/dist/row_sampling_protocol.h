@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "dist/protocol.h"
+#include "dist/protocol_family.h"
 
 namespace distsketch {
 
@@ -36,7 +37,9 @@ class RowSamplingProtocol : public SketchProtocol {
   explicit RowSamplingProtocol(RowSamplingOptions options)
       : options_(options) {}
 
-  std::string_view Name() const override { return "row_sampling"; }
+  std::string_view Name() const override {
+    return ProtocolFamilyName(ProtocolFamily::kRowSampling);
+  }
   StatusOr<SketchProtocolResult> Run(Cluster& cluster) override;
 
   const RowSamplingOptions& options() const { return options_; }

@@ -6,10 +6,9 @@
 namespace distsketch {
 
 /// What the caller needs from a covariance sketch, stated as constraints
-/// on the *answer* — never as protocol parameters. This is the single
-/// definition shared by the planner's SketchRequest (which derives from
-/// it) and the auto-configurer's solver input, so the eps/k/delta
-/// semantics cannot drift between the two layers.
+/// on the *answer* — never as protocol parameters. It is the input of the
+/// one protocol selector, autoconf::SolveSketchConfig (AutoConfRequest::
+/// goal), which the service's kConfigure front door fills from the wire.
 struct SketchGoal {
   /// Accuracy parameter of Definition 3: coverr <= eps * ||A - [A]_k||_F^2
   /// / k for k >= 1, or eps * ||A||_F^2 for k == 0.
@@ -27,7 +26,7 @@ struct SketchGoal {
   /// question. Only linear sketches survive this model: CountSketch
   /// buckets add across shards of the *same* row, while FD merges,
   /// per-shard Grams and row sampling all assume whole rows. Requesting
-  /// this restricts planning to the CountSketch family, whose protocol
+  /// this restricts selection to the CountSketch family, whose protocol
   /// runs on a Cluster::CreateAdditive cluster.
   bool arbitrary_partition = false;
 };

@@ -28,7 +28,7 @@ constexpr uint8_t kServerLostMassKnown = 2;  // lost in round 2
 StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
   DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   cluster.ResetLog();
-  ProtocolRunScope run_scope(cluster, "svs");
+  ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   CommLog& log = cluster.log();

@@ -5,6 +5,7 @@
 
 #include "dist/checkpoint.h"
 #include "dist/protocol.h"
+#include "dist/protocol_family.h"
 #include "sketch/sampling_function.h"
 
 namespace distsketch {
@@ -46,7 +47,9 @@ class SvsProtocol : public SketchProtocol {
  public:
   explicit SvsProtocol(SvsProtocolOptions options) : options_(options) {}
 
-  std::string_view Name() const override { return "svs"; }
+  std::string_view Name() const override {
+    return ProtocolFamilyName(ProtocolFamily::kSvs);
+  }
   StatusOr<SketchProtocolResult> Run(Cluster& cluster) override;
 
   const SvsProtocolOptions& options() const { return options_; }

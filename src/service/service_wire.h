@@ -64,7 +64,8 @@ struct ConfigureParams {
 struct ConfigSummary {
   /// False on non-configure responses (nothing else set).
   bool present = false;
-  /// Calibration family key ("fd_merge", "fd_merge_q", "svs_linear", ...).
+  /// Calibration family key (autoconf::FamilyKey: fd_merge, fd_merge_q,
+  /// svs_linear, ...).
   std::string family;
   double working_eps = 0.0;
   uint64_t sketch_rows = 0;

@@ -173,7 +173,8 @@ ServiceResponse SketchService::HandleConfigure(const ServiceRequest& request) {
   // one exists, the least-violating fd_merge otherwise.
   const autoconf::ConfigCandidate* chosen = nullptr;
   for (const autoconf::ConfigCandidate& c : plan->ranked) {
-    if (c.config.family == "fd_merge" && c.config.quantize_bits == 0) {
+    if (c.config.family == ProtocolFamily::kFdMerge &&
+        c.config.quantize_bits == 0) {
       chosen = &c;
       break;
     }

@@ -28,9 +28,7 @@ StatusOr<FastFrequentDirections> FastFrequentDirections::FromEpsK(
   if (eps <= 0.0) {
     return Status::InvalidArgument("FromEpsK: eps must be positive");
   }
-  const size_t sketch_size =
-      k + static_cast<size_t>(std::ceil(static_cast<double>(k) / eps));
-  return FastFrequentDirections(dim, sketch_size, seed);
+  return FastFrequentDirections(dim, FdSketchSize(eps, k), seed);
 }
 
 StatusOr<FastFrequentDirections> FastFrequentDirections::FromState(

@@ -83,6 +83,12 @@ double ShrinkColumnGram(size_t rows, size_t sketch_size, int shift,
 
 }  // namespace
 
+size_t FdSketchSize(double eps, size_t k) {
+  return k == 0 ? static_cast<size_t>(std::ceil(1.0 / eps)) + 1
+                : k + static_cast<size_t>(
+                          std::ceil(static_cast<double>(k) / eps));
+}
+
 bool FdUsesGramShrink(size_t dim, size_t sketch_size) {
   return dim > 2 * sketch_size;
 }
@@ -259,9 +265,7 @@ StatusOr<FrequentDirections> FrequentDirections::FromEpsK(size_t dim,
   if (eps <= 0.0) {
     return Status::InvalidArgument("FromEpsK: eps must be positive");
   }
-  const size_t sketch_size =
-      k + static_cast<size_t>(std::ceil(static_cast<double>(k) / eps));
-  return FrequentDirections(dim, sketch_size);
+  return FrequentDirections(dim, FdSketchSize(eps, k));
 }
 
 StatusOr<FrequentDirections> FrequentDirections::FromEps(size_t dim,
@@ -269,9 +273,7 @@ StatusOr<FrequentDirections> FrequentDirections::FromEps(size_t dim,
   if (eps <= 0.0) {
     return Status::InvalidArgument("FromEps: eps must be positive");
   }
-  const size_t sketch_size =
-      static_cast<size_t>(std::ceil(1.0 / eps)) + 1;
-  return FrequentDirections(dim, sketch_size);
+  return FrequentDirections(dim, FdSketchSize(eps, 0));
 }
 
 StatusOr<FrequentDirections> FrequentDirections::FromState(

@@ -11,6 +11,13 @@
 
 namespace distsketch {
 
+/// Sketch rows l for Theorem 1's guarantee: k + ceil(k/eps) for k >= 1
+/// (covariance error at most eps * ||A - [A]_k||_F^2 / k), ceil(1/eps) + 1
+/// for k == 0 (at most eps * ||A||_F^2). Requires eps > 0. The one
+/// sizing rule behind FromEps/FromEpsK, fd_merge's uplink and the
+/// auto-configurer's pricing.
+size_t FdSketchSize(double eps, size_t k);
+
 /// True iff FD routes a dim-`dim` sketch of size `sketch_size` through
 /// the row-Gram shrink (FdGramShrink): exactly when d > 2 * sketch_size.
 ///

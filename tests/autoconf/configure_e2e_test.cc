@@ -135,14 +135,15 @@ TEST(ConfigureE2ETest, FrontDoorProvisionsAConfigThatMeetsGoalAndBudget) {
   // (a) Replay the plan on a real cluster: the echoed ConfigSummary is
   // enough to rebuild the exact protocol the solver priced.
   const Matrix a = Workload(/*seed=*/29);
-  SketchConfig config = ConfigForFamilyKey(solved.family, solved.working_eps);
-  config.topology.kind = static_cast<TopologyKind>(solved.topology);
-  config.topology.fanout = solved.fanout;
+  auto config = ConfigForFamilyKey(solved.family, solved.working_eps);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  config->topology.kind = static_cast<TopologyKind>(solved.topology);
+  config->topology.fanout = solved.fanout;
   auto cluster = Cluster::Create(
       PartitionRows(a, kServers, PartitionScheme::kRoundRobin),
       solved.working_eps);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
-  auto protocol = BuildProtocol(config, /*seed=*/29);
+  auto protocol = BuildProtocol(*config, /*seed=*/29);
   ASSERT_TRUE(protocol.ok()) << protocol.status().ToString();
   auto result = (*protocol)->Run(*cluster);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -193,7 +194,7 @@ TEST(ConfigureE2ETest, ArbitraryPartitionConfigRunsOnAdditiveShares) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_FALSE(plan->ranked.empty());
   const SketchConfig& config = plan->best().config;
-  ASSERT_EQ(config.family, "countsketch");
+  ASSERT_EQ(config.family, ProtocolFamily::kCountSketch);
 
   const Matrix a = Workload(/*seed=*/31);
   int good = 0;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "autoconf/calibration.h"
+#include "autoconf/protocol_factory.h"
 
 namespace distsketch {
 namespace autoconf {
@@ -202,6 +203,32 @@ TEST(CalibrationJsonTest, RejectsMalformedInput) {
   CalibrationTable table = TinyTable();
   table.points.pop_back();
   EXPECT_FALSE(ParseCalibrationJson(CalibrationTableToJson(table)).ok());
+}
+
+TEST(CalibrationJsonTest, RejectsUnknownFamilyKeys) {
+  // Every key must map to a configuration BuildProtocol can run, in the
+  // spec's family list and in the points alike.
+  for (const char* bad : {"fd_merge_x", "svs", "exact_gram_q", ""}) {
+    CalibrationTable in_spec = TinyTable();
+    in_spec.spec.families = {bad};
+    EXPECT_EQ(ParseCalibrationJson(CalibrationTableToJson(in_spec))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    CalibrationTable in_point = TinyTable();
+    in_point.points[1].family = bad;
+    EXPECT_EQ(ParseCalibrationJson(CalibrationTableToJson(in_point))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  for (const std::string& key : CalibratedFamilyKeys()) {
+    auto config = ConfigForFamilyKey(key, 0.1);
+    ASSERT_TRUE(config.ok()) << key;
+    EXPECT_EQ(FamilyKey(*config), key);
+  }
 }
 
 TEST(CalibrationDiffTest, FlagsDriftBeyondTolerance) {

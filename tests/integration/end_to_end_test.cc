@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "autoconf/protocol_factory.h"
+#include "autoconf/solver.h"
 #include "dist/adaptive_sketch_protocol.h"
-#include "dist/protocol_planner.h"
 #include "io/matrix_io.h"
 #include "linalg/blas.h"
 #include "linalg/csr_matrix.h"
@@ -83,25 +84,29 @@ TEST(EndToEndTest, SketchSurvivesPersistenceRoundTrip) {
 }
 
 TEST(EndToEndTest, PlannerDrivenPipeline) {
-  // Ask the planner for the cheapest protocol, run it, and use the
+  // Ask the solver for the cheapest protocol, run it, and use the
   // sketch for a downstream low-rank approximation (Lemma 1 pipeline).
   const Matrix a = GenerateZipfSpectrum(
       {.rows = 480, .cols = 24, .alpha = 1.0, .seed = 6});
-  SketchRequest req;
-  req.eps = 0.2;
-  req.k = 2;
-  auto plan = PlanSketchProtocol(12, 24, req);
+  autoconf::AutoConfRequest request;
+  request.goal.eps = 0.2;
+  request.goal.k = 2;
+  request.shape = {12, 24, a.rows()};
+  auto plan = autoconf::SolveSketchConfig(request, nullptr);
   ASSERT_TRUE(plan.ok());
+  auto protocol = autoconf::BuildProtocol(plan->best().config, request.seed);
+  ASSERT_TRUE(protocol.ok());
   auto cluster = Cluster::Create(
-      PartitionRows(a, 12, PartitionScheme::kRoundRobin), req.eps);
+      PartitionRows(a, 12, PartitionScheme::kRoundRobin), request.goal.eps);
   ASSERT_TRUE(cluster.ok());
-  auto result = plan->protocol->Run(*cluster);
+  auto result = (*protocol)->Run(*cluster);
   ASSERT_TRUE(result.ok());
   // Lemma 1: projecting A on the sketch's top-k right singular vectors
   // costs at most opt + 2k * coverr.
-  const double proj = ProjectionError(a, result->sketch, req.k);
-  const double bound = OptimalTailEnergy(a, req.k) +
-                       2.0 * req.k * CovarianceError(a, result->sketch);
+  const size_t k = request.goal.k;
+  const double proj = ProjectionError(a, result->sketch, k);
+  const double bound = OptimalTailEnergy(a, k) +
+                       2.0 * k * CovarianceError(a, result->sketch);
   EXPECT_LE(proj, bound * (1.0 + 1e-9));
 }
 
