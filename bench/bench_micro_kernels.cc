@@ -12,9 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -415,15 +414,6 @@ FdAbsorbMs EmitFdBlockAbsorbRows(bool smoke) {
   return ms;
 }
 
-double JsonNumber(const std::string& text, const std::string& key,
-                  double fallback) {
-  const std::string tag = "\"" + key + "\":";
-  size_t pos = text.find(tag);
-  if (pos == std::string::npos) return fallback;
-  pos += tag.size();
-  return std::strtod(text.c_str() + pos, nullptr);
-}
-
 /// Gate for CI: AppendBlock must beat AppendRows on the tenant shape by
 /// at least fd_block_min_speedup, and the best SIMD backend must beat
 /// scalar by at least the per-kernel floor in the committed baseline
@@ -433,16 +423,10 @@ int CheckAgainstBaseline(
     const char* path,
     const std::map<std::string, std::map<std::string, double>>& all,
     const FdAbsorbMs& fd) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path);
-    return 2;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
+  const std::optional<bench::Baseline> baseline = bench::Baseline::Read(path);
+  if (!baseline) return 2;
   int rc = 0;
-  const double fd_floor = JsonNumber(text, "fd_block_min_speedup", -1.0);
+  const double fd_floor = baseline->Number("fd_block_min_speedup", -1.0);
   if (fd_floor > 0.0) {
     const double speedup = fd.rows / fd.block;
     std::printf("kernel gate: %-16s AppendBlock vs AppendRows %.2fx "
@@ -461,7 +445,7 @@ int CheckAgainstBaseline(
     return rc;
   }
   for (const auto& [op, by_backend] : all) {
-    const double floor = JsonNumber(text, op + "_min_speedup", -1.0);
+    const double floor = baseline->Number(op + "_min_speedup", -1.0);
     if (floor <= 0.0) continue;  // kernel not gated by this baseline
     const auto scalar = by_backend.find("scalar");
     if (scalar == by_backend.end()) continue;

@@ -16,8 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -126,30 +125,15 @@ double NullSpanNsPerOp(size_t iters) {
          static_cast<double>(iters);
 }
 
-double JsonNumber(const std::string& text, const std::string& key,
-                  double fallback) {
-  const std::string tag = "\"" + key + "\":";
-  size_t pos = text.find(tag);
-  if (pos == std::string::npos) return fallback;
-  pos += tag.size();
-  return std::strtod(text.c_str() + pos, nullptr);
-}
-
 /// Compares measured null-sink costs against the committed baseline.
 /// Returns the process exit code.
 int CheckAgainstBaseline(const char* path, double count_ns,
                          double span_ns) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path);
-    return 2;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const double base_count = JsonNumber(text, "count_ns_per_op", -1.0);
-  const double base_span = JsonNumber(text, "span_ns_per_op", -1.0);
-  const double tolerance = JsonNumber(text, "tolerance", 0.05);
+  const std::optional<bench::Baseline> baseline = bench::Baseline::Read(path);
+  if (!baseline) return 2;
+  const double base_count = baseline->Number("count_ns_per_op", -1.0);
+  const double base_span = baseline->Number("span_ns_per_op", -1.0);
+  const double tolerance = baseline->Number("tolerance", 0.05);
   if (base_count <= 0.0 || base_span <= 0.0) {
     std::fprintf(stderr, "baseline %s missing ns-per-op entries\n", path);
     return 2;

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -191,6 +193,38 @@ class BenchJsonWriter {
 
   std::string path_;
   std::vector<BenchRecord> records_;
+};
+
+/// A committed baseline JSON file read by a bench's `--check` gate. The
+/// baselines are flat objects, so a key is found by text search for
+/// `"key":` and the number after it is parsed.
+class Baseline {
+ public:
+  /// Reads `path`. If it cannot be read, prints "cannot read baseline
+  /// <path>" to stderr and returns nullopt (the gates then exit 2).
+  static std::optional<Baseline> Read(const char* path) {
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "cannot read baseline %s\n", path);
+      return std::nullopt;
+    }
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return Baseline(ss.str());
+  }
+
+  /// The number stored under `key`, or `fallback` if the key is absent.
+  double Number(const std::string& key, double fallback) const {
+    const std::string tag = "\"" + key + "\":";
+    const size_t pos = text_.find(tag);
+    if (pos == std::string::npos) return fallback;
+    return std::strtod(text_.c_str() + pos + tag.size(), nullptr);
+  }
+
+ private:
+  explicit Baseline(std::string text) : text_(std::move(text)) {}
+
+  std::string text_;
 };
 
 /// Builds a cluster over a round-robin partition of `a`.

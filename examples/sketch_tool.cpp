@@ -2,8 +2,8 @@
 //
 //   sketch_tool info   --input data.csv
 //   sketch_tool sketch --input data.csv --output sketch.csv
-//                      [--eps 0.2] [--k 4] [--algo fd|fastfd|sampling|svs]
-//                      [--seed 42]
+//                      [--eps 0.2] [--k 4] [--servers 8]
+//                      [--algo fd|sampling|adaptive] [--seed 42]
 //   sketch_tool pca    --input data.csv --output pcs.csv
 //                      [--eps 0.2] [--k 4] [--servers 8]
 //
@@ -22,7 +22,6 @@
 #include "pca/pca_quality.h"
 #include "pca/sketch_and_solve.h"
 #include "sketch/error_metrics.h"
-#include "sketch/fast_frequent_directions.h"
 #include "sketch/frequent_directions.h"
 #include "sketch/row_sampling.h"
 #include "workload/generators.h"
@@ -56,7 +55,7 @@ int Usage() {
       "usage: sketch_tool <info|sketch|pca> [--input X.csv] [--output "
       "Y.csv]\n"
       "                   [--eps 0.2] [--k 4] [--servers 8]\n"
-      "                   [--algo fd|fastfd|sampling|svs] [--seed 42]\n");
+      "                   [--algo fd|sampling|adaptive] [--seed 42]\n");
   return 2;
 }
 
@@ -107,17 +106,12 @@ int RunSketch(const Args& args, const Matrix& a) {
     if (!fd.ok()) { std::printf("%s\n", fd.status().ToString().c_str()); return 1; }
     fd->AppendRows(a);
     b = fd->Sketch();
-  } else if (algo == "fastfd") {
-    auto fd = FastFrequentDirections::FromEpsK(a.cols(), eps, k, seed);
-    if (!fd.ok()) { std::printf("%s\n", fd.status().ToString().c_str()); return 1; }
-    fd->AppendRows(a);
-    b = fd->Sketch();
   } else if (algo == "sampling") {
     auto s = RowSamplingSketch::FromEps(a.cols(), eps, seed);
     if (!s.ok()) { std::printf("%s\n", s.status().ToString().c_str()); return 1; }
     s->AppendRows(a);
     b = s->Sketch();
-  } else if (algo == "svs") {
+  } else if (algo == "adaptive") {
     const size_t servers = args.GetSize("servers", 8);
     auto cluster = Cluster::Create(
         PartitionRows(a, servers, PartitionScheme::kRoundRobin), eps);

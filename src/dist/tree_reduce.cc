@@ -18,10 +18,11 @@ struct NodeState {
   /// same order). If this node dies, these are the senders that must
   /// retransmit to its live ancestor.
   std::vector<int> contributors;
-  /// This node's built uplink, kept alive past its own send so it can be
-  /// replayed verbatim if a downstream ancestor dies.
+  /// This node's built uplink. In fault mode it is kept alive past its
+  /// own send so it can be replayed verbatim if a downstream ancestor
+  /// dies; on the ideal wire no server is ever lost, so nothing replays
+  /// it and it is released as soon as it is delivered.
   wire::Message uplink;
-  bool built = false;
   /// Fault-mode bookkeeping.
   double mass = 0.0;
   bool mass_reported = false;
@@ -95,6 +96,7 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
           dst.inbox.push_back(std::move(out.payload));
           dst.contributors.push_back(node);
         }
+        if (!fault_mode) st.uplink = wire::Message();
         return;
       }
       if (cluster.ServerLost(node)) {
@@ -185,7 +187,6 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                 st.uplink, node,
                 topology.node(static_cast<size_t>(node)).parent);
           }
-          st.built = true;
           return Status::OK();
         });
     for (const auto& st : merge_status) note_error(st);

@@ -260,9 +260,6 @@ std::vector<uint8_t> SerializeSketchState(const RowSamplingState& state) {
 std::vector<uint8_t> SerializeSketch(const FrequentDirections& sketch) {
   return SerializeSketchState(sketch.ExportState());
 }
-std::vector<uint8_t> SerializeSketch(const FastFrequentDirections& sketch) {
-  return SerializeSketchState(sketch.ExportState());
-}
 std::vector<uint8_t> SerializeSketch(const AdaptiveLocalSketch& sketch) {
   return SerializeSketchState(sketch.ExportState());
 }
@@ -641,12 +638,6 @@ StatusOr<RowSamplingState> CompactSketch::ToRowSamplingState() const {
 StatusOr<FrequentDirections> CompactSketch::ToFrequentDirections() const {
   DS_ASSIGN_OR_RETURN(FdSketchState state, ToFdState());
   return FrequentDirections::FromState(std::move(state));
-}
-
-StatusOr<FastFrequentDirections> CompactSketch::ToFastFrequentDirections()
-    const {
-  DS_ASSIGN_OR_RETURN(FastFdState state, ToFastFdState());
-  return FastFrequentDirections::FromState(std::move(state));
 }
 
 StatusOr<AdaptiveLocalSketch> CompactSketch::ToAdaptiveLocalSketch() const {

@@ -10,12 +10,27 @@
 #include "linalg/matrix.h"
 #include "sketch/adaptive_sketch.h"
 #include "sketch/countsketch.h"
-#include "sketch/fast_frequent_directions.h"
 #include "sketch/frequent_directions.h"
 #include "sketch/row_sampling.h"
 #include "sketch/sliding_window.h"
 
 namespace distsketch {
+
+/// State of a fast (randomized-shrink) Frequent Directions sketch, the
+/// frozen kind 2. The sketch class that produced it is retired — exact
+/// FrequentDirections is the library's only FD — so this kind is kept
+/// only so that existing v1 blobs still decode and re-encode
+/// byte-for-byte. The shrink RNG position was implied by (seed,
+/// shrink_count).
+struct FastFdState {
+  size_t dim = 0;
+  size_t sketch_size = 0;
+  uint64_t seed = 0;
+  Matrix buffer;
+  double total_shrinkage = 0.0;
+  uint64_t shrink_count = 0;
+};
+
 namespace wire {
 
 /// Sketch blob format, frozen as version 1 (see DESIGN.md §11).
@@ -48,7 +63,7 @@ inline constexpr size_t kSketchSectionEntryBytes = 24;
 /// What a sketch blob contains. Values are frozen: never renumber.
 enum class SketchKind : uint8_t {
   kFrequentDirections = 1,
-  kFastFrequentDirections = 2,
+  kFastFrequentDirections = 2,  // frozen, decode-only (FastFdState)
   kSvs = 3,
   kAdaptive = 4,
   kCountSketch = 5,
@@ -107,7 +122,6 @@ std::vector<uint8_t> SerializeSketchState(const RowSamplingState& state);
 
 /// Convenience: live update-form sketch -> v1 blob via ExportState().
 std::vector<uint8_t> SerializeSketch(const FrequentDirections& sketch);
-std::vector<uint8_t> SerializeSketch(const FastFrequentDirections& sketch);
 std::vector<uint8_t> SerializeSketch(const AdaptiveLocalSketch& sketch);
 std::vector<uint8_t> SerializeSketch(const CountSketchCompressor& sketch);
 std::vector<uint8_t> SerializeSketch(const SlidingWindowSketch& sketch);
@@ -177,7 +191,6 @@ class CompactSketch {
 
   /// Compact -> live update-form sketch conversions.
   StatusOr<FrequentDirections> ToFrequentDirections() const;
-  StatusOr<FastFrequentDirections> ToFastFrequentDirections() const;
   StatusOr<AdaptiveLocalSketch> ToAdaptiveLocalSketch() const;
   StatusOr<CountSketchCompressor> ToCountSketch() const;
   StatusOr<SlidingWindowSketch> ToSlidingWindow() const;

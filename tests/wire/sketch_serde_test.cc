@@ -10,7 +10,6 @@
 #include "linalg/matrix.h"
 #include "sketch/adaptive_sketch.h"
 #include "sketch/countsketch.h"
-#include "sketch/fast_frequent_directions.h"
 #include "sketch/frequent_directions.h"
 #include "sketch/row_sampling.h"
 #include "sketch/sliding_window.h"
