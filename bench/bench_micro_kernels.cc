@@ -418,26 +418,23 @@ FdAbsorbMs EmitFdBlockAbsorbRows(bool smoke) {
 /// at least fd_block_min_speedup, and the best SIMD backend must beat
 /// scalar by at least the per-kernel floor in the committed baseline
 /// JSON. The SIMD part is skipped with a notice when the host has no SIMD
-/// backend (nothing to compare).
+/// backend (nothing to compare). `baseline` was read and validated before
+/// anything was measured (see main).
 int CheckAgainstBaseline(
-    const char* path,
+    const bench::Baseline& baseline,
     const std::map<std::string, std::map<std::string, double>>& all,
     const FdAbsorbMs& fd) {
-  const std::optional<bench::Baseline> baseline = bench::Baseline::Read(path);
-  if (!baseline) return 2;
   int rc = 0;
-  const double fd_floor = baseline->Number("fd_block_min_speedup", -1.0);
-  if (fd_floor > 0.0) {
-    const double speedup = fd.rows / fd.block;
-    std::printf("kernel gate: %-16s AppendBlock vs AppendRows %.2fx "
-                "(floor %.2fx)\n",
-                "fd_block_absorb", speedup, fd_floor);
-    if (speedup < fd_floor) {
-      std::fprintf(stderr,
-                   "FAIL: fd_block_absorb %.2fx below baseline floor %.2fx\n",
-                   speedup, fd_floor);
-      rc = 1;
-    }
+  const double fd_floor = baseline.Number("fd_block_min_speedup", -1.0);
+  const double fd_speedup = fd.rows / fd.block;
+  std::printf("kernel gate: %-16s AppendBlock vs AppendRows %.2fx "
+              "(floor %.2fx)\n",
+              "fd_block_absorb", fd_speedup, fd_floor);
+  if (fd_speedup < fd_floor) {
+    std::fprintf(stderr,
+                 "FAIL: fd_block_absorb %.2fx below baseline floor %.2fx\n",
+                 fd_speedup, fd_floor);
+    rc = 1;
   }
   if (SupportedBackends().size() == 1) {
     std::printf("kernel gate: host supports only the scalar backend; "
@@ -445,7 +442,7 @@ int CheckAgainstBaseline(
     return rc;
   }
   for (const auto& [op, by_backend] : all) {
-    const double floor = baseline->Number(op + "_min_speedup", -1.0);
+    const double floor = baseline.Number(op + "_min_speedup", -1.0);
     if (floor <= 0.0) continue;  // kernel not gated by this baseline
     const auto scalar = by_backend.find("scalar");
     if (scalar == by_backend.end()) continue;
@@ -484,10 +481,21 @@ int main(int argc, char** argv) {
   }
   if (baseline_path != nullptr) {
     // CI kernel-regression gate: full-size backend rows, compared
-    // against the committed speedup floors.
+    // against the committed speedup floors. The baseline is read first,
+    // so a wrong path fails in milliseconds, not after the measurement.
+    // The fd_block floor gates on every host (scalar-only ones too), so a
+    // file without it is not a kernel baseline.
+    const std::optional<distsketch::bench::Baseline> baseline =
+        distsketch::bench::Baseline::Read(baseline_path);
+    if (!baseline) return 2;
+    if (baseline->Number("fd_block_min_speedup", -1.0) <= 0.0) {
+      std::fprintf(stderr, "baseline %s missing fd_block_min_speedup\n",
+                   baseline_path);
+      return 2;
+    }
     const auto all = distsketch::EmitSimdBackendRows(/*smoke=*/false);
     const auto fd = distsketch::EmitFdBlockAbsorbRows(/*smoke=*/false);
-    return distsketch::CheckAgainstBaseline(baseline_path, all, fd);
+    return distsketch::CheckAgainstBaseline(*baseline, all, fd);
   }
   if (smoke) {
     // CTest perf-smoke entry: only the JSON-emitting kernel rows, tiny.

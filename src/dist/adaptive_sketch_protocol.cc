@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
-#include "linalg/blas.h"
 #include "sketch/adaptive_sketch.h"
 #include "sketch/quantizer.h"
 #include "telemetry/span.h"
@@ -54,7 +53,7 @@ StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
     while (stream.HasNext()) local->Append(stream.Next());
     slot.tail_mass = local->FinishAndReportTailMass();
     slot.sketch = std::move(*local);
-    if (ft) slot.mass = SquaredFrobeniusNorm(cluster.server(i).local_rows());
+    if (ft) slot.mass = cluster.server(i).squared_frobenius_norm();
     return slot;
   });
 

@@ -4,6 +4,11 @@
 
 namespace distsketch {
 
+Server::Server(int id, Matrix local_rows)
+    : id_(id),
+      local_rows_(std::move(local_rows)),
+      squared_frobenius_norm_(SquaredFrobeniusNorm(local_rows_)) {}
+
 Cluster::Cluster(std::vector<Server> servers, size_t dim, size_t total_rows,
                  CostModel cost_model, PartitionModel partition)
     : servers_(std::move(servers)),

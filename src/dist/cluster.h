@@ -40,12 +40,16 @@ enum class PartitionModel {
 /// streaming vs batch").
 class Server {
  public:
-  Server(int id, Matrix local_rows)
-      : id_(id), local_rows_(std::move(local_rows)) {}
+  /// Computes the local squared Frobenius norm once, here.
+  Server(int id, Matrix local_rows);
 
   int id() const { return id_; }
   /// Batch access to the local partition.
   const Matrix& local_rows() const { return local_rows_; }
+  /// ||local_rows()||_F^2, the server's local mass: the degraded-mode
+  /// accounting unit every fault-mode protocol reports. Bitwise equal to
+  /// SquaredFrobeniusNorm(local_rows()).
+  double squared_frobenius_norm() const { return squared_frobenius_norm_; }
   /// Single-pass access to the local partition.
   RowStream OpenStream() const { return RowStream(local_rows_); }
   /// Number of local rows.
@@ -66,6 +70,7 @@ class Server {
  private:
   int id_;
   Matrix local_rows_;
+  double squared_frobenius_norm_;
   // shared_ptr: Server stays cheaply movable and the view is immutable.
   std::shared_ptr<const CsrMatrix> sparse_;
 };

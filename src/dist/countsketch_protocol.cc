@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
 #include "dist/tree_reduce.h"
-#include "linalg/blas.h"
 #include "sketch/countsketch.h"
 #include "telemetry/span.h"
 #include "wire/codec.h"
@@ -113,7 +112,7 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
       }
     }
     w.compressed = std::move(compressor).TakeCompressed();
-    if (ft) w.mass = SquaredFrobeniusNorm(server.local_rows());
+    if (ft) w.mass = server.squared_frobenius_norm();
     return w;
   });
 

@@ -70,7 +70,7 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
     } else {
       w.gram = Gram(local);
     }
-    if (ft) w.mass = SquaredFrobeniusNorm(local);
+    if (ft) w.mass = server.squared_frobenius_norm();
     return w;
   });
 
@@ -84,13 +84,11 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
     TreeReduceHooks hooks;
     hooks.absorb = [&](int node,
                        const std::vector<uint8_t>& payload) -> Status {
-      Matrix received;
-      DS_ASSIGN_OR_RETURN(received, wire::DecodeSymmetricPayload(payload, d));
       Matrix& dst = (node == kCoordinator)
                         ? total_gram
                         : locals[static_cast<size_t>(node)].gram;
-      dst = Add(dst, received);
-      return Status::OK();
+      return wire::AddSymmetricPayloadInto(payload.data(), payload.size(), d,
+                                           &dst);
     };
     hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
       return wire::SymmetricMessage("local_gram",
@@ -120,9 +118,8 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
         cluster, id, kCoordinator, msg, result.degraded, locals[i].mass,
         /*mass_known_if_lost=*/false, /*prepend_mass_report=*/ft);
     if (!sent.delivered) continue;
-    DS_ASSIGN_OR_RETURN(Matrix received,
-                        wire::DecodeSymmetricPayload(sent.payload, d));
-    total_gram = Add(total_gram, received);
+    DS_RETURN_IF_ERROR(wire::AddSymmetricPayloadInto(
+        sent.payload.data(), sent.payload.size(), d, &total_gram));
   }
 
   DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(total_gram));

@@ -134,7 +134,9 @@ struct SendOutcome {
   /// the verified frame buffer itself with its header stripped (on the
   /// ideal wire's pre-encoded path, the payload bytes of the cached
   /// frame). The receiver-side code decodes its matrix/scalar from these
-  /// bytes, never from sender state.
+  /// bytes, never from unchecked sender state: the tree driver, which
+  /// keeps each sender's payload anyway, checks these bytes equal it and
+  /// then reads that one copy (DESIGN.md §14).
   std::vector<uint8_t> payload;
 };
 

@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
 #include "dist/tree_reduce.h"
-#include "linalg/blas.h"
 #include "sketch/frequent_directions.h"
 #include "sketch/quantizer.h"
 #include "telemetry/span.h"
@@ -75,7 +74,7 @@ StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
       span.SetAttr("server", static_cast<int64_t>(i));
       RowStream stream = cluster.server(i).OpenStream();
       while (stream.HasNext()) acc[i].Append(stream.Next());
-      if (ft) masses[i] = SquaredFrobeniusNorm(cluster.server(i).local_rows());
+      if (ft) masses[i] = cluster.server(i).squared_frobenius_norm();
       return 0;
     });
 
@@ -145,7 +144,7 @@ StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
     RowStream stream = cluster.server(i).OpenStream();
     while (stream.HasNext()) local->Append(stream.Next());
     w.sketch = local->Sketch();
-    if (ft) w.mass = SquaredFrobeniusNorm(cluster.server(i).local_rows());
+    if (ft) w.mass = cluster.server(i).squared_frobenius_norm();
     return w;
   });
 

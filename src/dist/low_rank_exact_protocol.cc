@@ -70,7 +70,7 @@ LowRankLocal ComputeLowRankLocal(const Server& server, size_t d,
         MultiplyTransposeB(out.q, builder.orthonormal_basis());
     out.g = Multiply(Multiply(qvt, z), Transpose(qvt));
   }
-  if (want_mass) out.mass = SquaredFrobeniusNorm(server.local_rows());
+  if (want_mass) out.mass = server.squared_frobenius_norm();
   return out;
 }
 

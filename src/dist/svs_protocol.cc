@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
-#include "linalg/blas.h"
 #include "sketch/svs.h"
 #include "telemetry/span.h"
 #include "wire/sketch_serde.h"
@@ -76,19 +75,14 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
       return result;
     }
   } else {
-    // Round 1: local Frobenius masses, computed concurrently (a full
-    // scan of every server's rows), then reported in server-index
-    // order. The coordinator's global mass (and therefore the shared
-    // sampling function) is built from the reports that actually
-    // arrive; a server lost here never participates and its mass is
-    // unknown.
+    // Round 1: local Frobenius masses (each server's, computed once at
+    // cluster construction), reported in server-index order. The
+    // coordinator's global mass (and therefore the shared sampling
+    // function) is built from the reports that actually arrive; a server
+    // lost here never participates and its mass is unknown.
     log.BeginRound();
-    masses = ParallelMap<double>(s, [&](size_t i) {
-      telemetry::Span span("svs/local_mass", telemetry::Phase::kCompute);
-      span.SetAttr("server", static_cast<int64_t>(i));
-      return SquaredFrobeniusNorm(cluster.server(i).local_rows());
-    });
     for (size_t i = 0; i < s; ++i) {
+      masses[i] = cluster.server(i).squared_frobenius_norm();
       ServerSendResult sent = SendWithMassAccounting(
           cluster, static_cast<int>(i), kCoordinator,
           wire::ScalarMessage("local_mass", masses[i]), result.degraded,

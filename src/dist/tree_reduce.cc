@@ -11,17 +11,16 @@ namespace {
 
 /// Per-node transfer state the driver threads through a run.
 struct NodeState {
-  /// Uplink payloads delivered to this node, in deterministic arrival
-  /// order, not yet absorbed.
-  std::vector<std::vector<uint8_t>> inbox;
-  /// Node ids whose kept uplinks this node has absorbed (inbox senders,
-  /// same order). If this node dies, these are the senders that must
-  /// retransmit to its live ancestor.
+  /// Senders whose uplinks were delivered to this node, in deterministic
+  /// arrival order. Only ids: the delivered bytes equal the sender's
+  /// retained `uplink.payload` (checked on delivery), so this node's
+  /// stage absorbs from that one copy. If this node dies, these are the
+  /// senders that must retransmit to its live ancestor.
   std::vector<int> contributors;
-  /// This node's built uplink. In fault mode it is kept alive past its
-  /// own send so it can be replayed verbatim if a downstream ancestor
-  /// dies; on the ideal wire no server is ever lost, so nothing replays
-  /// it and it is released as soon as it is delivered.
+  /// This node's built uplink, the one copy of it the run holds. In
+  /// fault mode it is kept to the end of the run so it can be replayed
+  /// verbatim if a downstream ancestor dies; on the ideal wire no server
+  /// is ever lost, so it is released once its receiver has absorbed it.
   wire::Message uplink;
   /// Fault-mode bookkeeping.
   double mass = 0.0;
@@ -87,16 +86,21 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     NodeState& st = nodes[static_cast<size_t>(node)];
     while (true) {
       SendOutcome out = cluster.Send(node, target, st.uplink);
+      // The pre-encoded frame serves the first attempt only; a replay in
+      // fault mode re-encodes anyway.
+      st.uplink.cached_frame.reset();
       if (out.delivered) {
+        // One copy per uplink: the receiver reads the sender's retained
+        // payload, so the delivered bytes must be exactly those.
+        DS_CHECK(out.payload == st.uplink.payload);
+        out.payload = std::vector<uint8_t>();
         if (target == kCoordinator) {
-          note_error(hooks.absorb(kCoordinator, out.payload));
+          note_error(hooks.absorb(kCoordinator, st.uplink.payload));
           ++stats.coordinator_inbound;
+          if (!fault_mode) st.uplink = wire::Message();
         } else {
-          NodeState& dst = nodes[static_cast<size_t>(target)];
-          dst.inbox.push_back(std::move(out.payload));
-          dst.contributors.push_back(node);
+          nodes[static_cast<size_t>(target)].contributors.push_back(node);
         }
-        if (!fault_mode) st.uplink = wire::Message();
         return;
       }
       if (cluster.ServerLost(node)) {
@@ -161,9 +165,10 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     stage_span.SetAttr("level", static_cast<uint64_t>(level));
     stage_span.SetAttr("width", static_cast<uint64_t>(stage.size()));
 
-    // Merge compute fans out across the pool: each node absorbs its own
-    // inbox and builds (and, on the ideal wire, pre-encodes) its uplink
-    // touching only its slot, so the result is thread-count invariant.
+    // Merge compute fans out across the pool: each node absorbs its
+    // contributors' uplinks and builds (and, on the ideal wire,
+    // pre-encodes) its own, touching only its slot and its contributors'
+    // (no two nodes share one), so the result is thread-count invariant.
     std::vector<Status> merge_status = ParallelMap<Status>(
         stage.size(), [&](size_t i) -> Status {
           const int node = stage[i];
@@ -174,11 +179,16 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
           node_span.SetAttr("level", static_cast<uint64_t>(level));
           node_span.SetAttr("node", static_cast<int64_t>(node));
           node_span.SetAttr("inbound",
-                            static_cast<uint64_t>(st.inbox.size()));
-          for (const auto& payload : st.inbox) {
-            DS_RETURN_IF_ERROR(hooks.absorb(node, payload));
+                            static_cast<uint64_t>(st.contributors.size()));
+          // Every contributor sent at an earlier stage and nothing else
+          // touches its slot before this stage's transfers, so reading
+          // (and on the ideal wire releasing) its uplink here is
+          // race-free.
+          for (int c : st.contributors) {
+            NodeState& sender = nodes[static_cast<size_t>(c)];
+            DS_RETURN_IF_ERROR(hooks.absorb(node, sender.uplink.payload));
+            if (!fault_mode) sender.uplink = wire::Message();
           }
-          st.inbox.clear();
           DS_ASSIGN_OR_RETURN(st.uplink, hooks.make_message(node));
           if (!fault_mode) {
             // The fault path re-encodes per attempt anyway; skip the
@@ -195,7 +205,6 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     // Transfers stay serial in ascending node order: the transcript (and
     // the per-server fault RNG consumption) is independent of DS_THREADS.
     for (int node : stage) {
-      NodeState& st = nodes[static_cast<size_t>(node)];
       if (cluster.ServerLost(node)) {
         // Died before its turn (e.g. as a discovered-dead receiver).
         record_own_loss(node);

@@ -21,7 +21,10 @@ struct TreeReduceHooks {
   /// (`node == kCoordinator` for the final merge). Called on the thread
   /// pool for distinct server nodes concurrently — implementations may
   /// mutate only node-local state — and on the caller thread for the
-  /// coordinator, in deterministic arrival order.
+  /// coordinator, in deterministic arrival order. `payload` is the
+  /// sender's retained uplink payload (the buffer its make_message
+  /// built), which the driver checked equal to the delivered bytes; it
+  /// is only valid for the duration of the call.
   std::function<Status(int node, const std::vector<uint8_t>& payload)>
       absorb;
   /// Builds `node`'s uplink message from its accumulator (local input
@@ -55,6 +58,13 @@ struct TreeReduceStats {
 /// lost nodes' local masses. In fault mode each node first reports its
 /// 1-word local mass straight to the coordinator, exactly like the star
 /// protocols, so the widened error bound stays honest.
+///
+/// The run holds one copy of each uplink: the sender's. A delivery to an
+/// interior node records only the sender id and drops the delivered
+/// bytes (after checking them equal to the sender's payload); the
+/// receiver's stage absorbs from the sender's copy. On the ideal wire an
+/// uplink is released once its receiver has absorbed it; in fault mode
+/// every uplink is kept to the end of the run for replay.
 StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                                         const MergeTopology& topology,
                                         const TreeReduceHooks& hooks,

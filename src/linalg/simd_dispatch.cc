@@ -208,6 +208,14 @@ double MaxAbsScalar(const double* x, size_t n, bool* finite) {
   return m;
 }
 
+void AddF64BytesScalar(double* y, const uint8_t* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    double v;
+    std::memcpy(&v, x + i * sizeof(double), sizeof(double));
+    y[i] += v;
+  }
+}
+
 size_t PackWindowScalar(const int64_t* quotients, size_t i0, size_t entries,
                         uint64_t bpe, uint8_t* bytes, size_t payload_bytes,
                         uint64_t* bit) {
@@ -300,6 +308,7 @@ const SimdKernelTable kScalarTable = {
     .max_abs = simd_internal::MaxAbsScalar,
     .sym_eigen = simd_internal::SymEigenScalar,
     .axpy = AxpyScalar,
+    .add_f64_bytes = simd_internal::AddF64BytesScalar,
     .scatter_axpy = simd_internal::ScatterAxpyScalar,
     .sparse_outer_acc = simd_internal::SparseOuterAccScalar,
     .pack_window = simd_internal::PackWindowScalar,

@@ -80,6 +80,13 @@ struct SimdKernelTable {
   /// update share this loop.
   void (*axpy)(double* y, const double* x, double alpha, size_t n);
 
+  /// y[i] += x_i for i < n, where x_i is the i-th host-order f64 of the
+  /// byte stream x, which has no alignment (the entries of a dense wire
+  /// payload). No misaligned double* is ever formed: the vector tables
+  /// load bytes, the scalar one memcpys each entry. One IEEE add per
+  /// element, y[i] first, so every backend returns the bits of y[i] + x_i.
+  void (*add_f64_bytes)(double* y, const uint8_t* x, size_t n);
+
   /// Sparse accumulate y[idx[t]] += alpha * vals[t] for t < nnz (a CSR
   /// row scaled into a dense accumulator). Index-gather bound, so every
   /// backend shares the scalar loop; the entry exists so call sites

@@ -370,6 +370,18 @@ void AxpyAvx2(double* y, const double* x, double alpha, size_t n) {
   for (; j < n; ++j) y[j] += alpha * x[j];
 }
 
+// Byte loads (the stream is unaligned), reinterpreted as four doubles;
+// vaddpd rounds each lane exactly like the scalar add.
+void AddF64BytesAvx2(double* y, const uint8_t* x, size_t n) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_castsi256_pd(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i_u*>(x + i * sizeof(double))));
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), v));
+  }
+  AddF64BytesScalar(y + i, x + i * sizeof(double), n - i);
+}
+
 size_t PackWindowAvx2(const int64_t* quotients, size_t i0, size_t entries,
                       uint64_t bpe, uint8_t* bytes, size_t payload_bytes,
                       uint64_t* bit) {
@@ -485,6 +497,7 @@ const SimdKernelTable& Avx2KernelTable() {
       .max_abs = MaxAbsAvx2,
       .sym_eigen = SymEigenAvx2,
       .axpy = AxpyAvx2,
+      .add_f64_bytes = AddF64BytesAvx2,
       // Index-gather bound: the shared scalar loops (see
       // simd_kernels_internal.h).
       .scatter_axpy = ScatterAxpyScalar,

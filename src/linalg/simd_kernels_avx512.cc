@@ -406,6 +406,25 @@ void AxpyAvx512(double* y, const double* x, double alpha, size_t n) {
   }
 }
 
+// _mm512_loadu_pd takes a void*, so the unaligned byte stream is loaded
+// without forming a double*; the masked tail neither reads nor writes
+// past n. vaddpd rounds each lane exactly like the scalar add.
+void AddF64BytesAvx512(double* y, const uint8_t* x, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(
+        y + i, _mm512_add_pd(_mm512_loadu_pd(y + i),
+                             _mm512_loadu_pd(x + i * sizeof(double))));
+  }
+  if (i < n) {
+    const __mmask8 tail = TailMask(i, n);
+    _mm512_mask_storeu_pd(
+        y + i, tail,
+        _mm512_add_pd(_mm512_maskz_loadu_pd(tail, y + i),
+                      _mm512_maskz_loadu_pd(tail, x + i * sizeof(double))));
+  }
+}
+
 size_t PackWindowAvx512(const int64_t* quotients, size_t i0, size_t entries,
                         uint64_t bpe, uint8_t* bytes, size_t payload_bytes,
                         uint64_t* bit) {
@@ -507,6 +526,7 @@ const SimdKernelTable& Avx512KernelTable() {
       .max_abs = MaxAbsAvx512,
       .sym_eigen = SymEigenAvx512,
       .axpy = AxpyAvx512,
+      .add_f64_bytes = AddF64BytesAvx512,
       // Index-gather bound: the shared scalar loops (see
       // simd_kernels_internal.h).
       .scatter_axpy = ScatterAxpyScalar,

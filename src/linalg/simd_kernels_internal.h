@@ -21,6 +21,10 @@ size_t UnpackWindowScalar(const uint8_t* stream, size_t stream_bytes,
                           size_t i0, size_t entries, uint64_t bpe,
                           double precision, double* out, uint64_t* bit);
 
+// The dense-payload add (SimdKernelTable::add_f64_bytes); the vector TUs
+// run their tails through it.
+void AddF64BytesScalar(double* y, const uint8_t* x, size_t n);
+
 // The max-abs scan (SimdKernelTable::max_abs); the vector TUs run their
 // tails through it.
 double MaxAbsScalar(const double* x, size_t n, bool* finite);

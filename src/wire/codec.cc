@@ -292,16 +292,11 @@ Status AddMatrixPayloadInto(const uint8_t* data, size_t size, Matrix* dst) {
     uint64_t cols = 0;
     DS_RETURN_IF_ERROR(CheckDenseBody(data + 1, size - 1, &rows, &cols));
     DS_RETURN_IF_ERROR(CheckAddShape(rows, cols, *dst));
-    // Entries sit unaligned in the byte stream; memcpy loads keep the
-    // loop well-defined and still vectorise. dst + x rounds exactly like
-    // Add(dst, x).
-    const uint8_t* src = data + 1 + kShapeHeaderBytes;
-    double* out = dst->data();
-    for (size_t i = 0; i < dst->size(); ++i) {
-      double x = 0.0;
-      std::memcpy(&x, src + i * sizeof(double), sizeof(double));
-      out[i] += x;
-    }
+    // Entries sit unaligned in the byte stream; the kernel reads them as
+    // bytes, and dst + x rounds exactly like Add(dst, x) on every backend.
+    CountSimdKernelCall("add_f64_bytes");
+    ActiveSimd().add_f64_bytes(dst->data(), data + 1 + kShapeHeaderBytes,
+                               dst->size());
     return Status::OK();
   }
   // Quantized entries are only known after the whole stream (padding
@@ -312,6 +307,44 @@ Status AddMatrixPayloadInto(const uint8_t* data, size_t size, Matrix* dst) {
   DS_RETURN_IF_ERROR(CheckAddShape(dec.matrix.rows(), dec.matrix.cols(), *dst));
   double* out = dst->data();
   for (size_t i = 0; i < dst->size(); ++i) out[i] += dec.matrix.data()[i];
+  return Status::OK();
+}
+
+Status AddSymmetricPayloadInto(const uint8_t* data, size_t size, size_t d,
+                               Matrix* dst) {
+  // Dense entries are read straight from the byte stream; quantized ones
+  // are decoded first (see AddMatrixPayloadInto). Either way every check
+  // runs before *dst is touched.
+  const uint8_t* dense = nullptr;
+  DecodedMatrix dec;
+  uint64_t entries = 0;
+  if (size >= 1 &&
+      data[0] == static_cast<uint8_t>(MatrixEncoding::kDense)) {
+    uint64_t rows = 0;
+    uint64_t cols = 0;
+    DS_RETURN_IF_ERROR(CheckDenseBody(data + 1, size - 1, &rows, &cols));
+    dense = data + 1 + kShapeHeaderBytes;
+    entries = rows * cols;
+  } else {
+    DS_ASSIGN_OR_RETURN(dec, DecodeMatrixPayload(data, size));
+    entries = dec.matrix.size();
+  }
+  if (entries != d * (d + 1) / 2) {
+    return Status::InvalidArgument(
+        "symmetric payload: expected " + std::to_string(d * (d + 1) / 2) +
+        " entries, got " + std::to_string(entries));
+  }
+  DS_RETURN_IF_ERROR(CheckAddShape(d, d, *dst));
+  size_t k = 0;
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = i; j < d; ++j, ++k) {
+      const double v = dense != nullptr
+                           ? ReadPod<double>(dense + k * sizeof(double))
+                           : dec.matrix.data()[k];
+      (*dst)(i, j) += v;
+      if (j != i) (*dst)(j, i) += v;
+    }
+  }
   return Status::OK();
 }
 

@@ -77,6 +77,15 @@ Status AddMatrixPayloadInto(const uint8_t* data, size_t size, Matrix* dst);
 /// d(d+1)/2 count.
 Matrix PackUpperTriangle(const Matrix& g);
 
+/// *dst += the symmetric d x d matrix whose packed upper triangle (see
+/// PackUpperTriangle) a matrix payload carries, in place: the exact-gram
+/// merge without materialising the received Gram. Runs every check
+/// DecodeMatrixPayload runs, requires exactly d(d+1)/2 entries and a
+/// d x d *dst, and leaves *dst unchanged on error. Bitwise equal to
+/// Add(*dst, UnpackUpperTriangle(decoded, d)).
+Status AddSymmetricPayloadInto(const uint8_t* data, size_t size, size_t d,
+                               Matrix* dst);
+
 /// Inverse of PackUpperTriangle: rebuilds the full symmetric d x d
 /// matrix. Fails if packed.size() != d(d+1)/2.
 StatusOr<Matrix> UnpackUpperTriangle(const Matrix& packed, size_t d);

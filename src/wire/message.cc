@@ -69,13 +69,6 @@ StatusOr<uint64_t> DecodeSeedPayload(const std::vector<uint8_t>& payload) {
   return seed;
 }
 
-StatusOr<Matrix> DecodeSymmetricPayload(const std::vector<uint8_t>& payload,
-                                        size_t d) {
-  DS_ASSIGN_OR_RETURN(DecodedMatrix dec,
-                      DecodeMatrixPayload(payload.data(), payload.size()));
-  return UnpackUpperTriangle(dec.matrix, d);
-}
-
 StatusOr<DecodedMatrix> DecodeMessagePayload(
     const std::vector<uint8_t>& payload) {
   return DecodeMatrixPayload(payload.data(), payload.size());

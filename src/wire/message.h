@@ -83,11 +83,6 @@ StatusOr<double> DecodeScalarPayload(const std::vector<uint8_t>& payload);
 /// Decodes a payload produced by SeedMessage.
 StatusOr<uint64_t> DecodeSeedPayload(const std::vector<uint8_t>& payload);
 
-/// Decodes a payload produced by SymmetricMessage back into the full
-/// symmetric d x d matrix.
-StatusOr<Matrix> DecodeSymmetricPayload(const std::vector<uint8_t>& payload,
-                                        size_t d);
-
 /// Decodes any matrix payload (dense or quantized).
 StatusOr<DecodedMatrix> DecodeMessagePayload(
     const std::vector<uint8_t>& payload);

@@ -1,0 +1,194 @@
+// The tree-reduce driver holds one copy of each uplink: a receiver's
+// absorb hook is handed the very buffer the sender's make_message built
+// (checked by data() identity), on the ideal wire and in fault mode,
+// including uplinks that re-parent around a dead interior node.
+//
+// Each uplink is a 2 x s matrix: row 0 is the indicator of the subtree
+// the sender has merged so far (absorbs add it), row 1 marks the sender
+// alone (absorbs ignore it), so the hook can name the sender of any
+// payload it is handed and the coordinator's row 0 shows exactly which
+// servers' contributions arrived.
+
+#include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/thread_pool.h"
+#include "dist/cluster.h"
+#include "dist/merge_topology.h"
+#include "dist/tree_reduce.h"
+#include "wire/codec.h"
+#include "wire/message.h"
+
+namespace distsketch {
+namespace {
+
+struct Recorder {
+  explicit Recorder(size_t s)
+      : acc(s, Matrix(1, s)), built(s, nullptr), absorbed(s), total(1, s) {
+    for (size_t i = 0; i < s; ++i) acc[i](0, i) = 1.0;
+  }
+
+  /// Node-local accumulators (row 0 of the uplink).
+  std::vector<Matrix> acc;
+  /// payload.data() of each node's uplink, as make_message built it.
+  std::vector<const uint8_t*> built;
+  /// Senders each server absorbed, in call order.
+  std::vector<std::vector<int>> absorbed;
+  std::vector<int> coordinator_absorbed;
+  Matrix total;
+  /// Per receiver (slot s = coordinator): 1 iff an absorb was handed a
+  /// buffer other than the sender's own. One byte per slot, so pool
+  /// tasks of distinct receivers never share a memory location.
+  std::vector<uint8_t> foreign_at;
+
+  TreeReduceHooks Hooks() {
+    const size_t s = acc.size();
+    foreign_at.assign(s + 1, 0);
+    TreeReduceHooks hooks;
+    hooks.make_message = [this, s](int node) -> StatusOr<wire::Message> {
+      Matrix m(2, s);
+      for (size_t j = 0; j < s; ++j) {
+        m(0, j) = acc[static_cast<size_t>(node)](0, j);
+      }
+      m(1, static_cast<size_t>(node)) = 1.0;
+      wire::Message msg = wire::DenseMessage("uplink", m);
+      built[static_cast<size_t>(node)] = msg.payload.data();
+      return msg;
+    };
+    hooks.absorb = [this, s](int node,
+                             const std::vector<uint8_t>& payload) -> Status {
+      DS_ASSIGN_OR_RETURN(
+          wire::DecodedMatrix dec,
+          wire::DecodeMatrixPayload(payload.data(), payload.size()));
+      int sender = -1;
+      for (size_t j = 0; j < s; ++j) {
+        if (dec.matrix(1, j) == 1.0) sender = static_cast<int>(j);
+      }
+      if (sender < 0) return Status::Internal("uplink names no sender");
+      const bool coord = node == kCoordinator;
+      const size_t slot = coord ? s : static_cast<size_t>(node);
+      if (payload.data() != built[static_cast<size_t>(sender)]) {
+        foreign_at[slot] = 1;
+      }
+      Matrix& dst = coord ? total : acc[static_cast<size_t>(node)];
+      for (size_t j = 0; j < s; ++j) dst(0, j) += dec.matrix(0, j);
+      (coord ? coordinator_absorbed : absorbed[slot]).push_back(sender);
+      return Status::OK();
+    };
+    hooks.local_mass = [](int) { return 1.0; };
+    return hooks;
+  }
+};
+
+Cluster MakeCluster(size_t s) {
+  std::vector<Matrix> parts(s, Matrix(1, 2));
+  auto cluster = Cluster::Create(std::move(parts), 0.2);
+  DS_CHECK(cluster.ok());
+  return std::move(*cluster);
+}
+
+/// The senders `node` hears from on a fault-free wire, in arrival order:
+/// stage by stage, ascending id inside a stage.
+std::vector<int> ArrivalOrder(const MergeTopology& topo, int node) {
+  std::vector<int> out;
+  for (const auto& stage : topo.stages()) {
+    for (int c : stage) {
+      if (topo.node(static_cast<size_t>(c)).parent == node) out.push_back(c);
+    }
+  }
+  return out;
+}
+
+void ExpectFaultFreeReduce(size_t s, size_t fanout, const FaultConfig* plan) {
+  SCOPED_TRACE(testing::Message() << "s=" << s << " fanout=" << fanout
+                                  << (plan ? " fault mode" : " ideal wire"));
+  auto topo = MergeTopology::Build(s, MergeTopologyOptions::Tree(fanout));
+  ASSERT_TRUE(topo.ok());
+  Cluster cluster = MakeCluster(s);
+  if (plan != nullptr) cluster.InstallFaultPlan(*plan);
+  Recorder rec(s);
+  DegradedModeInfo degraded;
+  auto stats = RunTreeReduce(cluster, *topo, rec.Hooks(), degraded);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_FALSE(degraded.degraded());
+
+  for (size_t i = 0; i <= s; ++i) {
+    EXPECT_EQ(rec.foreign_at[i], 0) << "receiver slot " << i;
+  }
+  for (size_t i = 0; i < s; ++i) {
+    EXPECT_EQ(rec.absorbed[i], ArrivalOrder(*topo, static_cast<int>(i)))
+        << "node " << i;
+  }
+  EXPECT_EQ(rec.coordinator_absorbed, ArrivalOrder(*topo, kCoordinator));
+  for (size_t j = 0; j < s; ++j) EXPECT_EQ(rec.total(0, j), 1.0) << j;
+}
+
+TEST(TreeReduceTest, IdealWireAbsorbsTheSendersOwnBuffer) {
+  for (const size_t fanout : {2, 3, 8}) {
+    for (const size_t s : {1, 5, 12, 40}) {
+      ExpectFaultFreeReduce(s, fanout, nullptr);
+    }
+  }
+}
+
+TEST(TreeReduceTest, FaultModeRetriesAbsorbTheSendersOwnBuffer) {
+  FaultConfig plan;
+  plan.default_profile.drop_prob = 0.1;
+  plan.default_profile.truncate_prob = 0.1;
+  plan.default_profile.corrupt_prob = 0.05;
+  plan.seed = 23;
+  ExpectFaultFreeReduce(12, 3, &plan);
+  ExpectFaultFreeReduce(40, 4, &plan);
+}
+
+// Node 3 heads {4, 5} under node 0 (fanout 3 over 12 servers) and dies
+// after its mass report: its children's kept uplinks re-parent to node 0,
+// which must still be handed their original buffers.
+TEST(TreeReduceTest, ReparentedUplinksAreTheSendersOwnBuffer) {
+  const size_t s = 12;
+  auto topo = MergeTopology::Build(s, MergeTopologyOptions::Tree(3));
+  ASSERT_TRUE(topo.ok());
+  FaultConfig plan;
+  plan.per_server[3].die_at_time = 8.0;
+  plan.seed = 5;
+  Cluster cluster = MakeCluster(s);
+  cluster.InstallFaultPlan(plan);
+  Recorder rec(s);
+  DegradedModeInfo degraded;
+  auto stats = RunTreeReduce(cluster, *topo, rec.Hooks(), degraded);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(degraded.lost_servers, std::vector<int>{3});
+  EXPECT_GT(stats->reparented_sends, 0u);
+
+  for (size_t i = 0; i <= s; ++i) {
+    EXPECT_EQ(rec.foreign_at[i], 0) << "receiver slot " << i;
+  }
+  for (int child : topo->node(3).children) {
+    size_t hits = 0;
+    for (int sender : rec.absorbed[0]) hits += sender == child ? 1 : 0;
+    EXPECT_EQ(hits, 1u) << "child " << child << " of the dead node";
+  }
+  for (size_t j = 0; j < s; ++j) {
+    EXPECT_EQ(rec.total(0, j), j == 3 ? 0.0 : 1.0) << j;
+  }
+}
+
+// The pool runs every stage's merges concurrently; the identity and the
+// result must not depend on how many threads it has.
+TEST(TreeReduceTest, IdentityHoldsAtAnyThreadCount) {
+  const size_t saved = ThreadPool::GlobalThreads();
+  FaultConfig plan;
+  plan.default_profile.drop_prob = 0.1;
+  plan.seed = 7;
+  for (const size_t threads : {1, 2, 8}) {
+    ThreadPool::SetGlobalThreads(threads);
+    ExpectFaultFreeReduce(40, 3, nullptr);
+    ExpectFaultFreeReduce(40, 3, &plan);
+  }
+  ThreadPool::SetGlobalThreads(saved);
+}
+
+}  // namespace
+}  // namespace distsketch

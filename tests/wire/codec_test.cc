@@ -2,14 +2,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "linalg/blas.h"
 #include "linalg/matrix.h"
+#include "linalg/simd_dispatch.h"
 #include "sketch/quantizer.h"
 
 namespace distsketch {
@@ -273,6 +276,147 @@ TEST(AddMatrixPayloadTest, RejectsShapeMismatchAndTrailingBytes) {
   const uint8_t junk[] = {0x7F, 1, 2, 3};
   Matrix dst(1, 1);
   EXPECT_FALSE(AddMatrixPayloadInto(junk, sizeof(junk), &dst).ok());
+}
+
+// The dense add runs through the dispatched add_f64_bytes kernel; every
+// backend must give the bits of decode-then-Add, whatever the length
+// (vector tails), the payload's byte alignment and the special values.
+std::vector<SimdBackend> CompiledBackends() {
+  std::vector<SimdBackend> out = {SimdBackend::kScalar};
+  for (const SimdBackend b : {SimdBackend::kAvx2, SimdBackend::kAvx512}) {
+    if (SimdBackendSupported(b)) out.push_back(b);
+  }
+  return out;
+}
+
+class BackendGuard {
+ public:
+  BackendGuard() : prev_(ActiveSimdBackend()) {}
+  ~BackendGuard() { SetSimdBackendForTesting(prev_); }
+
+ private:
+  SimdBackend prev_;
+};
+
+// +-0, subnormals, +-inf (inf + -inf included), extremes and ordinary
+// values, cycled with different strides through dst and payload.
+Matrix SpecialValues(size_t rows, size_t cols, size_t stride) {
+  using L = std::numeric_limits<double>;
+  const double palette[] = {0.0,          -0.0,        L::denorm_min(),
+                            -L::denorm_min(), 2.5e-310, -1e-320,
+                            L::infinity(), -L::infinity(), L::max(),
+                            -L::max(),    1.0,         -3.75,
+                            L::min(),     0.1};
+  constexpr size_t kPalette = sizeof(palette) / sizeof(palette[0]);
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = palette[(i * stride + stride / 2) % kPalette];
+  }
+  return m;
+}
+
+TEST(AddMatrixPayloadTest, DenseAddBitwiseEqualOnEveryBackendAndAlignment) {
+  BackendGuard guard;
+  const size_t shapes[][2] = {{1, 0},  {1, 1},  {1, 3},  {1, 7}, {1, 8},
+                              {1, 9},  {1, 15}, {1, 17}, {2, 31}, {5, 13},
+                              {3, 64}, {1, 65}};
+  for (const SimdBackend backend : CompiledBackends()) {
+    SetSimdBackendForTesting(backend);
+    for (const auto& shape : shapes) {
+      const Matrix base = SpecialValues(shape[0], shape[1], 3);
+      const std::vector<uint8_t> payload =
+          EncodeDensePayload(SpecialValues(shape[0], shape[1], 5));
+      auto decoded = DecodeMatrixPayload(payload.data(), payload.size());
+      ASSERT_TRUE(decoded.ok());
+      const Matrix want = Add(base, decoded->matrix);
+      for (size_t offset = 0; offset < 8; ++offset) {
+        std::vector<uint8_t> buf(offset + payload.size());
+        std::memcpy(buf.data() + offset, payload.data(), payload.size());
+        Matrix dst = base;
+        ASSERT_TRUE(
+            AddMatrixPayloadInto(buf.data() + offset, payload.size(), &dst)
+                .ok());
+        EXPECT_TRUE(BitExactEqual(dst, want))
+            << SimdBackendName(backend) << " " << shape[0] << "x" << shape[1]
+            << " offset " << offset;
+      }
+    }
+  }
+}
+
+// On every backend: a payload with any single bit flipped or any tail
+// cut off either adds exactly what it decodes to, or is rejected with dst
+// untouched.
+TEST(AddMatrixPayloadTest, EveryBitFlipAndTruncationOnEveryBackend) {
+  BackendGuard guard;
+  for (const SimdBackend backend : CompiledBackends()) {
+    SetSimdBackendForTesting(backend);
+    for (const auto& payload : AddTestPayloads()) {
+      const Matrix base = RandomMatrix(6, 5, 206);
+      auto check = [&](const std::vector<uint8_t>& bytes) {
+        Matrix dst = base;
+        const Status st = AddMatrixPayloadInto(bytes.data(), bytes.size(),
+                                               &dst);
+        auto decoded = DecodeMatrixPayload(bytes.data(), bytes.size());
+        const bool addable = decoded.ok() && decoded->matrix.rows() == 6 &&
+                             decoded->matrix.cols() == 5;
+        EXPECT_EQ(st.ok(), addable) << SimdBackendName(backend);
+        EXPECT_TRUE(BitExactEqual(
+            dst, addable ? Add(base, decoded->matrix) : base))
+            << SimdBackendName(backend);
+      };
+      for (size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+        std::vector<uint8_t> flipped = payload;
+        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        check(flipped);
+      }
+      for (size_t cut = 0; cut < payload.size(); ++cut) {
+        check(std::vector<uint8_t>(payload.begin(), payload.begin() + cut));
+      }
+    }
+  }
+}
+
+// The exact-gram merge adds a packed upper triangle into a d x d Gram in
+// place: bitwise equal to unpack-then-Add, dst untouched on any error.
+TEST(AddSymmetricPayloadTest, BitwiseEqualToUnpackThenAdd) {
+  const size_t d = 6;
+  Matrix g = RandomMatrix(d, d, 207);
+  g = Add(g, Transpose(g));
+  const Matrix base = SpecialValues(d, d, 7);
+  const Matrix packed = PackUpperTriangle(g);
+  auto q = QuantizeMatrix(packed, 1e-3);
+  ASSERT_TRUE(q.ok());
+  auto quantized = EncodeQuantizedPayload(*q);
+  ASSERT_TRUE(quantized.ok());
+  for (const auto& payload : {EncodeDensePayload(packed), *quantized}) {
+    auto decoded = DecodeMatrixPayload(payload.data(), payload.size());
+    ASSERT_TRUE(decoded.ok());
+    auto full = UnpackUpperTriangle(decoded->matrix, d);
+    ASSERT_TRUE(full.ok());
+    Matrix dst = base;
+    ASSERT_TRUE(
+        AddSymmetricPayloadInto(payload.data(), payload.size(), d, &dst).ok());
+    EXPECT_TRUE(BitExactEqual(dst, Add(base, *full)));
+
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      Matrix untouched = base;
+      EXPECT_FALSE(
+          AddSymmetricPayloadInto(payload.data(), cut, d, &untouched).ok());
+      EXPECT_TRUE(BitExactEqual(untouched, base)) << "prefix " << cut;
+    }
+    Matrix wrong_d = SpecialValues(d + 1, d + 1, 7);
+    const Matrix wrong_d_before = wrong_d;
+    auto st =
+        AddSymmetricPayloadInto(payload.data(), payload.size(), d + 1, &wrong_d);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("expected"), std::string::npos);
+    EXPECT_TRUE(BitExactEqual(wrong_d, wrong_d_before));
+    Matrix wrong_shape(d, d + 1);
+    EXPECT_FALSE(AddSymmetricPayloadInto(payload.data(), payload.size(), d,
+                                         &wrong_shape)
+                     .ok());
+  }
 }
 
 TEST(UpperTriangleTest, PackUnpackRoundTrip) {
