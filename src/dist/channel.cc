@@ -54,6 +54,10 @@ void ChannelTransport::Execute(const std::shared_ptr<Transfer>& t) {
       if (out.attempts > 1) telemetry::Count("comm.retries", out.attempts - 1);
     }
   }
+  // A TrySubmit transfer dies here, so its outcome takes the owned
+  // payload along: the delivered view points into that buffer, which the
+  // move keeps.
+  if (t->msg == &t->owned) out.payload_owner = std::move(t->owned.payload);
   executed_.fetch_add(1);
   std::function<void(SendOutcome&&)> done;
   {

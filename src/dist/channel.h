@@ -88,14 +88,16 @@ class ChannelTransport {
   /// the queue until this transfer has executed. Returns its outcome.
   /// `msg` is borrowed, not copied: the caller blocks until the transfer
   /// completes, and the wire fn — possibly on the loop thread — reads the
-  /// caller's message in place.
+  /// caller's message in place. The outcome's payload views msg.payload.
   SendOutcome SendAndWait(int from, int to, const wire::Message& msg);
 
   /// Non-blocking send: enqueues the transfer (which owns `msg`) and
   /// returns OK, or sheds with kOverloaded when the peer's queue is at
   /// capacity (the transfer is NOT enqueued and `done` is NOT called).
   /// `done` runs on the draining thread after the wire transfer executes
-  /// and takes ownership of the outcome (no one else reads it).
+  /// and takes ownership of the outcome (no one else reads it), which
+  /// holds the message's payload in payload_owner: the delivered view
+  /// points into it, and no byte was copied.
   Status TrySubmit(int from, int to, wire::Message msg,
                    std::function<void(SendOutcome&&)> done);
 

@@ -97,6 +97,12 @@ SendOutcome Cluster::Send(int from, int to, const wire::Message& msg) {
   return channel_->SendAndWait(from, to, msg);
 }
 
+SendOutcome Cluster::Send(int from, int to, wire::Message&& msg) {
+  SendOutcome out = channel_->SendAndWait(from, to, msg);
+  out.payload_owner = std::move(msg.payload);
+  return out;
+}
+
 Matrix Cluster::AssembleGroundTruth() const {
   if (partition_ == PartitionModel::kAdditive) {
     Matrix sum(total_rows_, dim_);

@@ -153,11 +153,15 @@ class Cluster {
   /// Routes one logical transfer of encoded bytes through the channel
   /// transport: the message is queued, executed in submission order, run
   /// through the fault simulation when a plan is installed (ideal wire
-  /// otherwise), and framed, checksummed, and decoded on the receiving
-  /// side (outcome.payload). Protocols must use this (not log().Record)
-  /// for every payload so faults, retry accounting and wire-byte
-  /// metering apply uniformly.
+  /// otherwise), and framed and checksum-verified for the receiving side,
+  /// which reads outcome.payload: a view of msg.payload, valid while
+  /// `msg` lives. Protocols must use this (not log().Record) for every
+  /// payload so faults, retry accounting and wire-byte metering apply
+  /// uniformly.
   SendOutcome Send(int from, int to, const wire::Message& msg);
+  /// Same, for a message that dies with the call: the outcome keeps its
+  /// payload (SendOutcome::payload_owner), so the view stays valid.
+  SendOutcome Send(int from, int to, wire::Message&& msg);
 
   /// The underlying async transport. Cluster::Send is the blocking
   /// adapter over it; the service layer drives the same machinery with

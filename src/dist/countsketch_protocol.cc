@@ -10,6 +10,7 @@
 #include "sketch/countsketch.h"
 #include "telemetry/span.h"
 #include "wire/codec.h"
+#include "wire/message.h"
 #include "workload/row_stream.h"
 
 namespace distsketch {
@@ -78,14 +79,20 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   // claims it, so the allocator's layout, and the memory it returns to
   // the OS between runs, is the same in every process: page faults per
   // run stay within 1% across processes, where allocating inside the
-  // pool let them vary by up to 70%.
+  // pool let them vary by up to 70%. Each node's uplink payload buffer is
+  // reserved here for the same reason; make_message encodes into it on
+  // the pool.
   struct LocalWork {
     Matrix compressed;
     double mass = 0.0;
   };
   std::vector<CountSketchCompressor> compressors;
+  std::vector<std::vector<uint8_t>> uplink_payloads(s);
   compressors.reserve(s);
-  for (size_t i = 0; i < s; ++i) compressors.emplace_back(m, d, seeds[i]);
+  for (size_t i = 0; i < s; ++i) {
+    compressors.emplace_back(m, d, seeds[i]);
+    uplink_payloads[i].reserve(wire::DensePayloadBytes(m, d));
+  }
   std::vector<LocalWork> locals = ParallelMap<LocalWork>(s, [&](size_t i) {
     LocalWork w;
     CountSketchCompressor& compressor = compressors[i];
@@ -129,8 +136,10 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     return wire::AddMatrixPayloadInto(payload.data(), payload.size(), &dst);
   };
   hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-    Matrix& acc = locals[static_cast<size_t>(node)].compressed;
-    wire::Message uplink = wire::DenseMessage("local_cs", acc);
+    const size_t i = static_cast<size_t>(node);
+    Matrix& acc = locals[i].compressed;
+    wire::Message uplink =
+        wire::DenseMessage("local_cs", acc, std::move(uplink_payloads[i]));
     // Nothing absorbs into a node after its uplink is built (every
     // receiver sits at a later stage), and RunTreeReduce replays the kept
     // uplink, not the accumulator, if an ancestor dies: free it now.

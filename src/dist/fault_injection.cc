@@ -12,14 +12,22 @@
 namespace distsketch {
 namespace {
 
-// The receiver's view of a verified frame: the same buffer with the
-// header and tag shifted out, so the payload it decodes is exactly the
-// bytes that crossed the wire (no allocation, one in-place move).
-std::vector<uint8_t> StripFrameHeader(std::vector<uint8_t> frame,
-                                      const wire::FrameView& view) {
-  frame.erase(frame.begin(),
-              frame.begin() + static_cast<std::ptrdiff_t>(view.payload_offset));
-  return frame;
+uint64_t PayloadChecksum(const wire::Message& msg) {
+  return msg.payload_checksum
+             ? *msg.payload_checksum
+             : Checksum64(msg.payload.data(), msg.payload.size());
+}
+
+// The receiver's check of a clean attempt: the frame's header and tag are
+// encoded into `head`, and every VerifyFrame check runs over them plus
+// the sender's payload where it lies (the checksum is recomputed over
+// those bytes), so the delivery can be a view of the sender's payload.
+void VerifyCleanAttempt(const wire::Message& msg, int from, int to,
+                        int attempt, uint64_t payload_checksum,
+                        std::vector<uint8_t>* head) {
+  wire::EncodeFrameHeadInto(msg.tag, from, to, static_cast<uint32_t>(attempt),
+                            msg.payload.size(), payload_checksum, head);
+  DS_CHECK(wire::VerifyFrameParts(*head, msg.payload).ok());
 }
 
 }  // namespace
@@ -189,11 +197,13 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
   Rng& rng = RngFor(server);
   bool receiver_dead = false;
   // The frame checksum covers the payload only, so every attempt carries
-  // the same value; and every attempt is encoded into the one buffer,
-  // which a clean delivery finally hands to the receiver.
-  const uint64_t payload_checksum =
-      Checksum64(msg.payload.data(), msg.payload.size());
-  std::vector<uint8_t> buffer;
+  // the same value. A clean attempt encodes only its header and tag into
+  // `head`; `mangled` holds a whole frame, built only for an attempt the
+  // network truncates or corrupts.
+  const uint64_t payload_checksum = PayloadChecksum(msg);
+  const size_t frame_bytes = wire::FrameBytes(tag.size(), msg.payload.size());
+  std::vector<uint8_t> head;
+  std::vector<uint8_t> mangled;
 
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     // Retry attempts get their own retransmit-phase span (nested inside
@@ -238,20 +248,16 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
       continue;
     }
 
-    // The bytes this attempt puts on the wire: a fresh frame per attempt
-    // (the attempt counter is part of the header), encoded straight from
-    // the sender's payload.
-    wire::EncodeFrameInto(tag, from, to, static_cast<uint32_t>(attempt),
-                          msg.payload, payload_checksum, &buffer);
-
+    // Each attempt's frame differs in its header (the attempt counter);
+    // its size does not.
     if (rng.NextBernoulli(profile.drop_prob)) {
       // Whole payload lost in flight: the words crossed the wire and are
       // metered, but never acked.
-      MeterAttempt(log, from, to, tag, words, bits, buffer.size(), attempt,
+      MeterAttempt(log, from, to, tag, words, bits, frame_bytes, attempt,
                    /*truncated=*/false, /*duplicate=*/false,
                    /*corrupted=*/false);
       out.wire_words += words;
-      out.wire_bytes += buffer.size();
+      out.wire_bytes += frame_bytes;
       AddEvent(FaultEventKind::kDropped, from, to, tag, attempt, words);
       clock_.Advance(config_.timeout);
       continue;
@@ -265,9 +271,11 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
       const uint64_t prefix_bits =
           bits == 0 ? 0 : std::max<uint64_t>(1, bits * prefix / words);
       const size_t kept = static_cast<size_t>(std::clamp<uint64_t>(
-          buffer.size() * prefix / words, 1, buffer.size() - 1));
-      buffer.resize(kept);
-      DS_CHECK(!wire::VerifyFrame(buffer.data(), buffer.size()).ok());
+          frame_bytes * prefix / words, 1, frame_bytes - 1));
+      wire::EncodeFrameInto(tag, from, to, static_cast<uint32_t>(attempt),
+                            msg.payload, payload_checksum, &mangled);
+      mangled.resize(kept);
+      DS_CHECK(!wire::VerifyFrame(mangled.data(), mangled.size()).ok());
       MeterAttempt(log, from, to, tag, prefix, prefix_bits, kept, attempt,
                    /*truncated=*/true, /*duplicate=*/false,
                    /*corrupted=*/false);
@@ -284,13 +292,16 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
       const size_t off = wire::FrameBytes(tag.size(), 0) +
                          static_cast<size_t>(rng.NextUint64Below(
                              msg.payload.size()));
-      buffer[off] ^= static_cast<uint8_t>(1 + rng.NextUint64Below(255));
-      DS_CHECK(!wire::VerifyFrame(buffer.data(), buffer.size()).ok());
-      MeterAttempt(log, from, to, tag, words, bits, buffer.size(), attempt,
+      const auto flip = static_cast<uint8_t>(1 + rng.NextUint64Below(255));
+      wire::EncodeFrameInto(tag, from, to, static_cast<uint32_t>(attempt),
+                            msg.payload, payload_checksum, &mangled);
+      mangled[off] ^= flip;
+      DS_CHECK(!wire::VerifyFrame(mangled.data(), mangled.size()).ok());
+      MeterAttempt(log, from, to, tag, words, bits, frame_bytes, attempt,
                    /*truncated=*/false, /*duplicate=*/false,
                    /*corrupted=*/true);
       out.wire_words += words;
-      out.wire_bytes += buffer.size();
+      out.wire_bytes += frame_bytes;
       AddEvent(FaultEventKind::kCorrupted, from, to, tag, attempt, words);
       clock_.Advance(profile.latency);
       MeterNak(log, from, to, tag, attempt, out);
@@ -298,32 +309,31 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
     }
 
     // Clean delivery: the receiver parses and checksum-verifies the
-    // frame in place before acking.
-    auto verified = wire::VerifyFrame(buffer.data(), buffer.size());
-    DS_CHECK(verified.ok());
+    // frame before acking.
+    VerifyCleanAttempt(msg, from, to, attempt, payload_checksum, &head);
     double latency = profile.latency;
     if (profile.latency_jitter > 0.0) {
       latency *= 1.0 + profile.latency_jitter * rng.NextDouble();
     }
-    MeterAttempt(log, from, to, tag, words, bits, buffer.size(), attempt,
+    MeterAttempt(log, from, to, tag, words, bits, frame_bytes, attempt,
                  /*truncated=*/false, /*duplicate=*/false,
                  /*corrupted=*/false);
     out.wire_words += words;
-    out.wire_bytes += buffer.size();
+    out.wire_bytes += frame_bytes;
     clock_.Advance(latency);
     AddEvent(FaultEventKind::kDelivered, from, to, tag, attempt, words);
     if (rng.NextBernoulli(profile.duplicate_prob)) {
       // The network delivers a second copy; the receiver deduplicates,
       // so only the accounting sees it.
-      MeterAttempt(log, from, to, tag, words, bits, buffer.size(), attempt,
+      MeterAttempt(log, from, to, tag, words, bits, frame_bytes, attempt,
                    /*truncated=*/false, /*duplicate=*/true,
                    /*corrupted=*/false);
       out.wire_words += words;
-      out.wire_bytes += buffer.size();
+      out.wire_bytes += frame_bytes;
       AddEvent(FaultEventKind::kDuplicated, from, to, tag, attempt, words);
     }
     out.delivered = true;
-    out.payload = StripFrameHeader(std::move(buffer), *verified);
+    out.payload = msg.payload;
     return out;
   }
 
@@ -339,7 +349,9 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
   wire::Message msg = wire::ScalarsMessage(
       std::move(tag), std::vector<double>(words, 0.0));
   msg.bits = bits;
-  return Send(log, from, to, msg);
+  SendOutcome out = Send(log, from, to, msg);
+  out.payload_owner = std::move(msg.payload);
+  return out;
 }
 
 namespace {
@@ -403,36 +415,18 @@ uint64_t TranscriptDigest(const CommLog& log, const FaultInjector* injector) {
 
 SendOutcome SendOverIdealWire(CommLog& log, int from, int to,
                               const wire::Message& msg) {
+  std::vector<uint8_t> head;
+  VerifyCleanAttempt(msg, from, to, /*attempt=*/0, PayloadChecksum(msg),
+                     &head);
+  const size_t frame_bytes =
+      wire::FrameBytes(msg.tag.size(), msg.payload.size());
+  log.Record(from, to, msg.tag, msg.words, msg.bits, frame_bytes);
   SendOutcome out;
   out.delivered = true;
   out.attempts = 1;
   out.wire_words = msg.words;
-  if (msg.cached_frame && msg.cached_frame->from == from &&
-      msg.cached_frame->to == to) {
-    // Pre-encoded fast path: the sender already ran EncodeFrame (off the
-    // transport's serialized wire path — see wire::PreEncodeFrame), and
-    // EncodeFrame is deterministic, so the cached bytes are exactly what
-    // the encode below would produce. On the ideal wire the frame
-    // arrives unmangled, so the receiver's checksum verification would
-    // pass by construction; skip it, meter the cached frame, and give
-    // the receiver the payload bytes of that frame.
-    const std::vector<uint8_t>& frame = msg.cached_frame->bytes;
-    log.Record(from, to, msg.tag, msg.words, msg.bits, frame.size());
-    out.wire_bytes = frame.size();
-    out.payload.assign(frame.begin() + static_cast<std::ptrdiff_t>(
-                                           wire::FrameBytes(msg.tag.size(), 0)),
-                       frame.end());
-    return out;
-  }
-  std::vector<uint8_t> buffer;
-  wire::EncodeFrameInto(msg.tag, from, to, /*attempt=*/0, msg.payload,
-                        Checksum64(msg.payload.data(), msg.payload.size()),
-                        &buffer);
-  auto verified = wire::VerifyFrame(buffer.data(), buffer.size());
-  DS_CHECK(verified.ok());
-  log.Record(from, to, msg.tag, msg.words, msg.bits, buffer.size());
-  out.wire_bytes = buffer.size();
-  out.payload = StripFrameHeader(std::move(buffer), *verified);
+  out.wire_bytes = frame_bytes;
+  out.payload = msg.payload;
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,7 +117,15 @@ struct FaultEvent {
 };
 
 /// Result of pushing one logical message through the simulated network.
+/// Move-only: `payload` may view `payload_owner`, and a copy would view
+/// the original's bytes.
 struct SendOutcome {
+  SendOutcome() = default;
+  SendOutcome(SendOutcome&&) = default;
+  SendOutcome& operator=(SendOutcome&&) = default;
+  SendOutcome(const SendOutcome&) = delete;
+  SendOutcome& operator=(const SendOutcome&) = delete;
+
   /// True iff the payload reached the receiver intact.
   bool delivered = false;
   /// Wire attempts made (including stalled ones that sent nothing).
@@ -130,14 +139,20 @@ struct SendOutcome {
   uint64_t control_bytes = 0;
   /// True iff the server endpoint is (now) declared permanently lost.
   bool server_lost = false;
-  /// On delivery: the payload bytes of the frame that crossed the wire —
-  /// the verified frame buffer itself with its header stripped (on the
-  /// ideal wire's pre-encoded path, the payload bytes of the cached
-  /// frame). The receiver-side code decodes its matrix/scalar from these
-  /// bytes, never from unchecked sender state: the tree driver, which
-  /// keeps each sender's payload anyway, checks these bytes equal it and
-  /// then reads that one copy (DESIGN.md §14).
-  std::vector<uint8_t> payload;
+  /// On delivery: a view of the delivered payload bytes, which are the
+  /// sent message's own `payload`. The clean attempt was verified over
+  /// them in place (wire::VerifyFrameParts), so the receiver decodes
+  /// exactly the bytes every frame check ran on, and nothing copied them.
+  /// Valid while the sent message lives, or while this outcome holds the
+  /// bytes in `payload_owner`. Empty when not delivered.
+  std::span<const uint8_t> payload;
+  /// The sent payload, when the message does not outlive the send: a
+  /// TrySubmit transfer's owned message, a temporary passed to the rvalue
+  /// Cluster::Send or SendWithMassAccounting, or the message the
+  /// metering Send(tag, words) builds. A moved vector keeps its buffer,
+  /// so `payload` stays valid through every move of the outcome. Empty
+  /// otherwise.
+  std::vector<uint8_t> payload_owner;
 };
 
 /// The deterministic simulated network: wraps a CommLog and injects the
@@ -160,19 +175,22 @@ class FaultInjector {
   void Reset();
 
   /// Simulates one logical message, metering every wire attempt into
-  /// `log`. The payload checksum is computed once; each attempt encodes
-  /// the message into a frame (reusing one buffer), mangles the bytes per
-  /// the fault draw (truncation cuts the buffer, corruption flips a
-  /// payload byte), and runs the receiver's VerifyFrame: only a frame
-  /// that parses and checksums clean is delivered, as that same buffer
-  /// minus its header; anything else is discarded and NAKed, and the
-  /// sender retries.
+  /// `log` at its encoded frame size. The payload checksum is taken from
+  /// the message or computed once. Only an attempt the network mangles is
+  /// built as a whole frame (one reused buffer): truncation cuts it,
+  /// corruption flips a payload byte, and the receiver's VerifyFrame must
+  /// reject it; the attempt is NAKed and the sender retries. A clean
+  /// attempt encodes just its header and tag and runs every receiver
+  /// check over them plus the sender's payload in place
+  /// (VerifyFrameParts); the delivery is a view of that payload, valid
+  /// while `msg` lives.
   SendOutcome Send(CommLog& log, int from, int to, const wire::Message& msg);
 
   /// Convenience overload for metering-focused callers (tests,
   /// micro-benchmarks): wraps `words` zero-valued scalars into a real
   /// dense message (so the byte path is still exercised) with `bits`
-  /// overriding the metered bit count as in CommLog::Record.
+  /// overriding the metered bit count as in CommLog::Record. The outcome
+  /// owns the message's payload (SendOutcome::payload_owner).
   SendOutcome Send(CommLog& log, int from, int to, std::string tag,
                    uint64_t words, uint64_t bits = 0);
 
@@ -218,11 +236,12 @@ class FaultInjector {
 /// run).
 uint64_t TranscriptDigest(const CommLog& log, const FaultInjector* injector);
 
-/// Pushes one message over an ideal (fault-free) wire: encodes the
-/// frame, meters it once, verifies it in place and hands the receiver
-/// the frame's payload bytes. The encode/verify round trip still runs —
-/// measured wire bytes and the receiver-side decode path are identical
-/// with and without faults.
+/// Pushes one message over an ideal (fault-free) wire: meters the frame
+/// once at its encoded size, runs every receiver check over the encoded
+/// header and tag plus the sender's payload in place, and hands the
+/// receiver a view of that payload (valid while `msg` lives). Measured
+/// wire bytes, verification and the receiver-side decode path are
+/// identical with and without faults.
 SendOutcome SendOverIdealWire(CommLog& log, int from, int to,
                               const wire::Message& msg);
 

@@ -21,19 +21,27 @@ ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         double mass, bool mass_known_if_lost,
                                         bool prepend_mass_report) {
   const int server = from == kCoordinator ? to : from;
-  ServerSendResult result;
   if (prepend_mass_report) {
-    if (!ReportLocalMass(cluster, server, mass, degraded)) return result;
+    if (!ReportLocalMass(cluster, server, mass, degraded)) {
+      return ServerSendResult();
+    }
     mass_known_if_lost = true;
   }
-  SendOutcome sent = cluster.Send(from, to, msg);
-  if (!sent.delivered) {
-    degraded.RecordLoss(server, mass, mass_known_if_lost);
-    return result;
-  }
-  result.delivered = true;
-  result.payload = std::move(sent.payload);
-  return result;
+  ServerSendResult sent = cluster.Send(from, to, msg);
+  if (!sent.delivered) degraded.RecordLoss(server, mass, mass_known_if_lost);
+  return sent;
+}
+
+ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
+                                        wire::Message&& msg,
+                                        DegradedModeInfo& degraded,
+                                        double mass, bool mass_known_if_lost,
+                                        bool prepend_mass_report) {
+  ServerSendResult sent =
+      SendWithMassAccounting(cluster, from, to, msg, degraded, mass,
+                             mass_known_if_lost, prepend_mass_report);
+  sent.payload_owner = std::move(msg.payload);
+  return sent;
 }
 
 }  // namespace distsketch

@@ -74,12 +74,9 @@ struct SketchProtocolResult {
 };
 
 /// Result of one accounted per-server transfer (see
-/// SendWithMassAccounting): either the decoded payload, or a loss that
+/// SendWithMassAccounting): either the delivered payload, or a loss that
 /// has already been recorded in the caller's DegradedModeInfo.
-struct ServerSendResult {
-  bool delivered = false;
-  std::vector<uint8_t> payload;
-};
+using ServerSendResult = SendOutcome;
 
 /// Sends the 1-word "local_mass" report a server prepends in fault mode
 /// so the coordinator can widen its bound honestly if the server is
@@ -98,11 +95,19 @@ bool ReportLocalMass(Cluster& cluster, int server, double mass,
 /// skips the payload entirely, and a payload loss after a delivered
 /// report is recorded with the mass known.
 ///
-/// On delivery the decoded payload bytes are returned; protocols decode
-/// their matrix/scalar from those (receiver-side discipline), never from
-/// sender state.
+/// On delivery the verified payload bytes are returned (a view of
+/// msg.payload, as Cluster::Send returns them); protocols decode their
+/// matrix/scalar from those (receiver-side discipline), never from sender
+/// state.
 ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         const wire::Message& msg,
+                                        DegradedModeInfo& degraded,
+                                        double mass, bool mass_known_if_lost,
+                                        bool prepend_mass_report = false);
+/// Same, for a message that dies with the call: the result keeps its
+/// payload, so the view stays valid.
+ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
+                                        wire::Message&& msg,
                                         DegradedModeInfo& degraded,
                                         double mass, bool mass_known_if_lost,
                                         bool prepend_mass_report = false);

@@ -5,6 +5,7 @@
 
 #include "common/thread_pool.h"
 #include "telemetry/span.h"
+#include "wire/checksum.h"
 
 namespace distsketch {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 /// Per-node transfer state the driver threads through a run.
 struct NodeState {
   /// Senders whose uplinks were delivered to this node, in deterministic
-  /// arrival order. Only ids: the delivered bytes equal the sender's
+  /// arrival order. Only ids: the delivered bytes are the sender's
   /// retained `uplink.payload` (checked on delivery), so this node's
   /// stage absorbs from that one copy. If this node dies, these are the
   /// senders that must retransmit to its live ancestor.
@@ -86,14 +87,12 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     NodeState& st = nodes[static_cast<size_t>(node)];
     while (true) {
       SendOutcome out = cluster.Send(node, target, st.uplink);
-      // The pre-encoded frame serves the first attempt only; a replay in
-      // fault mode re-encodes anyway.
-      st.uplink.cached_frame.reset();
       if (out.delivered) {
-        // One copy per uplink: the receiver reads the sender's retained
-        // payload, so the delivered bytes must be exactly those.
-        DS_CHECK(out.payload == st.uplink.payload);
-        out.payload = std::vector<uint8_t>();
+        // One copy per uplink: the transport verified the sender's
+        // retained payload in place and delivered a view of it, which is
+        // the buffer the receiver's absorb reads.
+        DS_CHECK(out.payload.data() == st.uplink.payload.data() &&
+                 out.payload.size() == st.uplink.payload.size());
         if (target == kCoordinator) {
           note_error(hooks.absorb(kCoordinator, st.uplink.payload));
           ++stats.coordinator_inbound;
@@ -166,9 +165,9 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     stage_span.SetAttr("width", static_cast<uint64_t>(stage.size()));
 
     // Merge compute fans out across the pool: each node absorbs its
-    // contributors' uplinks and builds (and, on the ideal wire,
-    // pre-encodes) its own, touching only its slot and its contributors'
-    // (no two nodes share one), so the result is thread-count invariant.
+    // contributors' uplinks and builds and checksums its own, touching
+    // only its slot and its contributors' (no two nodes share one), so
+    // the result is thread-count invariant.
     std::vector<Status> merge_status = ParallelMap<Status>(
         stage.size(), [&](size_t i) -> Status {
           const int node = stage[i];
@@ -190,13 +189,10 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
             if (!fault_mode) sender.uplink = wire::Message();
           }
           DS_ASSIGN_OR_RETURN(st.uplink, hooks.make_message(node));
-          if (!fault_mode) {
-            // The fault path re-encodes per attempt anyway; skip the
-            // wasted encode there.
-            wire::PreEncodeFrame(
-                st.uplink, node,
-                topology.node(static_cast<size_t>(node)).parent);
-          }
+          // The frame checksum, taken here while the payload is still in
+          // cache rather than on the serial transfer path.
+          st.uplink.payload_checksum = Checksum64(
+              st.uplink.payload.data(), st.uplink.payload.size());
           return Status::OK();
         });
     for (const auto& st : merge_status) note_error(st);

@@ -23,8 +23,8 @@ struct TreeReduceHooks {
   /// mutate only node-local state — and on the caller thread for the
   /// coordinator, in deterministic arrival order. `payload` is the
   /// sender's retained uplink payload (the buffer its make_message
-  /// built), which the driver checked equal to the delivered bytes; it
-  /// is only valid for the duration of the call.
+  /// built), which is the delivered view itself (the driver checks data()
+  /// and size()); it is only valid for the duration of the call.
   std::function<Status(int node, const std::vector<uint8_t>& payload)>
       absorb;
   /// Builds `node`'s uplink message from its accumulator (local input
@@ -59,9 +59,9 @@ struct TreeReduceStats {
 /// 1-word local mass straight to the coordinator, exactly like the star
 /// protocols, so the widened error bound stays honest.
 ///
-/// The run holds one copy of each uplink: the sender's. A delivery to an
-/// interior node records only the sender id and drops the delivered
-/// bytes (after checking them equal to the sender's payload); the
+/// The run holds one copy of each uplink: the sender's. The transport
+/// verifies it in place and delivers a view of it (checked by identity);
+/// a delivery to an interior node records only the sender id, and the
 /// receiver's stage absorbs from the sender's copy. On the ideal wire an
 /// uplink is released once its receiver has absorbed it; in fault mode
 /// every uplink is kept to the end of the run for replay.

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
 #include "telemetry/telemetry.h"
 
 namespace distsketch {
@@ -51,7 +52,13 @@ Status ServiceRunner::Submit(int client, wire::Message request,
         d.client = client;
         d.delivered = outcome.delivered;
         d.request_wire_bytes = outcome.wire_bytes;
-        d.payload = std::move(outcome.payload);
+        if (outcome.delivered) {
+          // The delivered bytes are the submitted request's own, which
+          // the outcome owns: keep that buffer, copying nothing.
+          DS_CHECK(outcome.payload.data() == outcome.payload_owner.data() &&
+                   outcome.payload.size() == outcome.payload_owner.size());
+          d.payload = std::move(outcome.payload_owner);
+        }
         d.cb = std::move(cb);
         if (!outcome.delivered) ++wire_lost_;
         std::lock_guard<std::mutex> g(inbox_lock_);

@@ -112,6 +112,8 @@ class ServiceRunner {
     int client = 0;
     bool delivered = false;
     uint64_t request_wire_bytes = 0;
+    /// The delivered request bytes: the submitted message's payload
+    /// buffer, handed over by the transport without a copy.
     std::vector<uint8_t> payload;
     ResponseCallback cb;
   };

@@ -65,12 +65,15 @@ wire::Message EncodeRequest(ServiceRequestKind kind, std::string tag,
                             const std::string& tenant, const Matrix& rows) {
   wire::Message msg;
   msg.tag = std::move(tag);
+  // One allocation, and the rows are written once, straight from the
+  // matrix into the request payload.
+  msg.payload.reserve(4 + tenant.size() +
+                      wire::DensePayloadBytes(rows.rows(), rows.cols()));
   msg.payload.push_back(kServiceWireVersion);
   msg.payload.push_back(static_cast<uint8_t>(kind));
   AppendU16(static_cast<uint16_t>(tenant.size()), &msg.payload);
   msg.payload.insert(msg.payload.end(), tenant.begin(), tenant.end());
-  std::vector<uint8_t> body = wire::EncodeDensePayload(rows);
-  msg.payload.insert(msg.payload.end(), body.begin(), body.end());
+  wire::AppendDensePayload(rows, &msg.payload);
   msg.words = rows.size() > 0 ? rows.size() : 1;
   return msg;
 }
@@ -115,8 +118,7 @@ wire::Message EncodeConfigureRequest(const std::string& tenant,
   AppendU64(params.dim, &msg.payload);
   AppendU64(params.expected_rows, &msg.payload);
   AppendU64(params.epoch_rows, &msg.payload);
-  std::vector<uint8_t> body = wire::EncodeDensePayload(Matrix(0, 0));
-  msg.payload.insert(msg.payload.end(), body.begin(), body.end());
+  wire::AppendDensePayload(Matrix(0, 0), &msg.payload);
   msg.words = 1;
   return msg;
 }
@@ -197,8 +199,7 @@ wire::Message EncodeServiceResponse(const ServiceResponse& response) {
     AppendF64(c.total_wire_bytes, &msg.payload);
     msg.payload.push_back(c.binding);
   }
-  std::vector<uint8_t> body = wire::EncodeDensePayload(response.sketch);
-  msg.payload.insert(msg.payload.end(), body.begin(), body.end());
+  wire::AppendDensePayload(response.sketch, &msg.payload);
   msg.words = response.sketch.size() > 0 ? response.sketch.size() : 1;
   return msg;
 }

@@ -23,9 +23,8 @@ constexpr uint64_t kMaxCols = 1ULL << 24;
 
 template <typename T>
 void AppendPod(T v, std::vector<uint8_t>* out) {
-  const size_t base = out->size();
-  out->resize(base + sizeof(T));
-  std::memcpy(out->data() + base, &v, sizeof(T));
+  const auto* bytes = reinterpret_cast<const uint8_t*>(&v);
+  out->insert(out->end(), bytes, bytes + sizeof(T));
 }
 
 template <typename T>
@@ -51,11 +50,20 @@ void AppendDenseBody(const Matrix& a, std::vector<uint8_t>* out) {
   out->insert(out->end(), kDenseMagic, kDenseMagic + sizeof(kDenseMagic));
   AppendPod<uint64_t>(a.rows(), out);
   AppendPod<uint64_t>(a.cols(), out);
-  const size_t base = out->size();
-  out->resize(base + a.size() * sizeof(double));
-  if (a.size() > 0) {
-    std::memcpy(out->data() + base, a.data(), a.size() * sizeof(double));
-  }
+  // A range insert writes each entry byte once (a resize would zero-fill
+  // the body first).
+  const auto* entries = reinterpret_cast<const uint8_t*>(a.data());
+  out->insert(out->end(), entries, entries + a.size() * sizeof(double));
+}
+
+size_t DensePayloadBytes(size_t rows, size_t cols) {
+  return 1 + kShapeHeaderBytes + rows * cols * sizeof(double);
+}
+
+void AppendDensePayload(const Matrix& a, std::vector<uint8_t>* out) {
+  out->reserve(out->size() + DensePayloadBytes(a.rows(), a.cols()));
+  out->push_back(static_cast<uint8_t>(MatrixEncoding::kDense));
+  AppendDenseBody(a, out);
 }
 
 namespace {
@@ -238,8 +246,7 @@ StatusOr<DecodedMatrix> DecodeQuantizedBody(const uint8_t* data, size_t size) {
 
 std::vector<uint8_t> EncodeDensePayload(const Matrix& a) {
   std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(MatrixEncoding::kDense));
-  AppendDenseBody(a, &out);
+  AppendDensePayload(a, &out);
   return out;
 }
 

@@ -52,6 +52,13 @@ StatusOr<Matrix> DecodeDenseBody(const uint8_t* data, size_t size);
 /// fits in bits_per_entry - 1 magnitude bits.
 Status AppendQuantizedBody(const QuantizeResult& q, std::vector<uint8_t>* out);
 
+/// Encoded size of a dense rows x cols payload (encoding byte included).
+size_t DensePayloadBytes(size_t rows, size_t cols);
+
+/// Appends the dense payload of `a` (encoding byte, then the body) to
+/// `out`, writing each byte once.
+void AppendDensePayload(const Matrix& a, std::vector<uint8_t>* out);
+
 /// Self-describing payload: one MatrixEncoding byte, then the body.
 std::vector<uint8_t> EncodeDensePayload(const Matrix& a);
 StatusOr<std::vector<uint8_t>> EncodeQuantizedPayload(const QuantizeResult& q);

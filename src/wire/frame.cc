@@ -1,5 +1,6 @@
 #include "wire/frame.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -33,9 +34,9 @@ uint32_t WireTagId(std::string_view tag) {
   return h;
 }
 
-void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
-                     std::span<const uint8_t> payload,
-                     uint64_t payload_checksum, std::vector<uint8_t>* out) {
+void EncodeFrameHeadInto(std::string_view tag, int from, int to,
+                         uint32_t attempt, uint64_t payload_len,
+                         uint64_t payload_checksum, std::vector<uint8_t>* out) {
   // Codec cost is always host time (never the virtual clock): the
   // histograms answer "how expensive is the codec", not "when did the
   // simulated transfer happen".
@@ -49,20 +50,29 @@ void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
   WritePod<int32_t>(from, header + 12);
   WritePod<int32_t>(to, header + 16);
   WritePod<uint32_t>(attempt, header + 20);
-  WritePod<uint64_t>(payload.size(), header + 24);
+  WritePod<uint64_t>(payload_len, header + 24);
   WritePod<uint64_t>(payload_checksum, header + 32);
   // clear + reserve + range inserts: each byte is written once (no
   // zero-fill pass), and the reserve is a no-op on a reused buffer.
   out->clear();
-  out->reserve(FrameBytes(tag.size(), payload.size()));
+  out->reserve(FrameBytes(tag.size(), 0));
   out->insert(out->end(), header, header + kFrameHeaderBytes);
   out->insert(out->end(), tag.begin(), tag.end());
-  out->insert(out->end(), payload.begin(), payload.end());
   if (telem) {
     telemetry::Observe("wire.encode_ns",
                        telemetry::Telemetry::WallNowNs() - t0);
     telemetry::Count("wire.frames_encoded");
   }
+}
+
+void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
+                     std::span<const uint8_t> payload,
+                     uint64_t payload_checksum, std::vector<uint8_t>* out) {
+  out->clear();
+  out->reserve(FrameBytes(tag.size(), payload.size()));
+  EncodeFrameHeadInto(tag, from, to, attempt, payload.size(),
+                      payload_checksum, out);
+  out->insert(out->end(), payload.begin(), payload.end());
 }
 
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
@@ -76,10 +86,12 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame) {
 
 namespace {
 
-StatusOr<FrameView> VerifyFrameImpl(const uint8_t* data, size_t size) {
-  if (size < kFrameHeaderBytes) {
+StatusOr<FrameView> VerifyFramePartsImpl(std::span<const uint8_t> head,
+                                         std::span<const uint8_t> payload) {
+  if (head.size() < kFrameHeaderBytes) {
     return Status::InvalidArgument("wire frame: truncated header");
   }
+  const uint8_t* data = head.data();
   if (ReadPod<uint32_t>(data) != kFrameMagic) {
     return Status::InvalidArgument("wire frame: bad magic");
   }
@@ -98,7 +110,8 @@ StatusOr<FrameView> VerifyFrameImpl(const uint8_t* data, size_t size) {
   const uint64_t checksum = ReadPod<uint64_t>(data + 32);
   if (payload_len > std::numeric_limits<size_t>::max() - kFrameHeaderBytes -
                         tag_len ||
-      size != FrameBytes(tag_len, payload_len)) {
+      head.size() + payload.size() != FrameBytes(tag_len, payload_len) ||
+      head.size() != FrameBytes(tag_len, 0)) {
     return Status::InvalidArgument("wire frame: length mismatch");
   }
   view.tag = std::string_view(
@@ -106,9 +119,9 @@ StatusOr<FrameView> VerifyFrameImpl(const uint8_t* data, size_t size) {
   if (WireTagId(view.tag) != tag_id) {
     return Status::InvalidArgument("wire frame: tag id mismatch");
   }
-  view.payload_offset = kFrameHeaderBytes + tag_len;
+  view.payload_offset = head.size();
   view.payload_size = payload_len;
-  if (Checksum64(data + view.payload_offset, payload_len) != checksum) {
+  if (Checksum64(payload.data(), payload.size()) != checksum) {
     telemetry::Count("wire.checksum_failure");
     return Status::InvalidArgument("wire frame: checksum mismatch");
   }
@@ -117,15 +130,27 @@ StatusOr<FrameView> VerifyFrameImpl(const uint8_t* data, size_t size) {
 
 }  // namespace
 
-StatusOr<FrameView> VerifyFrame(const uint8_t* data, size_t size) {
+StatusOr<FrameView> VerifyFrameParts(std::span<const uint8_t> head,
+                                     std::span<const uint8_t> payload) {
   const bool telem = telemetry::Telemetry::Current()->enabled();
-  if (!telem) return VerifyFrameImpl(data, size);
+  if (!telem) return VerifyFramePartsImpl(head, payload);
   const uint64_t t0 = telemetry::Telemetry::WallNowNs();
-  StatusOr<FrameView> result = VerifyFrameImpl(data, size);
+  StatusOr<FrameView> result = VerifyFramePartsImpl(head, payload);
   telemetry::Observe("wire.decode_ns", telemetry::Telemetry::WallNowNs() - t0);
   telemetry::Count("wire.frames_decoded");
   if (!result.ok()) telemetry::Count("wire.decode_failure");
   return result;
+}
+
+StatusOr<FrameView> VerifyFrame(const uint8_t* data, size_t size) {
+  // Split after the tag the header announces (or keep a short buffer
+  // whole, which fails as a truncated header).
+  const std::span<const uint8_t> frame(data, size);
+  size_t head = size;
+  if (size >= kFrameHeaderBytes) {
+    head = std::min(size, FrameBytes(ReadPod<uint16_t>(data + 6), 0));
+  }
+  return VerifyFrameParts(frame.first(head), frame.subspan(head));
 }
 
 StatusOr<Frame> DecodeFrame(const uint8_t* data, size_t size) {

@@ -43,11 +43,20 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-/// Serializes header + tag + payload into `out`, replacing its contents
-/// (its capacity is reused, so a sender re-encoding one payload per retry
-/// allocates at most once). `payload_checksum` must be
+/// Serializes the 40-byte header and the tag of a frame carrying a
+/// `payload_len`-byte payload into `out`, replacing its contents (its
+/// capacity is reused). The payload bytes follow the head on the wire but
+/// are not copied: a clean attempt is verified as this head plus the
+/// sender's own payload (VerifyFrameParts). `payload_checksum` must be
 /// Checksum64(payload): it covers the payload only, so one value serves
 /// every attempt of a send.
+void EncodeFrameHeadInto(std::string_view tag, int from, int to,
+                         uint32_t attempt, uint64_t payload_len,
+                         uint64_t payload_checksum, std::vector<uint8_t>* out);
+
+/// Serializes header + tag + payload into one contiguous buffer `out`,
+/// replacing its contents (its capacity is reused): the head as
+/// EncodeFrameHeadInto writes it, then the payload bytes.
 void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
                      std::span<const uint8_t> payload,
                      uint64_t payload_checksum, std::vector<uint8_t>* out);
@@ -67,9 +76,21 @@ struct FrameView {
   size_t payload_size = 0;
 };
 
+/// Runs every check DecodeFrame runs on a frame held in two pieces:
+/// `head` (header and tag, as EncodeFrameHeadInto writes them) and
+/// `payload` (the bytes that follow it on the wire), recomputing the
+/// checksum over `payload` where it lies and copying nothing.
+/// payload_offset is head.size(). On the first
+/// min(size, kFrameHeaderBytes + tag_len) bytes of a frame as `head` and
+/// the rest as `payload`, the verdict and status text equal VerifyFrame's
+/// on the contiguous bytes; a head that does not end where its tag does
+/// is a "length mismatch".
+StatusOr<FrameView> VerifyFrameParts(std::span<const uint8_t> head,
+                                     std::span<const uint8_t> payload);
+
 /// Runs every check DecodeFrame runs, with the same status messages, and
 /// copies nothing: the receiver reads the payload out of `data` at
-/// payload_offset.
+/// payload_offset. VerifyFrameParts on the frame split after its tag.
 StatusOr<FrameView> VerifyFrame(const uint8_t* data, size_t size);
 
 /// Parses and validates a frame buffer. Rejects, with InvalidArgument:

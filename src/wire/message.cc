@@ -3,16 +3,16 @@
 #include <cstring>
 #include <utility>
 
-#include "wire/checksum.h"
-#include "wire/frame.h"
-
 namespace distsketch {
 namespace wire {
 
-Message DenseMessage(std::string tag, const Matrix& m) {
+Message DenseMessage(std::string tag, const Matrix& m,
+                     std::vector<uint8_t> buffer) {
   Message msg;
   msg.tag = std::move(tag);
-  msg.payload = EncodeDensePayload(m);
+  msg.payload = std::move(buffer);
+  msg.payload.clear();
+  AppendDensePayload(m, &msg.payload);
   msg.words = m.size();
   return msg;
 }
@@ -52,7 +52,7 @@ Message SeedMessage(std::string tag, uint64_t seed) {
   return ScalarMessage(std::move(tag), as_double);
 }
 
-StatusOr<double> DecodeScalarPayload(const std::vector<uint8_t>& payload) {
+StatusOr<double> DecodeScalarPayload(std::span<const uint8_t> payload) {
   DS_ASSIGN_OR_RETURN(DecodedMatrix dec,
                       DecodeMatrixPayload(payload.data(), payload.size()));
   if (dec.matrix.size() != 1) {
@@ -62,7 +62,7 @@ StatusOr<double> DecodeScalarPayload(const std::vector<uint8_t>& payload) {
   return dec.matrix.data()[0];
 }
 
-StatusOr<uint64_t> DecodeSeedPayload(const std::vector<uint8_t>& payload) {
+StatusOr<uint64_t> DecodeSeedPayload(std::span<const uint8_t> payload) {
   DS_ASSIGN_OR_RETURN(double as_double, DecodeScalarPayload(payload));
   uint64_t seed;
   std::memcpy(&seed, &as_double, sizeof(seed));
@@ -70,18 +70,8 @@ StatusOr<uint64_t> DecodeSeedPayload(const std::vector<uint8_t>& payload) {
 }
 
 StatusOr<DecodedMatrix> DecodeMessagePayload(
-    const std::vector<uint8_t>& payload) {
+    std::span<const uint8_t> payload) {
   return DecodeMatrixPayload(payload.data(), payload.size());
-}
-
-void PreEncodeFrame(Message& msg, int from, int to) {
-  auto cached = std::make_shared<PreEncodedFrame>();
-  cached->from = from;
-  cached->to = to;
-  EncodeFrameInto(msg.tag, from, to, /*attempt=*/0, msg.payload,
-                  Checksum64(msg.payload.data(), msg.payload.size()),
-                  &cached->bytes);
-  msg.cached_frame = std::move(cached);
 }
 
 }  // namespace wire

@@ -2,7 +2,8 @@
 #define DISTSKETCH_WIRE_MESSAGE_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,15 +14,6 @@
 
 namespace distsketch {
 namespace wire {
-
-/// A frame encoded ahead of send time (see Message::cached_frame). The
-/// endpoints are part of the frame header, so the cache records which
-/// (from, to) pair it was encoded for; a mismatched send ignores it.
-struct PreEncodedFrame {
-  int from = 0;
-  int to = 0;
-  std::vector<uint8_t> bytes;
-};
 
 /// One logical transfer: a tag, the encoded payload bytes that actually
 /// cross the (simulated) wire, and the word/bit counts the cost model
@@ -37,24 +29,20 @@ struct Message {
   uint64_t words = 0;
   /// Metered bits; 0 means the CommLog default of words * bits_per_word.
   uint64_t bits = 0;
-  /// Optional first-attempt frame, encoded ahead of time by
-  /// PreEncodeFrame so senders can move the frame encode + checksum off
-  /// the transport's serialized wire path (the merge trees build and
-  /// pre-encode uplinks on the thread pool). Only honoured by the ideal
-  /// wire, and only when the endpoints match; the fault simulation
-  /// re-encodes per attempt regardless. shared_ptr: Message stays
-  /// copyable and the cache survives queueing by value.
-  std::shared_ptr<const PreEncodedFrame> cached_frame;
+  /// Checksum64(payload), when the sender already computed it (the tree
+  /// driver does, on the thread pool, right after building an uplink);
+  /// the transport uses it for the frame header, or computes it when
+  /// unset. Set it only after the last write to `payload`. The receiver
+  /// always recomputes the checksum over the bytes it verifies.
+  std::optional<uint64_t> payload_checksum;
 };
 
-/// Encodes the attempt-0 frame for `msg` between the given endpoints and
-/// attaches it as msg.cached_frame. EncodeFrame is deterministic, so the
-/// cached bytes are exactly what SendOverIdealWire would put on the wire.
-void PreEncodeFrame(Message& msg, int from, int to);
-
 /// A dense matrix: one metered word per entry (the paper's convention
-/// for sketch payloads after §3.3 rounding).
-Message DenseMessage(std::string tag, const Matrix& m);
+/// for sketch payloads after §3.3 rounding). The payload is encoded into
+/// `buffer`'s storage (cleared first), so a caller that reserved
+/// DensePayloadBytes ahead of time decides whose heap holds it.
+Message DenseMessage(std::string tag, const Matrix& m,
+                     std::vector<uint8_t> buffer = {});
 
 /// A quantized matrix: metered as BitsToWords(total_bits) words and
 /// exactly total_bits bits, where total_bits is the true width of the
@@ -78,14 +66,14 @@ Message SymmetricMessage(std::string tag, const Matrix& gram);
 Message SeedMessage(std::string tag, uint64_t seed);
 
 /// Decodes a payload produced by ScalarMessage (any 1-entry matrix).
-StatusOr<double> DecodeScalarPayload(const std::vector<uint8_t>& payload);
+StatusOr<double> DecodeScalarPayload(std::span<const uint8_t> payload);
 
 /// Decodes a payload produced by SeedMessage.
-StatusOr<uint64_t> DecodeSeedPayload(const std::vector<uint8_t>& payload);
+StatusOr<uint64_t> DecodeSeedPayload(std::span<const uint8_t> payload);
 
 /// Decodes any matrix payload (dense or quantized).
 StatusOr<DecodedMatrix> DecodeMessagePayload(
-    const std::vector<uint8_t>& payload);
+    std::span<const uint8_t> payload);
 
 }  // namespace wire
 }  // namespace distsketch

@@ -1,10 +1,12 @@
 // Allocation budget of the message path. This binary replaces the global
 // operator new with one that counts every allocation of at least a
 // threshold size, so the tests can pin how many payload-sized buffers one
-// send makes: the frame is encoded once per attempt into one reused
-// buffer, the receiver gets that buffer back, and the blocking channel
-// path borrows the caller's message instead of copying it. The
-// replacement forwards to malloc/free, so it also runs under ASan.
+// send makes: a clean attempt is verified over the sender's own payload
+// and delivered as a view of it (none), an attempt the network mangles
+// builds one whole frame in a buffer the send's later attempts reuse (at
+// most one per send), and the blocking channel path borrows the caller's
+// message instead of copying it. The replacement forwards to
+// malloc/free, so it also runs under ASan.
 
 #include <atomic>
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "dist/comm_log.h"
 #include "dist/fault_injection.h"
 #include "linalg/matrix.h"
+#include "wire/frame.h"
 #include "wire/message.h"
 
 namespace {
@@ -79,10 +82,20 @@ FaultConfig LossyConfig() {
   return config;
 }
 
+// Attempts of the last send the network truncated or corrupted.
+size_t MangledAttempts(const CommLog& log) {
+  size_t n = 0;
+  for (const MessageRecord& rec : log.messages()) {
+    if (rec.truncated || rec.corrupted) ++n;
+  }
+  return n;
+}
+
 TEST(SendAllocBudget, FaultPlanSendAllocatesOnePayloadBufferPerAttemptAtMost) {
   const wire::Message msg = BigMessage();
   FaultInjector injector(LossyConfig());
-  int retried_sends = 0;
+  int clean_sends = 0;
+  int mangled_sends = 0;
   for (int server = 0; server < 24; ++server) {
     CommLog log(64);
     SendOutcome out;
@@ -92,38 +105,53 @@ TEST(SendAllocBudget, FaultPlanSendAllocatesOnePayloadBufferPerAttemptAtMost) {
       out = injector.Send(log, server, kCoordinator, msg);
       allocs = counter.count();
     }
-    EXPECT_LE(allocs, static_cast<uint64_t>(out.attempts))
-        << "server " << server;
-    // Stronger than the per-attempt budget: retries re-encode into the
-    // one frame buffer, which a delivery hands to the receiver.
-    EXPECT_LE(allocs, 1u) << "server " << server;
+    // Only a mangled attempt builds a whole frame, and every later one
+    // reuses its buffer; clean, dropped and stalled attempts build none.
+    const bool mangled = MangledAttempts(log) > 0;
+    EXPECT_LE(allocs, mangled ? 1u : 0u) << "server " << server;
     if (out.delivered) {
-      EXPECT_EQ(out.payload, msg.payload) << "server " << server;
+      EXPECT_EQ(out.payload.data(), msg.payload.data()) << "server " << server;
+      EXPECT_EQ(out.payload.size(), msg.payload.size()) << "server " << server;
+    }
+    ++(mangled ? mangled_sends : clean_sends);
+  }
+  // The plan must exercise both kinds of send for the bounds to bite.
+  EXPECT_GT(clean_sends, 0);
+  EXPECT_GT(mangled_sends, 0);
+}
+
+TEST(SendAllocBudget, CleanFaultPlanSendAllocatesNothing) {
+  const wire::Message msg = BigMessage();
+  FaultConfig config;
+  config.default_profile.drop_prob = 0.4;
+  config.default_profile.duplicate_prob = 0.3;
+  config.default_profile.transient_fail_prob = 0.2;
+  config.max_retries = 8;
+  config.seed = 23;
+  FaultInjector injector(config);
+  int retried_sends = 0;
+  for (int server = 0; server < 24; ++server) {
+    CommLog log(64);
+    BigAllocCounter counter(msg.payload.size());
+    SendOutcome out = injector.Send(log, server, kCoordinator, msg);
+    EXPECT_EQ(counter.count(), 0u) << "server " << server;
+    if (out.delivered) {
+      EXPECT_EQ(out.payload.data(), msg.payload.data()) << "server " << server;
     }
     if (out.attempts > 1) ++retried_sends;
   }
-  // The plan must actually exercise retransmission for the bound to bite.
   EXPECT_GT(retried_sends, 0);
 }
 
-TEST(SendAllocBudget, IdealWireAllocatesExactlyTheReceiverPayload) {
-  wire::Message msg = BigMessage();
+TEST(SendAllocBudget, IdealWireAllocatesNoPayloadBuffer) {
+  const wire::Message msg = BigMessage();
   CommLog log(64);
-  {
-    BigAllocCounter counter(msg.payload.size());
-    SendOutcome out = SendOverIdealWire(log, 3, kCoordinator, msg);
-    EXPECT_EQ(counter.count(), 1u);
-    EXPECT_EQ(out.payload, msg.payload);
-  }
-  // The pre-encoded path copies the payload out of the cached frame once.
-  wire::PreEncodeFrame(msg, 3, kCoordinator);
-  {
-    BigAllocCounter counter(msg.payload.size());
-    SendOutcome out = SendOverIdealWire(log, 3, kCoordinator, msg);
-    EXPECT_EQ(counter.count(), 1u);
-    EXPECT_EQ(out.payload, msg.payload);
-    EXPECT_NE(out.payload.data(), msg.payload.data());
-  }
+  BigAllocCounter counter(msg.payload.size());
+  SendOutcome out = SendOverIdealWire(log, 3, kCoordinator, msg);
+  EXPECT_EQ(counter.count(), 0u);
+  EXPECT_EQ(out.payload.data(), msg.payload.data());
+  EXPECT_EQ(out.payload.size(), msg.payload.size());
+  EXPECT_EQ(out.wire_bytes, wire::FrameBytes(3, msg.payload.size()));
 }
 
 TEST(SendAllocBudget, SendAndWaitBorrowsTheMessageUntilTheWireRuns) {
@@ -145,15 +173,15 @@ TEST(SendAllocBudget, SendAndWaitBorrowsTheMessageUntilTheWireRuns) {
   EXPECT_EQ(seen, &msg);
 }
 
-TEST(SendAllocBudget, ClusterSendMakesOnePayloadBufferEndToEnd) {
+TEST(SendAllocBudget, ClusterSendCopiesNoPayloadEndToEnd) {
   auto cluster = Cluster::Create({Matrix(4, 3), Matrix(4, 3)}, 0.1);
   ASSERT_TRUE(cluster.ok());
   const wire::Message msg = BigMessage();
   {
     BigAllocCounter counter(msg.payload.size());
     SendOutcome out = cluster->Send(0, kCoordinator, msg);
-    EXPECT_EQ(counter.count(), 1u);
-    EXPECT_EQ(out.payload, msg.payload);
+    EXPECT_EQ(counter.count(), 0u);
+    EXPECT_EQ(out.payload.data(), msg.payload.data());
   }
   cluster->InstallFaultPlan(LossyConfig());
   for (int server = 0; server < 2; ++server) {

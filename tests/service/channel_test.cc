@@ -231,7 +231,8 @@ TEST(ChannelTransport, SendAndWaitExecutedByTheLoopThreadReturnsItsOutcome) {
   EXPECT_EQ(b_out.attempts, 1);
   EXPECT_EQ(b_out.wire_words, 3u);
   EXPECT_EQ(b_out.wire_bytes, b.payload.size());
-  EXPECT_EQ(b_out.payload, b.payload);
+  EXPECT_EQ(b_out.payload.data(), b.payload.data());
+  EXPECT_EQ(b_out.payload.size(), b.payload.size());
   EXPECT_EQ(channel.executed(), 3u);
 }
 

@@ -1,5 +1,6 @@
 #include "wire/frame.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -173,6 +174,86 @@ TEST(FrameTest, VerifyFrameAgreesWithDecodeFrameOnEveryBitFlip) {
       ExpectVerifyMatchesDecode(
           buf, "byte " + std::to_string(i) + " bit " + std::to_string(bit));
     }
+  }
+}
+
+TEST(FrameTest, EncodeFrameHeadIntoWritesTheFramesLeadingBytes) {
+  const Frame f = TestFrame();
+  const std::vector<uint8_t> whole = EncodeFrame(f);
+  std::vector<uint8_t> head(4096, 0xAB);
+  EncodeFrameHeadInto(f.tag, f.from, f.to, f.attempt, f.payload.size(),
+                      Checksum64(f.payload.data(), f.payload.size()), &head);
+  ASSERT_EQ(head.size(), FrameBytes(f.tag.size(), 0));
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), whole.begin()));
+}
+
+// VerifyFrameParts over a frame split after its tag (as the sender holds
+// it: an encoded head plus its own payload) must give VerifyFrame's
+// verdict and status text on the contiguous bytes, and on acceptance the
+// same view.
+void ExpectPartsMatchVerify(const std::vector<uint8_t>& buf, size_t tag_len,
+                            const std::string& what) {
+  const size_t split = std::min(buf.size(), FrameBytes(tag_len, 0));
+  // Exact-size copies of both parts, so a read past either is an ASan
+  // error.
+  const std::vector<uint8_t> head(buf.begin(), buf.begin() + split);
+  const std::vector<uint8_t> payload(buf.begin() + split, buf.end());
+  auto whole = VerifyFrame(buf.data(), buf.size());
+  auto parts = VerifyFrameParts(head, payload);
+  ASSERT_EQ(whole.ok(), parts.ok()) << what;
+  if (!whole.ok()) {
+    EXPECT_EQ(whole.status().code(), parts.status().code()) << what;
+    EXPECT_EQ(whole.status().message(), parts.status().message()) << what;
+    return;
+  }
+  EXPECT_EQ(whole->tag, parts->tag) << what;
+  EXPECT_EQ(whole->from, parts->from) << what;
+  EXPECT_EQ(whole->to, parts->to) << what;
+  EXPECT_EQ(whole->attempt, parts->attempt) << what;
+  EXPECT_EQ(whole->payload_offset, parts->payload_offset) << what;
+  EXPECT_EQ(whole->payload_size, parts->payload_size) << what;
+}
+
+TEST(FrameTest, VerifyFramePartsAgreesWithVerifyFrameOnEveryPrefix) {
+  const Frame f = TestFrame();
+  const std::vector<uint8_t> buf = EncodeFrame(f);
+  for (size_t cut = 0; cut < buf.size(); ++cut) {
+    const std::vector<uint8_t> prefix(buf.begin(), buf.begin() + cut);
+    ExpectPartsMatchVerify(prefix, f.tag.size(),
+                           "prefix " + std::to_string(cut));
+  }
+  ExpectPartsMatchVerify(buf, f.tag.size(), "whole frame");
+  // The payload need not follow the head in memory.
+  const std::vector<uint8_t> head(
+      buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(
+                                     FrameBytes(f.tag.size(), 0)));
+  EXPECT_TRUE(VerifyFrameParts(head, f.payload).ok());
+}
+
+TEST(FrameTest, VerifyFramePartsAgreesWithVerifyFrameOnEveryBitFlip) {
+  const Frame f = TestFrame();
+  const std::vector<uint8_t> clean = EncodeFrame(f);
+  for (size_t i = 0; i < clean.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> buf = clean;
+      buf[i] ^= static_cast<uint8_t>(1u << bit);
+      ExpectPartsMatchVerify(
+          buf, f.tag.size(),
+          "byte " + std::to_string(i) + " bit " + std::to_string(bit));
+    }
+  }
+}
+
+TEST(FrameTest, VerifyFramePartsRejectsAHeadThatDoesNotEndAtTheTag) {
+  const Frame f = TestFrame();
+  const std::vector<uint8_t> buf = EncodeFrame(f);
+  const size_t split = FrameBytes(f.tag.size(), 0);
+  for (const size_t off : {split - 1, split + 1}) {
+    const std::vector<uint8_t> head(buf.begin(), buf.begin() + off);
+    const std::vector<uint8_t> payload(buf.begin() + off, buf.end());
+    auto parts = VerifyFrameParts(head, payload);
+    ASSERT_FALSE(parts.ok()) << off;
+    EXPECT_EQ(parts.status().message(), "wire frame: length mismatch");
   }
 }
 
