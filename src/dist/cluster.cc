@@ -16,11 +16,7 @@ Cluster::Cluster(std::vector<Server> servers, size_t dim, size_t total_rows,
       total_rows_(total_rows),
       partition_(partition),
       cost_model_(cost_model),
-      wire_(std::make_unique<WireEndpoint>(cost_model.bits_per_word())),
-      channel_(std::make_unique<ChannelTransport>(
-          [w = wire_.get()](int from, int to, const wire::Message& msg) {
-            return w->Transfer(from, to, msg);
-          })) {}
+      wire_(cost_model.bits_per_word()) {}
 
 StatusOr<Cluster> Cluster::Create(std::vector<Matrix> parts,
                                   double eps_hint) {
@@ -93,12 +89,8 @@ StatusOr<Cluster> Cluster::CreateAdditive(std::vector<Matrix> shares,
                  PartitionModel::kAdditive);
 }
 
-SendOutcome Cluster::Send(int from, int to, const wire::Message& msg) {
-  return channel_->SendAndWait(from, to, msg);
-}
-
 SendOutcome Cluster::Send(int from, int to, wire::Message&& msg) {
-  SendOutcome out = channel_->SendAndWait(from, to, msg);
+  SendOutcome out = wire_.Transfer(from, to, msg);
   out.payload_owner = std::move(msg.payload);
   return out;
 }

@@ -80,9 +80,14 @@ class Server {
 /// PartitionModel), one coordinator, point-to-point
 /// channels metered by a CommLog. The substitution for a physical cluster
 /// is documented in DESIGN.md: the paper's complexity measure is words
-/// exchanged, which the simulation meters exactly.
+/// exchanged, which the simulation meters exactly. The simulation is
+/// serial: every Send runs its wire transfer on the caller's thread, in
+/// call order, which is what keeps seeded transcripts reproducible.
 class Cluster {
  public:
+  Cluster(Cluster&&) = default;
+  Cluster& operator=(Cluster&&) = default;
+
   /// Builds a cluster from a row partition (one matrix per server; all
   /// must share the column count). `n_hint` and `eps_hint` parameterize
   /// the word size of the cost model (§1.2); pass the instance's real n
@@ -112,61 +117,57 @@ class Cluster {
 
   const Server& server(size_t i) const { return servers_[i]; }
 
-  CommLog& log() { return wire_->log; }
-  const CommLog& log() const { return wire_->log; }
+  CommLog& log() { return wire_.log; }
+  const CommLog& log() const { return wire_.log; }
   const CostModel& cost_model() const { return cost_model_; }
 
   /// Resets the communication log (between protocol runs on the same
   /// data). Also rewinds the fault simulation, if installed, so every
   /// run replays the identical fault schedule.
   void ResetLog() {
-    wire_->log = CommLog(cost_model_.bits_per_word());
-    if (wire_->faults) wire_->faults->Reset();
+    wire_.log = CommLog(cost_model_.bits_per_word());
+    if (wire_.faults) wire_.faults->Reset();
   }
 
   /// Installs a deterministic fault plan: every subsequent transfer runs
   /// through the simulated faulty network (see fault_injection.h).
   void InstallFaultPlan(FaultConfig config) {
-    wire_->faults.emplace(std::move(config));
+    wire_.faults.emplace(std::move(config));
   }
   /// Removes the fault plan; transfers become ideal again.
-  void ClearFaultPlan() { wire_->faults.reset(); }
+  void ClearFaultPlan() { wire_.faults.reset(); }
 
   /// True iff a plan is installed that can actually perturb a run.
   /// Protocols consult this to decide whether to send the extra
   /// mass-accounting messages of degraded mode, so an all-zero plan (or
   /// none) reproduces the ideal-network wire format exactly.
   bool fault_mode() const {
-    return wire_->faults && wire_->faults->config().CanFault();
+    return wire_.faults && wire_.faults->config().CanFault();
   }
 
-  FaultInjector* faults() { return wire_->faults ? &*wire_->faults : nullptr; }
+  FaultInjector* faults() { return wire_.faults ? &*wire_.faults : nullptr; }
   const FaultInjector* faults() const {
-    return wire_->faults ? &*wire_->faults : nullptr;
+    return wire_.faults ? &*wire_.faults : nullptr;
   }
 
   /// True iff the fault simulation has declared server `i` lost.
   bool ServerLost(int i) const {
-    return wire_->faults && wire_->faults->IsLost(i);
+    return wire_.faults && wire_.faults->IsLost(i);
   }
 
-  /// Routes one logical transfer of encoded bytes through the channel
-  /// transport: the message is queued, executed in submission order, run
-  /// through the fault simulation when a plan is installed (ideal wire
-  /// otherwise), and framed and checksum-verified for the receiving side,
-  /// which reads outcome.payload: a view of msg.payload, valid while
-  /// `msg` lives. Protocols must use this (not log().Record) for every
-  /// payload so faults, retry accounting and wire-byte metering apply
-  /// uniformly.
-  SendOutcome Send(int from, int to, const wire::Message& msg);
+  /// Routes one logical transfer of encoded bytes over the wire, on the
+  /// calling thread: through the fault simulation when a plan is
+  /// installed (ideal wire otherwise), framed and checksum-verified for
+  /// the receiving side, which reads outcome.payload: a view of
+  /// msg.payload, valid while `msg` lives. Protocols must use this (not
+  /// log().Record) for every payload so faults, retry accounting and
+  /// wire-byte metering apply uniformly.
+  SendOutcome Send(int from, int to, const wire::Message& msg) {
+    return wire_.Transfer(from, to, msg);
+  }
   /// Same, for a message that dies with the call: the outcome keeps its
   /// payload (SendOutcome::payload_owner), so the view stays valid.
   SendOutcome Send(int from, int to, wire::Message&& msg);
-
-  /// The underlying async transport. Cluster::Send is the blocking
-  /// adapter over it; the service layer drives the same machinery with
-  /// TrySubmit + a loop thread.
-  ChannelTransport& channel() { return *channel_; }
 
   /// Reassembles the full input — [A^(1); ...; A^(s)] under kRows,
   /// sum_i A^(i) under kAdditive (test/bench oracle — a real coordinator
@@ -182,11 +183,7 @@ class Cluster {
   size_t total_rows_;
   PartitionModel partition_;
   CostModel cost_model_;
-  // Heap-pinned so the channel's wire closure (which captures the raw
-  // pointer) survives moves of the Cluster. Declared before channel_:
-  // the transport is constructed over it.
-  std::unique_ptr<WireEndpoint> wire_;
-  std::unique_ptr<ChannelTransport> channel_;
+  WireEndpoint wire_;
 };
 
 }  // namespace distsketch

@@ -1,6 +1,7 @@
 #include "linalg/spectral.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,11 +11,18 @@
 namespace distsketch {
 namespace {
 
+// Power-iteration schedule: relative convergence tolerance between
+// successive estimates, iterations per restart, independent restarts and
+// the start vectors' seed.
+constexpr double kPowerTol = 1e-10;
+constexpr int kPowerMaxIterations = 1000;
+constexpr int kPowerRestarts = 3;
+constexpr uint64_t kPowerSeed = 0x5eed5eedULL;
+
 // One power-iteration run on the linear operator `apply` acting on
 // dimension-n vectors; returns the converged operator-norm estimate.
 template <typename ApplyFn>
-double PowerIterate(size_t n, const ApplyFn& apply,
-                    const SpectralNormOptions& options, Rng& rng) {
+double PowerIterate(size_t n, const ApplyFn& apply, Rng& rng) {
   std::vector<double> x(n);
   for (auto& v : x) v = rng.NextGaussian();
   double norm = Norm2(x);
@@ -22,7 +30,7 @@ double PowerIterate(size_t n, const ApplyFn& apply,
   ScaleVector(1.0 / norm, x);
 
   double estimate = 0.0;
-  for (int it = 0; it < options.max_iterations; ++it) {
+  for (int it = 0; it < kPowerMaxIterations; ++it) {
     std::vector<double> y = apply(x);
     const double ynorm = Norm2(y);
     if (ynorm == 0.0) return 0.0;
@@ -31,7 +39,7 @@ double PowerIterate(size_t n, const ApplyFn& apply,
     ScaleVector(1.0 / ynorm, y);
     x = std::move(y);
     if (it > 0 && std::abs(estimate - prev) <=
-                      options.tol * std::max(estimate, 1e-300)) {
+                      kPowerTol * std::max(estimate, 1e-300)) {
       break;
     }
   }
@@ -40,28 +48,27 @@ double PowerIterate(size_t n, const ApplyFn& apply,
 
 }  // namespace
 
-double SymmetricSpectralNorm(const Matrix& x,
-                             const SpectralNormOptions& options) {
+double SymmetricSpectralNorm(const Matrix& x) {
   if (x.empty()) return 0.0;
   DS_CHECK(x.rows() == x.cols());
   const size_t n = x.rows();
-  Rng rng(options.seed);
+  Rng rng(kPowerSeed);
   double best = 0.0;
-  for (int r = 0; r < options.restarts; ++r) {
+  for (int r = 0; r < kPowerRestarts; ++r) {
     const double est = PowerIterate(
         n, [&](const std::vector<double>& v) { return MatVec(x, v); },
-        options, rng);
+        rng);
     best = std::max(best, est);
   }
   return best;
 }
 
-double SpectralNorm(const Matrix& a, const SpectralNormOptions& options) {
+double SpectralNorm(const Matrix& a) {
   if (a.empty()) return 0.0;
   const size_t n = a.cols();
-  Rng rng(options.seed);
+  Rng rng(kPowerSeed);
   double best = 0.0;
-  for (int r = 0; r < options.restarts; ++r) {
+  for (int r = 0; r < kPowerRestarts; ++r) {
     // Iterate on A^T A; the estimate converges to sigma_max^2.
     const double est = PowerIterate(
         n,
@@ -69,7 +76,7 @@ double SpectralNorm(const Matrix& a, const SpectralNormOptions& options) {
           const std::vector<double> av = MatVec(a, v);
           return MatTVec(a, av);
         },
-        options, rng);
+        rng);
     best = std::max(best, est);
   }
   return std::sqrt(best);

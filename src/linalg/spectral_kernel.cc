@@ -7,6 +7,13 @@
 #include "telemetry/telemetry.h"
 
 namespace distsketch {
+namespace {
+
+// kAuto's conditioning veto: the Gram route is abandoned when
+// lambda_min <= kConditionFloor * lambda_max (see ComputeSigmaVt).
+constexpr double kConditionFloor = 1e-13;
+
+}  // namespace
 
 Matrix SpectralResult::AggregatedForm() const {
   Matrix agg(singular_values.size(), v.rows());
@@ -68,8 +75,7 @@ StatusOr<SpectralResult> ComputeSigmaVt(const Matrix& a,
   if (want_gram) {
     GramParallelInto(*src, ws->gram);
     const Status eig_status =
-        ComputeSymmetricEigenInto(ws->gram, &ws->eig, &ws->eig_ws,
-                                  options.eigen);
+        ComputeSymmetricEigenInto(ws->gram, &ws->eig, &ws->eig_ws);
     if (!eig_status.ok() && options.route == SpectralRoute::kGram) {
       return eig_status;
     }
@@ -81,7 +87,7 @@ StatusOr<SpectralResult> ComputeSigmaVt(const Matrix& a,
       // means sigma_min was squared into the round-off of the Gram and
       // only Jacobi can recover it.
       if (lambda_max <= 0.0 ||
-          lambda_min <= options.condition_floor * lambda_max) {
+          lambda_min <= kConditionFloor * lambda_max) {
         usable = false;
         telemetry::Count("kernel.route.gram_vetoed");
       }
@@ -116,7 +122,7 @@ StatusOr<SpectralResult> ComputeSigmaVt(const Matrix& a,
   out.route_used = SpectralRoute::kJacobi;
   telemetry::Count("kernel.route.jacobi");
   DS_RETURN_IF_ERROR(
-      ComputeSvdSigmaV(*src, &out.singular_values, &out.v, options.svd));
+      ComputeSvdSigmaV(*src, &out.singular_values, &out.v));
   if (scale_back != 1.0) {
     for (double& s : out.singular_values) s *= scale_back;
   }

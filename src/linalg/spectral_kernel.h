@@ -28,16 +28,6 @@ enum class SpectralRoute {
 /// Options for ComputeSigmaVt.
 struct SpectralKernelOptions {
   SpectralRoute route = SpectralRoute::kAuto;
-  /// kAuto abandons the Gram route when lambda_min/lambda_max of A^T A
-  /// falls at or below this. Forming the Gram squares the condition
-  /// number, so past ~1e-13 the trailing singular values carry no correct
-  /// digits and the kernel redoes the factorization with Jacobi instead.
-  /// Forced kGram skips the check (see kGram above).
-  double condition_floor = 1e-13;
-  /// Jacobi-route options.
-  SvdOptions svd;
-  /// Gram-route eigensolver options.
-  EigenSymOptions eigen;
 };
 
 /// (Sigma, V) of an m-by-d matrix: sigma non-increasing, V d-by-r with
@@ -87,9 +77,12 @@ struct SvdWorkspace {
 ///
 /// Inputs whose max-abs entry falls outside [1e-100, 1e100] are rescaled
 /// first so squared quantities stay inside double range on either route;
-/// sigma is scaled back on output. Under kAuto a conditioning check on the
-/// Gram's eigenvalue ratio falls back to Jacobi when the squared condition
-/// number would destroy the trailing singular values.
+/// sigma is scaled back on output. Under kAuto a conditioning check
+/// abandons the Gram route when lambda_min/lambda_max of A^T A is at or
+/// below 1e-13: forming the Gram squares the condition number, so past
+/// that the trailing singular values carry no correct digits and the
+/// kernel redoes the factorization with Jacobi. Forced kGram skips the
+/// check.
 ///
 /// Deterministic for a fixed input at any thread count. `ws` may be null.
 StatusOr<SpectralResult> ComputeSigmaVt(

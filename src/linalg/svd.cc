@@ -14,6 +14,14 @@
 namespace distsketch {
 namespace {
 
+// Jacobi convergence threshold on normalized off-diagonal column
+// coherence, and the sweeps allowed before the one retry.
+constexpr double kJacobiTol = 1e-12;
+constexpr int kJacobiMaxSweeps = 60;
+// Inputs taller than this times their width get a thin QR first, and
+// Jacobi runs on the small R factor.
+constexpr double kQrRatio = 1.2;
+
 // Row-major column rotation: cols p and q of an m-by-n matrix. Routed
 // through the dispatched kernel table (scalar entry is the historical
 // loop verbatim).
@@ -71,7 +79,7 @@ bool RotatePair(const SimdKernelTable& kern, Matrix& work, Matrix& v,
 // fixed round-robin tournament schedule: every round is a set of disjoint
 // column pairs, so rounds can run on the thread pool with results
 // bit-identical to the serial schedule at any thread count.
-Status JacobiSweeps(Matrix& work, Matrix& v, const SvdOptions& options) {
+Status JacobiSweeps(Matrix& work, Matrix& v, double tol, int max_sweeps) {
   const size_t m = work.rows();
   const size_t n = work.cols();
   DS_CHECK(m >= n);
@@ -98,7 +106,7 @@ Status JacobiSweeps(Matrix& work, Matrix& v, const SvdOptions& options) {
   const bool threaded = pool.num_threads() > 1 &&
                         !ThreadPool::InParallelRegion() && m * n >= 16384;
 
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     // Refresh the cached column norms and the freeze floor.
     double total = 0.0;
     std::fill(state.col_norms2.begin(), state.col_norms2.end(), 0.0);
@@ -131,7 +139,7 @@ Status JacobiSweeps(Matrix& work, Matrix& v, const SvdOptions& options) {
         size_t p, q;
         pair_of(k, &p, &q);
         state.rotated[k] =
-            (q < n && RotatePair(kern, work, v, state, p, q, options.tol,
+            (q < n && RotatePair(kern, work, v, state, p, q, tol,
                                  column_floor))
                 ? 1
                 : 0;
@@ -154,19 +162,18 @@ Status JacobiSweeps(Matrix& work, Matrix& v, const SvdOptions& options) {
 // a slightly relaxed threshold, continuing from the partially-rotated
 // state (the sweeps are monotone, so nothing is lost). The event is rare
 // enough that a stderr note is worth more than silent latency.
-Status OneSidedJacobi(Matrix& work, Matrix& v, const SvdOptions& options) {
+Status OneSidedJacobi(Matrix& work, Matrix& v) {
   v = Matrix::Identity(work.cols());
-  Status status = JacobiSweeps(work, v, options);
+  Status status = JacobiSweeps(work, v, kJacobiTol, kJacobiMaxSweeps);
   if (status.code() != StatusCode::kNumericalError) return status;
-  SvdOptions retry = options;
-  retry.max_sweeps = 2 * options.max_sweeps;
-  retry.tol = std::max(options.tol, 1e-11);
+  const int retry_sweeps = 2 * kJacobiMaxSweeps;
+  const double retry_tol = 1e-11;
   std::fprintf(stderr,
                "[distsketch] Jacobi SVD hit max_sweeps=%d (%zux%zu); "
                "retrying with max_sweeps=%d tol=%g\n",
-               options.max_sweeps, work.rows(), work.cols(),
-               retry.max_sweeps, retry.tol);
-  return JacobiSweeps(work, v, retry);
+               kJacobiMaxSweeps, work.rows(), work.cols(), retry_sweeps,
+               retry_tol);
+  return JacobiSweeps(work, v, retry_tol, retry_sweeps);
 }
 
 // Extracts sigma and normalized U columns from work = U*diag(sigma);
@@ -293,7 +300,7 @@ Matrix SvdResult::TopRightSingularVectors(size_t k) const {
   return vk;
 }
 
-StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options) {
+StatusOr<SvdResult> ComputeSvd(const Matrix& a) {
   if (a.empty()) {
     return Status::InvalidArgument("ComputeSvd: empty input");
   }
@@ -302,7 +309,7 @@ StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options) {
 
   if (m < n) {
     // Wide input: SVD of the transpose, then swap the factors.
-    DS_ASSIGN_OR_RETURN(SvdResult t, ComputeSvd(Transpose(a), options));
+    DS_ASSIGN_OR_RETURN(SvdResult t, ComputeSvd(Transpose(a)));
     SvdResult out;
     out.u = std::move(t.v);
     out.v = std::move(t.u);
@@ -311,12 +318,12 @@ StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options) {
   }
 
   if (static_cast<double>(m) >
-      options.qr_ratio * static_cast<double>(n)) {
+      kQrRatio * static_cast<double>(n)) {
     // Tall input: A = Q R, SVD(R) = Ur S V^T, so A = (Q Ur) S V^T.
     DS_ASSIGN_OR_RETURN(QrResult qr, HouseholderQr(a));
     Matrix work = std::move(qr.r);
     Matrix v;
-    Status jacobi = OneSidedJacobi(work, v, options);
+    Status jacobi = OneSidedJacobi(work, v);
     if (jacobi.code() == StatusCode::kNumericalError) {
       std::fprintf(stderr,
                    "[distsketch] Jacobi SVD retry failed; falling back to "
@@ -334,7 +341,7 @@ StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options) {
 
   Matrix work = a;
   Matrix v;
-  Status jacobi = OneSidedJacobi(work, v, options);
+  Status jacobi = OneSidedJacobi(work, v);
   if (jacobi.code() == StatusCode::kNumericalError) {
     std::fprintf(stderr,
                  "[distsketch] Jacobi SVD retry failed; falling back to "
@@ -346,7 +353,7 @@ StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options) {
 }
 
 Status ComputeSvdSigmaV(const Matrix& a, std::vector<double>* sigma,
-                        Matrix* v, const SvdOptions& options) {
+                        Matrix* v) {
   if (a.empty()) {
     return Status::InvalidArgument("ComputeSvdSigmaV: empty input");
   }
@@ -356,7 +363,7 @@ Status ComputeSvdSigmaV(const Matrix& a, std::vector<double>* sigma,
   if (m < n) {
     // Wide input: V of A is U of A^T, so the transpose path cannot skip
     // the U factor and the full SVD is the cheapest correct option.
-    DS_ASSIGN_OR_RETURN(SvdResult t, ComputeSvd(Transpose(a), options));
+    DS_ASSIGN_OR_RETURN(SvdResult t, ComputeSvd(Transpose(a)));
     *sigma = std::move(t.singular_values);
     *v = std::move(t.u);
     return Status::OK();
@@ -364,7 +371,7 @@ Status ComputeSvdSigmaV(const Matrix& a, std::vector<double>* sigma,
 
   Matrix work;
   if (static_cast<double>(m) >
-      options.qr_ratio * static_cast<double>(n)) {
+      kQrRatio * static_cast<double>(n)) {
     // Q is dropped on the floor: sigma and V are invariant under the
     // orthogonal row mixing, and skipping the Q*U reconstruction is the
     // whole point of this entry.
@@ -375,7 +382,7 @@ Status ComputeSvdSigmaV(const Matrix& a, std::vector<double>* sigma,
   }
 
   Matrix rot;
-  Status jacobi = OneSidedJacobi(work, rot, options);
+  Status jacobi = OneSidedJacobi(work, rot);
   if (jacobi.code() == StatusCode::kNumericalError) {
     std::fprintf(stderr,
                  "[distsketch] Jacobi SVD retry failed; falling back to "
@@ -409,9 +416,8 @@ Status ComputeSvdSigmaV(const Matrix& a, std::vector<double>* sigma,
   return Status::OK();
 }
 
-StatusOr<std::vector<double>> SingularValues(const Matrix& a,
-                                             const SvdOptions& options) {
-  DS_ASSIGN_OR_RETURN(SvdResult svd, ComputeSvd(a, options));
+StatusOr<std::vector<double>> SingularValues(const Matrix& a) {
+  DS_ASSIGN_OR_RETURN(SvdResult svd, ComputeSvd(a));
   return std::move(svd.singular_values);
 }
 

@@ -35,33 +35,24 @@ struct SvdResult {
   Matrix TopRightSingularVectors(size_t k) const;
 };
 
-/// Options for the Jacobi SVD.
-struct SvdOptions {
-  /// Convergence threshold on normalized off-diagonal column coherence.
-  double tol = 1e-12;
-  /// Maximum number of one-sided Jacobi sweeps before giving up.
-  int max_sweeps = 60;
-  /// When the input is taller than `qr_ratio` times its width, a thin QR
-  /// is performed first and Jacobi runs on the small R factor.
-  double qr_ratio = 1.2;
-};
-
 /// Computes the reduced SVD of an m-by-d matrix via one-sided Jacobi
-/// (with Householder-QR preprocessing for tall inputs, and via the
-/// transpose for wide inputs). The Jacobi sweeps follow a fixed
-/// round-robin pairing schedule whose disjoint column pairs run on the
-/// global thread pool when it is available — results are bit-identical
-/// for any thread count (including 1) because the schedule never changes
-/// and pairs touch disjoint state. Deterministic; accurate to ~1e-12
-/// relative for well-scaled inputs.
+/// (with Householder-QR preprocessing for inputs taller than 1.2 times
+/// their width, and via the transpose for wide inputs). The Jacobi
+/// sweeps follow a fixed round-robin pairing schedule whose disjoint
+/// column pairs run on the global thread pool when it is available —
+/// results are bit-identical for any thread count (including 1) because
+/// the schedule never changes and pairs touch disjoint state.
+/// Deterministic; accurate to ~1e-12 relative for well-scaled inputs:
+/// sweeps stop once every column pair's normalized coherence is at most
+/// 1e-12.
 ///
-/// If Jacobi exhausts `options.max_sweeps`, it is retried once in place
-/// with doubled sweeps and a mildly relaxed threshold (logged to stderr);
+/// If Jacobi exhausts its 60 sweeps, it is retried once in place with
+/// doubled sweeps and a mildly relaxed threshold (logged to stderr);
 /// if that also fails the decomposition falls through to a Gram-route
 /// eigensolve of A^T A before any error is surfaced, so NumericalError is
 /// only returned when both Jacobi and the eigensolver give up.
 /// Returns InvalidArgument on an empty input.
-StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options = {});
+StatusOr<SvdResult> ComputeSvd(const Matrix& a);
 
 /// Sigma and V only — U is never formed. For tall inputs this skips both
 /// the Q*U reconstruction of the QR path and U's normalization pass, so
@@ -71,11 +62,10 @@ StatusOr<SvdResult> ComputeSvd(const Matrix& a, const SvdOptions& options = {});
 /// as ComputeSvd. Prefer the dispatching ComputeSigmaVt in
 /// linalg/spectral_kernel.h, which also considers the Gram route.
 Status ComputeSvdSigmaV(const Matrix& a, std::vector<double>* sigma,
-                        Matrix* v, const SvdOptions& options = {});
+                        Matrix* v);
 
 /// Convenience: singular values only (non-increasing).
-StatusOr<std::vector<double>> SingularValues(const Matrix& a,
-                                             const SvdOptions& options = {});
+StatusOr<std::vector<double>> SingularValues(const Matrix& a);
 
 }  // namespace distsketch
 

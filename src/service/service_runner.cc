@@ -20,13 +20,12 @@ std::string TenantCounter(const std::string& tenant, const char* what) {
 }  // namespace
 
 ServiceRunner::ServiceRunner(const ServiceRunnerOptions& options)
-    : options_(options),
-      wire_(std::make_unique<WireEndpoint>(options.bits_per_word)),
-      channel_(std::make_unique<ChannelTransport>(
-          [w = wire_.get()](int from, int to, const wire::Message& msg) {
-            return w->Transfer(from, to, msg);
+    : wire_(options.bits_per_word),
+      channel_(
+          [this](int from, int to, const wire::Message& msg) {
+            return wire_.Transfer(from, to, msg);
           },
-          options.channel)) {}
+          options.channel) {}
 
 StatusOr<std::unique_ptr<ServiceRunner>> ServiceRunner::Create(
     const ServiceRunnerOptions& options) {
@@ -35,7 +34,7 @@ StatusOr<std::unique_ptr<ServiceRunner>> ServiceRunner::Create(
   std::unique_ptr<ServiceRunner> runner(new ServiceRunner(options));
   runner->service_ = std::make_unique<SketchService>(std::move(service));
   if (options.faults.has_value()) {
-    runner->wire_->faults.emplace(*options.faults);
+    runner->wire_.faults.emplace(*options.faults);
   }
   return runner;
 }
@@ -45,7 +44,7 @@ Status ServiceRunner::Submit(int client, wire::Message request,
   if (client < 0) {
     return Status::InvalidArgument("ServiceRunner: client ids must be >= 0");
   }
-  Status status = channel_->TrySubmit(
+  return channel_.TrySubmit(
       client, kCoordinator, std::move(request),
       [this, client, cb = std::move(cb)](SendOutcome&& outcome) mutable {
         Delivered d;
@@ -61,24 +60,14 @@ Status ServiceRunner::Submit(int client, wire::Message request,
         }
         d.cb = std::move(cb);
         if (!outcome.delivered) ++wire_lost_;
-        std::lock_guard<std::mutex> g(inbox_lock_);
         inbox_.push_back(std::move(d));
       });
-  if (status.ok()) ++accepted_;
-  return status;
 }
 
 size_t ServiceRunner::Drain() {
-  channel_->DrainAll();
-  return Process();
-}
-
-size_t ServiceRunner::Process() {
+  channel_.DrainAll();
   std::vector<Delivered> batch;
-  {
-    std::lock_guard<std::mutex> g(inbox_lock_);
-    batch.swap(inbox_);
-  }
+  batch.swap(inbox_);
   if (batch.empty()) return 0;
 
   // Decode the delivered submissions; one service batch answers them all.
@@ -113,7 +102,7 @@ size_t ServiceRunner::Process() {
     }
     const wire::Message wire_resp = EncodeServiceResponse(resp);
     const SendOutcome out =
-        SendOverIdealWire(wire_->log, kCoordinator, batch[i].client, wire_resp);
+        SendOverIdealWire(wire_.log, kCoordinator, batch[i].client, wire_resp);
     if (telem && !resp.tenant.empty()) {
       telemetry::Count(TenantCounter(resp.tenant, "req_bytes"),
                        batch[i].request_wire_bytes);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -31,9 +30,9 @@ struct ServiceRunnerOptions {
   uint64_t bits_per_word = 64;
 };
 
-/// The service front end: an async channel (the event loop) carrying
-/// framed requests from many clients into one SketchService, with the
-/// full overload ladder:
+/// The service front end: a bounded request channel carrying framed
+/// requests from many clients into one SketchService, with the full
+/// overload ladder:
 ///
 ///   client Submit --(queue full)--> kOverloaded, shed at the channel
 ///          |
@@ -50,10 +49,11 @@ struct ServiceRunnerOptions {
 ///   response encoded + metered over the ideal wire, callback fires
 ///
 /// Threading: any number of producer threads may call Submit
-/// concurrently (the channel's queue is the synchronization point), and
-/// the channel's loop thread (StartLoop) or a Drain() caller executes
-/// the wire transfers. Process()/Drain() must be called from one thread
-/// at a time — the service itself is confined to that handler thread.
+/// concurrently (the channel's queue is the synchronization point).
+/// Drain() runs the wire transfers, the service and every callback on
+/// its calling thread, and must be called from one thread at a time.
+/// Submissions still queued when the runner is destroyed are dropped
+/// unexecuted: their callbacks never fire.
 class ServiceRunner {
  public:
   using ResponseCallback = std::function<void(const ServiceResponse&)>;
@@ -64,7 +64,8 @@ class ServiceRunner {
   /// Submits one framed request from `client` (client ids are >= 0).
   /// Returns kOverloaded — without invoking `cb` — when the client's
   /// channel queue is full. Every accepted submit gets exactly one
-  /// callback, during a later Process()/Drain().
+  /// callback, during a later Drain() (none if the runner is destroyed
+  /// first).
   Status Submit(int client, wire::Message request, ResponseCallback cb);
 
   /// Convenience: encodes and submits an ingest request.
@@ -85,22 +86,13 @@ class ServiceRunner {
   /// submission order. Returns the number of callbacks fired.
   size_t Drain();
 
-  /// Processes requests already delivered by the channel (loop mode:
-  /// the channel's own thread executes transfers; call Process()
-  /// periodically from the handler thread to answer them).
-  size_t Process();
-
-  /// Starts / stops the channel's event-loop thread.
-  void StartLoop() { channel_->StartLoop(); }
-  void StopLoop() { channel_->StopLoop(); }
-
   SketchService& service() { return *service_; }
-  ChannelTransport& channel() { return *channel_; }
-  CommLog& log() { return wire_->log; }
-  const std::optional<FaultInjector>& faults() const { return wire_->faults; }
+  CommLog& log() { return wire_.log; }
+  const std::optional<FaultInjector>& faults() const { return wire_.faults; }
 
-  /// Lifetime counters.
-  uint64_t accepted() const { return accepted_; }
+  /// Lifetime counters. accepted() is safe to read from any thread;
+  /// wire_lost() and responded() belong to the draining thread.
+  uint64_t accepted() const { return channel_.submitted(); }
   uint64_t wire_lost() const { return wire_lost_; }
   uint64_t responded() const { return responded_; }
 
@@ -118,18 +110,15 @@ class ServiceRunner {
     ResponseCallback cb;
   };
 
-  ServiceRunnerOptions options_;
-  std::unique_ptr<WireEndpoint> wire_;
-  std::unique_ptr<ChannelTransport> channel_;
+  WireEndpoint wire_;
+  // Its wire function meters into wire_, so it is declared after it.
+  ChannelTransport channel_;
   std::unique_ptr<SketchService> service_;
 
   /// Executed-but-unanswered submissions, in execution (= submission)
-  /// order. Appended by done callbacks on the draining thread; swapped
-  /// out under the lock by Process().
-  std::mutex inbox_lock_;
+  /// order. Appended by done callbacks inside Drain, on its thread.
   std::vector<Delivered> inbox_;
 
-  uint64_t accepted_ = 0;
   uint64_t wire_lost_ = 0;
   uint64_t responded_ = 0;
 };

@@ -1,8 +1,7 @@
-// Regression pins for the channel-transport refactor: seeded protocol
-// runs routed through the async ChannelTransport adapter must reproduce
-// the pre-refactor synchronous transcripts bit for bit — transcript
-// digest, analytic word count, wire bytes, control (NAK) bytes, and the
-// result sketch (per SIMD backend) are all pinned.
+// Regression pins for the transport: seeded protocol runs through
+// Cluster::Send must reproduce the pinned transcripts bit for bit —
+// transcript digest, analytic word count, wire bytes, control (NAK)
+// bytes, and the result sketch (per SIMD backend) are all pinned.
 
 #include <cstring>
 #include <string>

@@ -1,13 +1,12 @@
 // The wire delivers without copying: every path a message can take to its
 // receiver hands over a view of the sender's own payload bytes, checked
-// by data() identity. Covered: the blocking channel send (ideal wire and
-// under a fault plan with retries), the rvalue sends whose outcome keeps
+// by data() identity. Covered: Cluster::Send (ideal wire and under a
+// fault plan with retries), the rvalue sends whose outcome keeps
 // the temporary's bytes, TrySubmit (the outcome takes over the owned
 // payload), a retransmission to a live ancestor after the receiver
 // died, and the tree driver re-parenting around a dead interior node.
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -51,7 +50,7 @@ void ExpectViews(const SendOutcome& out, const std::vector<uint8_t>& bytes) {
   EXPECT_EQ(out.payload.size(), bytes.size());
 }
 
-TEST(DeliveredViewTest, SendAndWaitDeliversTheCallersBytes) {
+TEST(DeliveredViewTest, ClusterSendDeliversTheCallersBytes) {
   Cluster cluster = MakeCluster(4);
   const wire::Message msg = Payload("up", 1.0);
   ExpectViews(cluster.Send(2, kCoordinator, msg), msg.payload);
@@ -109,7 +108,6 @@ TEST(DeliveredViewTest, TrySubmitHandsTheOwnedPayloadToTheOutcome) {
         ChannelOptions{.peer_queue_capacity = 64});
     std::vector<const uint8_t*> sent(24);
     std::vector<uint8_t> aliased(24, 0);
-    std::mutex lock;
     size_t delivered = 0;
     for (int i = 0; i < 24; ++i) {
       wire::Message msg = Payload("req", i);
@@ -117,7 +115,6 @@ TEST(DeliveredViewTest, TrySubmitHandsTheOwnedPayloadToTheOutcome) {
       Status st = channel.TrySubmit(
           i % 3, kCoordinator, std::move(msg),
           [&, i](SendOutcome&& out) {
-            std::lock_guard<std::mutex> g(lock);
             if (!out.delivered) return;
             ++delivered;
             const uint8_t* p = sent[static_cast<size_t>(i)];
@@ -127,8 +124,7 @@ TEST(DeliveredViewTest, TrySubmitHandsTheOwnedPayloadToTheOutcome) {
           });
       ASSERT_TRUE(st.ok());
     }
-    channel.StartLoop();
-    channel.StopLoop();
+    EXPECT_EQ(channel.DrainAll(), 24u);
     EXPECT_GT(delivered, 0u);
     size_t ok = 0;
     for (uint8_t a : aliased) ok += a;

@@ -4,9 +4,9 @@
 // send makes: a clean attempt is verified over the sender's own payload
 // and delivered as a view of it (none), an attempt the network mangles
 // builds one whole frame in a buffer the send's later attempts reuse (at
-// most one per send), and the blocking channel path borrows the caller's
-// message instead of copying it. The replacement forwards to
-// malloc/free, so it also runs under ASan.
+// most one per send), and Cluster::Send hands the caller's message to the
+// wire without copying it. The replacement forwards to malloc/free, so it
+// also runs under ASan.
 
 #include <atomic>
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "dist/channel.h"
 #include "dist/cluster.h"
 #include "dist/comm_log.h"
 #include "dist/fault_injection.h"
@@ -152,25 +151,6 @@ TEST(SendAllocBudget, IdealWireAllocatesNoPayloadBuffer) {
   EXPECT_EQ(out.payload.data(), msg.payload.data());
   EXPECT_EQ(out.payload.size(), msg.payload.size());
   EXPECT_EQ(out.wire_bytes, wire::FrameBytes(3, msg.payload.size()));
-}
-
-TEST(SendAllocBudget, SendAndWaitBorrowsTheMessageUntilTheWireRuns) {
-  const wire::Message msg = BigMessage();
-  std::atomic<uint64_t> allocs_at_wire{UINT64_MAX};
-  const wire::Message* seen = nullptr;
-  ChannelTransport channel([&](int, int, const wire::Message& m) {
-    allocs_at_wire.store(g_big_allocs.load());
-    seen = &m;
-    SendOutcome out;
-    out.delivered = true;
-    out.attempts = 1;
-    return out;
-  });
-  BigAllocCounter counter(msg.payload.size());
-  SendOutcome out = channel.SendAndWait(1, kCoordinator, msg);
-  EXPECT_TRUE(out.delivered);
-  EXPECT_EQ(allocs_at_wire.load(), 0u);
-  EXPECT_EQ(seen, &msg);
 }
 
 TEST(SendAllocBudget, ClusterSendCopiesNoPayloadEndToEnd) {

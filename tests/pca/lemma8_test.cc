@@ -3,7 +3,7 @@
 // Frobenius norm, then ANY (1+eps)-approximate top-k PCs *of Q* are
 // (1 + O(eps))-approximate for A. We construct approximate PCs of Q in
 // several adversarial-ish ways (rotations inside a padded subspace,
-// randomized solvers, truncated power iteration) and check the
+// truncated power iteration) and check the
 // transferred guarantee each time.
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "linalg/blas.h"
 #include "linalg/qr.h"
-#include "linalg/randomized_svd.h"
 #include "linalg/svd.h"
 #include "pca/pca_quality.h"
 #include "sketch/adaptive_sketch.h"
@@ -67,12 +66,6 @@ TEST_F(Lemma8Test, ExactPcsOfSketchTransfer) {
   ASSERT_TRUE(svd.ok());
   const Matrix v = svd->TopRightSingularVectors(k_);
   EXPECT_LE(TransferRatio(v, 1.0 + 1e-9), 1.0 + 3.0 * eps_);
-}
-
-TEST_F(Lemma8Test, RandomizedSvdPcsOfSketchTransfer) {
-  auto svd = RandomizedSvd(q_, k_, {.power_iterations = 3, .seed = 7});
-  ASSERT_TRUE(svd.ok());
-  EXPECT_LE(TransferRatio(svd->v, 1.0 + eps_), 1.0 + 3.0 * eps_);
 }
 
 TEST_F(Lemma8Test, PerturbedPcsStillTransferWhileApproximate) {

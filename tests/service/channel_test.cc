@@ -1,10 +1,9 @@
-// Semantics of the async ChannelTransport: global-FIFO execution (so
-// per-peer ordering is submission ordering), bounded per-peer queues with
-// backpressure on the blocking path and typed kOverloaded shedding on the
-// non-blocking path, deterministic drains independent of the thread-pool
-// width, loop-mode drain on a background thread, and fault-injected
-// drop/duplicate/stall behaviour surfacing through the async path exactly
-// as through the synchronous one.
+// Semantics of the ChannelTransport: global-FIFO execution (so per-peer
+// ordering is submission ordering), bounded per-peer queues with typed
+// kOverloaded shedding, concurrent producers, deterministic drains
+// independent of the thread-pool width, a destroyed channel dropping its
+// queue unexecuted, and fault-injected drop/duplicate/stall behaviour
+// surfacing through the queue exactly as through a direct wire call.
 
 #include <atomic>
 #include <mutex>
@@ -63,17 +62,6 @@ TEST(ChannelTransport, ExecutesInSubmissionOrder) {
   EXPECT_EQ(channel.shed(), 0u);
 }
 
-TEST(ChannelTransport, SendAndWaitReturnsOutcomeInline) {
-  RecordingWire wire;
-  ChannelTransport channel(wire.Fn());
-  const SendOutcome out =
-      channel.SendAndWait(2, kCoordinator, TestMessage("one", 1.0));
-  EXPECT_TRUE(out.delivered);
-  EXPECT_EQ(channel.pending(), 0u);
-  ASSERT_EQ(wire.executed.size(), 1u);
-  EXPECT_EQ(wire.executed[0].first, 2);
-}
-
 TEST(ChannelTransport, TrySubmitShedsWithOverloadedAtPeerCapacity) {
   RecordingWire wire;
   ChannelTransport channel(wire.Fn(), ChannelOptions{.peer_queue_capacity = 3});
@@ -98,21 +86,23 @@ TEST(ChannelTransport, TrySubmitShedsWithOverloadedAtPeerCapacity) {
   channel.DrainAll();
 }
 
-TEST(ChannelTransport, SendAndWaitBackpressuresInsteadOfShedding) {
+// Only DrainAll executes transfers: a channel destroyed with a queue
+// neither runs the wire nor fires a callback.
+TEST(ChannelTransport, DestroyedChannelDropsItsQueueUnexecuted) {
   RecordingWire wire;
-  ChannelTransport channel(wire.Fn(), ChannelOptions{.peer_queue_capacity = 2});
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(
-        channel.TrySubmit(0, kCoordinator, TestMessage("pre", i), nullptr)
-            .ok());
+  int callbacks = 0;
+  {
+    ChannelTransport channel(wire.Fn());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(channel
+                      .TrySubmit(i, kCoordinator, TestMessage("q", i),
+                                 [&callbacks](SendOutcome&&) { ++callbacks; })
+                      .ok());
+    }
+    EXPECT_EQ(channel.pending(), 3u);
   }
-  // The blocking path pumps the queue to make room rather than shedding.
-  const SendOutcome out =
-      channel.SendAndWait(0, kCoordinator, TestMessage("blocked", 9.0));
-  EXPECT_TRUE(out.delivered);
-  EXPECT_EQ(channel.shed(), 0u);
-  ASSERT_EQ(wire.executed.size(), 3u);
-  EXPECT_EQ(wire.executed.back().second, "blocked");
+  EXPECT_TRUE(wire.executed.empty());
+  EXPECT_EQ(callbacks, 0);
 }
 
 TEST(ChannelTransport, ConcurrentProducersKeepPerProducerOrder) {
@@ -147,98 +137,9 @@ TEST(ChannelTransport, ConcurrentProducersKeepPerProducerOrder) {
   }
 }
 
-TEST(ChannelTransport, LoopModeDrainsEverythingBeforeStopping) {
-  RecordingWire wire;
-  ChannelTransport channel(wire.Fn(), ChannelOptions{.peer_queue_capacity =
-                                                         1000});
-  channel.StartLoop();
-  EXPECT_TRUE(channel.loop_running());
-  std::atomic<int> callbacks{0};
-  for (int i = 0; i < 200; ++i) {
-    while (!channel
-                .TrySubmit(i % 8, kCoordinator, TestMessage("loop", i),
-                           [&callbacks](const SendOutcome&) { ++callbacks; })
-                .ok()) {
-      std::this_thread::yield();
-    }
-  }
-  channel.StopLoop();
-  EXPECT_FALSE(channel.loop_running());
-  EXPECT_EQ(callbacks.load(), 200);
-  EXPECT_EQ(channel.executed(), 200u);
-  EXPECT_EQ(channel.pending(), 0u);
-}
-
-// SendAndWait borrows the caller's message. When the loop thread, not the
-// caller, executes the transfer, the wire fn reads that message from the
-// loop thread while the caller blocks — the path TSan watches. The
-// schedule is forced: the loop thread is parked inside transfer "W" while
-// the caller enqueues "B" behind "X"; the caller's own pump takes X (and
-// holds it until B is gone from the queue), so only the loop thread can
-// run B.
-TEST(ChannelTransport, SendAndWaitExecutedByTheLoopThreadReturnsItsOutcome) {
-  std::atomic<bool> w_entered{false};
-  std::atomic<bool> w_release{false};
-  std::atomic<ChannelTransport*> channel_ptr{nullptr};
-  std::thread::id w_thread;
-  std::thread::id b_thread;
-  ChannelTransport channel([&](int from, int to, const wire::Message& msg) {
-    if (msg.tag == "W") {
-      w_thread = std::this_thread::get_id();
-      w_entered = true;
-      while (!w_release) std::this_thread::yield();
-    } else if (msg.tag == "X") {
-      while (channel_ptr.load()->pending() != 0) std::this_thread::yield();
-    } else if (msg.tag == "B") {
-      b_thread = std::this_thread::get_id();
-    }
-    SendOutcome out;
-    out.delivered = true;
-    out.attempts = 1;
-    out.wire_words = msg.words;
-    out.wire_bytes = msg.payload.size();
-    out.payload = msg.payload;
-    (void)from;
-    (void)to;
-    return out;
-  });
-  channel_ptr = &channel;
-  channel.StartLoop();
-  ASSERT_TRUE(channel.TrySubmit(1, kCoordinator, TestMessage("W", 1), nullptr)
-                  .ok());
-  while (!w_entered) std::this_thread::yield();
-  ASSERT_TRUE(channel.TrySubmit(2, kCoordinator, TestMessage("X", 2), nullptr)
-                  .ok());
-
-  const wire::Message b = wire::ScalarsMessage("B", {1.5, -2.5, 4.0});
-  SendOutcome b_out;
-  std::thread::id caller_thread;
-  std::thread caller([&] {
-    caller_thread = std::this_thread::get_id();
-    b_out = channel.SendAndWait(3, kCoordinator, b);
-  });
-  // B is queued and the caller has popped X: only B is left.
-  while (channel.submitted() != 3 || channel.pending() != 1) {
-    std::this_thread::yield();
-  }
-  w_release = true;
-  caller.join();
-  channel.StopLoop();
-
-  EXPECT_EQ(b_thread, w_thread);
-  EXPECT_NE(b_thread, caller_thread);
-  EXPECT_TRUE(b_out.delivered);
-  EXPECT_EQ(b_out.attempts, 1);
-  EXPECT_EQ(b_out.wire_words, 3u);
-  EXPECT_EQ(b_out.wire_bytes, b.payload.size());
-  EXPECT_EQ(b_out.payload.data(), b.payload.data());
-  EXPECT_EQ(b_out.payload.size(), b.payload.size());
-  EXPECT_EQ(channel.executed(), 3u);
-}
-
 // A drain executed while the global thread pool is wide must observe the
-// same wire schedule as with a single thread: the channel serializes
-// execution regardless of who else is running.
+// same wire schedule as with a single thread: one drainer runs the queue
+// in FIFO order regardless of who else is running.
 TEST(ChannelTransport, DrainScheduleIndependentOfThreadPoolWidth) {
   const size_t saved_threads = ThreadPool::GlobalThreads();
   std::vector<std::vector<std::pair<int, std::string>>> schedules;
@@ -262,9 +163,9 @@ TEST(ChannelTransport, DrainScheduleIndependentOfThreadPoolWidth) {
   EXPECT_EQ(schedules[0], schedules[1]);
 }
 
-// Faults flow through the async path exactly as through the synchronous
-// one: a WireEndpoint with a seeded chaos plan produces a deterministic
-// outcome sequence, replayed identically on a second run.
+// Faults flow through the queue exactly as through a direct wire call: a
+// WireEndpoint with a seeded chaos plan produces a deterministic outcome
+// sequence, replayed identically on a second run.
 TEST(ChannelTransport, FaultInjectedDropDupStallIsDeterministic) {
   auto run = [] {
     WireEndpoint wire(64);

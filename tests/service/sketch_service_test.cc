@@ -2,8 +2,9 @@
 // the tenant epoch-merge state machine, admission control and typed
 // kOverloaded shedding, LRU eviction with bit-identical checkpoint
 // restore (pinned against a never-evicted shadow tenant), batch
-// determinism across thread-pool widths, and the runner's full overload
-// ladder (channel shed / wire loss / decode failure / registry full).
+// determinism across thread-pool widths, the runner's full overload
+// ladder (channel shed / wire loss / decode failure / registry full),
+// concurrent submitters, and a runner destroyed with a queue.
 
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -604,6 +606,76 @@ TEST(ServiceRunner, WireLossAnswersUnavailableDeterministically) {
   }
   EXPECT_EQ(unavailable, first.second);
   EXPECT_EQ(first.first.size(), 40u);  // every accepted submit answered
+}
+
+// Only Drain executes submissions: a runner destroyed with a queue
+// answers none of it and does not touch its state while being torn down.
+TEST(ServiceRunner, DestroyedWithoutDrainFiresNoCallback) {
+  ServiceRunnerOptions options;
+  options.service = {
+      .tenant = SmallTenant(), .max_tenants = 4, .max_resident = 4};
+  int callbacks = 0;
+  {
+    auto runner = ServiceRunner::Create(options);
+    ASSERT_TRUE(runner.ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*runner)
+                      ->SubmitIngest(i, "a", Rows(4, 70 + i),
+                                     [&callbacks](const ServiceResponse&) {
+                                       ++callbacks;
+                                     })
+                      .ok());
+    }
+    EXPECT_EQ((*runner)->accepted(), 3u);
+  }
+  EXPECT_EQ(callbacks, 0);
+}
+
+// Submit is safe from many threads at once. Nothing drains while they
+// run, so each client accepts exactly its queue capacity whatever the
+// interleaving; one Drain then answers every accepted request exactly
+// once and no shed one.
+TEST(ServiceRunner, ConcurrentSubmitThenOneDrainAnswersEachAcceptedOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 24;
+  constexpr int kClients = 3;
+  constexpr size_t kCapacity = 16;
+  ServiceRunnerOptions options;
+  options.service = {
+      .tenant = SmallTenant(), .max_tenants = 8, .max_resident = 8};
+  options.channel.peer_queue_capacity = kCapacity;
+  auto runner = ServiceRunner::Create(options);
+  ASSERT_TRUE(runner.ok());
+  ServiceRunner& r = **runner;
+
+  std::vector<int> answered(kThreads * kPerThread, 0);
+  std::vector<std::vector<uint8_t>> accepted(kThreads,
+                                             std::vector<uint8_t>(kPerThread));
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int id = t * kPerThread + i;
+        const int client = i % kClients;
+        const Status s = r.SubmitIngest(
+            client, "t" + std::to_string(client), Rows(2, 900 + id),
+            [&answered, id](const ServiceResponse&) { ++answered[id]; });
+        ASSERT_TRUE(s.ok() || s.code() == StatusCode::kOverloaded);
+        accepted[t][i] = s.ok();
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  EXPECT_EQ(r.accepted(), kClients * kCapacity);
+
+  EXPECT_EQ(r.Drain(), kClients * kCapacity);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      EXPECT_EQ(answered[t * kPerThread + i], accepted[t][i] ? 1 : 0)
+          << "thread " << t << " request " << i;
+    }
+  }
+  EXPECT_EQ(r.accepted(), r.responded());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Soak demo for the multi-tenant sketch service: drives >= 1000
-// concurrent tenants through the async channel under a chaotic fault
+// concurrent tenants through the request channel under a chaotic fault
 // plan, with a residency cap far below the tenant count so eviction /
 // checkpoint-restore churns continuously. A never-evicted shadow sketch
 // per tenant pins bit-identical answers; every accepted submit must be
