@@ -66,46 +66,25 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     }
   }
 
-  // Local compute: each seeded server streams its rows through the
+  // Local compute: each seeded server streams its rows through a
   // compressor under the decoded seed — sparse rows through the O(nnz)
   // scatter kernel when a CSR view is attached. Hash index of local row
   // r: base | r, with base = server << 32 under kRows (distinct across
   // servers, stable under re-partitioning by whole shards; local counts
   // stay far below 2^32) and 0 under kAdditive (shares of row r agree).
-  //
-  // The compressors (and so the accumulators) are allocated here, on the
-  // calling thread in server order; the pool only fills them. Which heap
-  // holds a node's buffer then does not depend on which pool thread
-  // claims it, so the allocator's layout, and the memory it returns to
-  // the OS between runs, is the same in every process: page faults per
-  // run stay within 1% across processes, where allocating inside the
-  // pool let them vary by up to 70%. Each node's uplink payload buffer is
-  // reserved here for the same reason; make_message encodes into it on
-  // the pool.
-  struct LocalWork {
-    Matrix compressed;
-    double mass = 0.0;
-  };
-  std::vector<CountSketchCompressor> compressors;
-  std::vector<std::vector<uint8_t>> uplink_payloads(s);
-  compressors.reserve(s);
-  for (size_t i = 0; i < s; ++i) {
-    compressors.emplace_back(m, d, seeds[i]);
-    uplink_payloads[i].reserve(wire::DensePayloadBytes(m, d));
-  }
-  std::vector<LocalWork> locals = ParallelMap<LocalWork>(s, [&](size_t i) {
-    LocalWork w;
-    CountSketchCompressor& compressor = compressors[i];
-    if (!seeded[i]) {
-      w.compressed = std::move(compressor).TakeCompressed();  // all zero
-      return w;
-    }
+  // `buckets` must be a zeroed m-by-d matrix; an unseeded server leaves
+  // it zero.
+  auto compress_local = [&](size_t i, Matrix& buckets) -> Status {
+    if (!seeded[i]) return Status::OK();
     telemetry::Span span("countsketch/local_compress",
                          telemetry::Phase::kCompute);
     span.SetAttr("server", static_cast<int64_t>(i));
     const Server& server = cluster.server(i);
     const uint64_t base = additive ? 0 : static_cast<uint64_t>(i) << 32;
     span.SetAttr("kernel", server.has_sparse() ? "sparse" : "dense");
+    DS_ASSIGN_OR_RETURN(
+        CountSketchCompressor compressor,
+        CountSketchCompressor::FromState({seeds[i], std::move(buckets)}));
     if (server.has_sparse()) {
       const CsrMatrix& csr = server.sparse();
       for (size_t r = 0; r < csr.rows(); ++r) {
@@ -118,12 +97,42 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
         compressor.Absorb(base | r, stream.Next());
       }
     }
-    w.compressed = std::move(compressor).TakeCompressed();
-    if (ft) w.mass = server.squared_frobenius_norm();
-    return w;
-  });
+    buckets = std::move(compressor).TakeCompressed();
+    return Status::OK();
+  };
 
-  // Uplink: bucket matrices add (linearity), so interior nodes sum each
+  // A leaf's bucket matrix is its uplink: it is compressed at the leaf's
+  // stage into a per-thread scratch and encoded straight into the uplink
+  // payload, so no per-node accumulator exists for it. Only a node that
+  // absorbs uplinks (one with topology children) keeps an m-by-d
+  // accumulator for the whole run, filled with its own rows first, then
+  // with its children's uplinks in arrival order.
+  //
+  // The accumulators and every uplink payload buffer are allocated here,
+  // on the calling thread in server order; the pool only fills them.
+  // Which heap holds a node's buffer then does not depend on which pool
+  // thread claims it, so the allocator's layout, and the memory it
+  // returns to the OS between runs, is the same in every process. The
+  // leaves' scratch is allocated once per pool thread and reused across
+  // leaves and runs.
+  std::vector<Matrix> accumulators(s);
+  std::vector<size_t> receivers;
+  std::vector<std::vector<uint8_t>> uplink_payloads(s);
+  for (size_t i = 0; i < s; ++i) {
+    if (!topo.node(i).children.empty()) {
+      accumulators[i].SetZero(m, d);
+      receivers.push_back(i);
+    }
+    uplink_payloads[i].reserve(wire::DensePayloadBytes(m, d));
+  }
+  std::vector<Status> local_status =
+      ParallelMap<Status>(receivers.size(), [&](size_t k) {
+        const size_t i = receivers[k];
+        return compress_local(i, accumulators[i]);
+      });
+  for (const Status& st : local_status) DS_RETURN_IF_ERROR(st);
+
+  // Uplink: bucket matrices add (linearity), so receivers sum each
   // delivered payload straight into their accumulator, and RunTreeReduce
   // handles transfers, telemetry and loss.
   Matrix total;
@@ -132,22 +141,32 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   hooks.absorb = [&](int node, const std::vector<uint8_t>& payload) -> Status {
     Matrix& dst = (node == kCoordinator)
                       ? total
-                      : locals[static_cast<size_t>(node)].compressed;
+                      : accumulators[static_cast<size_t>(node)];
     return wire::AddMatrixPayloadInto(payload.data(), payload.size(), &dst);
   };
   hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
     const size_t i = static_cast<size_t>(node);
-    Matrix& acc = locals[i].compressed;
-    wire::Message uplink =
-        wire::DenseMessage("local_cs", acc, std::move(uplink_payloads[i]));
-    // Nothing absorbs into a node after its uplink is built (every
-    // receiver sits at a later stage), and RunTreeReduce replays the kept
-    // uplink, not the accumulator, if an ancestor dies: free it now.
-    acc = Matrix();
-    return uplink;
+    if (!topo.node(i).children.empty()) {
+      Matrix& acc = accumulators[i];
+      wire::Message uplink =
+          wire::DenseMessage("local_cs", acc, std::move(uplink_payloads[i]));
+      // Nothing absorbs into a node after its uplink is built (every
+      // receiver sits at a later stage), and RunTreeReduce replays the
+      // kept uplink, not the accumulator, if an ancestor dies: free it.
+      acc = Matrix();
+      return uplink;
+    }
+    thread_local Matrix scratch;
+    scratch.SetZero(m, d);
+    DS_RETURN_IF_ERROR(compress_local(i, scratch));
+    return wire::DenseMessage("local_cs", scratch,
+                              std::move(uplink_payloads[i]));
   };
+  // A server's own mass, known without compressing: RunTreeReduce asks
+  // for it before any stage runs. An unseeded server contributes nothing.
   hooks.local_mass = [&](int node) {
-    return locals[static_cast<size_t>(node)].mass;
+    const size_t i = static_cast<size_t>(node);
+    return ft && seeded[i] ? cluster.server(i).squared_frobenius_norm() : 0.0;
   };
   DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
                       RunTreeReduce(cluster, topo, hooks, result.degraded));

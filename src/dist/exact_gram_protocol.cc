@@ -1,6 +1,8 @@
 #include "dist/exact_gram_protocol.h"
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -36,6 +38,24 @@ StatusOr<Matrix> GramToSketch(const Matrix& total_gram) {
   return sketch;
 }
 
+/// Writes `server`'s local d-by-d Gram into `g`, reusing its storage: the
+/// O(n_i d^2) hot loop, or O(nnz_i d) through the CSR kernel when the
+/// server carries a sparse view. Bit-identical to Gram(local rows).
+void LocalGramInto(const Server& server, int64_t id, size_t d, Matrix& g) {
+  telemetry::Span span("exact_gram/local_gram", telemetry::Phase::kCompute);
+  span.SetAttr("server", id);
+  const Matrix& local = server.local_rows();
+  span.SetAttr("kernel", server.has_sparse() ? "sparse" : "dense");
+  if (local.rows() == 0) {
+    g.SetZero(d, d);
+  } else if (server.has_sparse()) {
+    server.sparse().GramInto(g);
+  } else {
+    g.SetZero(d, d);
+    GramAccumulate(local, g);
+  }
+}
+
 }  // namespace
 
 StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
@@ -49,53 +69,60 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   log.BeginRound();
 
   SketchProtocolResult result;
-  // Parallel phase: local d-by-d Grams (the O(n_i d^2) hot loop — or
-  // O(nnz_i d) through the CSR kernel when the server carries a sparse
-  // view) and, in fault mode, the local masses.
-  struct LocalGram {
-    Matrix gram;
-    double mass = 0.0;
-  };
-  std::vector<LocalGram> locals = ParallelMap<LocalGram>(s, [&](size_t i) {
-    LocalGram w;
-    telemetry::Span span("exact_gram/local_gram", telemetry::Phase::kCompute);
-    span.SetAttr("server", static_cast<int64_t>(i));
-    const Server& server = cluster.server(i);
-    const Matrix& local = server.local_rows();
-    span.SetAttr("kernel", server.has_sparse() ? "sparse" : "dense");
-    if (local.rows() == 0) {
-      w.gram = Matrix(d, d);
-    } else if (server.has_sparse()) {
-      w.gram = server.sparse().Gram();
-    } else {
-      w.gram = Gram(local);
-    }
-    if (ft) w.mass = server.squared_frobenius_norm();
-    return w;
-  });
-
   if (!options_.topology.is_star()) {
     // Communication-avoiding path: Gram addition is associative, so
     // interior servers sum partial Grams and forward one upper triangle;
     // the coordinator receives top_width messages instead of s.
     DS_ASSIGN_OR_RETURN(MergeTopology topo,
                         MergeTopology::Build(s, options_.topology));
+    // A leaf (no topology children) builds its Gram at its stage in a
+    // per-thread scratch and packs it straight into its uplink; only a
+    // node that absorbs uplinks keeps a d-by-d Gram for the run, its own
+    // rows' Gram first, then its children's in arrival order. Those
+    // Grams and every uplink payload buffer are allocated here, on the
+    // calling thread, so which heap holds them does not depend on the
+    // pool's schedule (the CountSketch protocol follows the same rule).
+    std::vector<Matrix> grams(s);
+    std::vector<size_t> receivers;
+    std::vector<std::vector<uint8_t>> uplink_payloads(s);
+    for (size_t i = 0; i < s; ++i) {
+      if (!topo.node(i).children.empty()) {
+        grams[i].SetZero(d, d);
+        receivers.push_back(i);
+      }
+      uplink_payloads[i].reserve(wire::DensePayloadBytes(1, d * (d + 1) / 2));
+    }
+    ThreadPool::Global().ParallelFor(receivers.size(), [&](size_t k) {
+      const size_t i = receivers[k];
+      LocalGramInto(cluster.server(i), static_cast<int64_t>(i), d, grams[i]);
+    });
     Matrix total_gram(d, d);
     TreeReduceHooks hooks;
     hooks.absorb = [&](int node,
                        const std::vector<uint8_t>& payload) -> Status {
       Matrix& dst = (node == kCoordinator)
                         ? total_gram
-                        : locals[static_cast<size_t>(node)].gram;
+                        : grams[static_cast<size_t>(node)];
       return wire::AddSymmetricPayloadInto(payload.data(), payload.size(), d,
                                            &dst);
     };
     hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-      return wire::SymmetricMessage("local_gram",
-                                    locals[static_cast<size_t>(node)].gram);
+      const size_t i = static_cast<size_t>(node);
+      if (!topo.node(i).children.empty()) {
+        wire::Message uplink = wire::SymmetricMessage(
+            "local_gram", grams[i], std::move(uplink_payloads[i]));
+        grams[i] = Matrix();  // nothing absorbs into it after this stage
+        return uplink;
+      }
+      thread_local Matrix scratch;
+      LocalGramInto(cluster.server(i), node, d, scratch);
+      return wire::SymmetricMessage("local_gram", scratch,
+                                    std::move(uplink_payloads[i]));
     };
     hooks.local_mass = [&](int node) {
-      return locals[static_cast<size_t>(node)].mass;
+      return ft ? cluster.server(static_cast<size_t>(node))
+                      .squared_frobenius_norm()
+                : 0.0;
     };
     DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
                         RunTreeReduce(cluster, topo, hooks, result.degraded));
@@ -105,6 +132,20 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
     result.sketch_rows = result.sketch.rows();
     return result;
   }
+
+  // Parallel phase: local d-by-d Grams and, in fault mode, the local
+  // masses.
+  struct LocalGram {
+    Matrix gram;
+    double mass = 0.0;
+  };
+  std::vector<LocalGram> locals = ParallelMap<LocalGram>(s, [&](size_t i) {
+    LocalGram w;
+    const Server& server = cluster.server(i);
+    LocalGramInto(server, static_cast<int64_t>(i), d, w.gram);
+    if (ft) w.mass = server.squared_frobenius_norm();
+    return w;
+  });
 
   // Serial phase: sends and the coordinator's sum, in server-index order.
   Matrix total_gram(d, d);

@@ -27,8 +27,14 @@ struct TreeReduceHooks {
   /// and size()); it is only valid for the duration of the call.
   std::function<Status(int node, const std::vector<uint8_t>& payload)>
       absorb;
-  /// Builds `node`'s uplink message from its accumulator (local input
-  /// plus everything absorbed so far). Called on the thread pool.
+  /// Builds `node`'s uplink message, called on the thread pool at the
+  /// node's stage once every delivered uplink has been absorbed into it.
+  /// A node that received uplinks encodes its accumulator (its local
+  /// input plus everything absorbed); a node with no topology children
+  /// absorbs nothing, so it may compute its whole local contribution
+  /// here and encode it straight into the uplink, keeping no accumulator.
+  /// RunTreeReduce checksums the returned payload right after, while it
+  /// is still in cache.
   std::function<StatusOr<wire::Message>(int node)> make_message;
   /// `node`'s own local Frobenius mass — the degraded-mode accounting
   /// unit. Required when the cluster is in fault mode.

@@ -136,13 +136,19 @@ Matrix CsrMatrix::MultiplyTransposeA(const Matrix& b) const {
 }
 
 Matrix CsrMatrix::Gram() const {
+  Matrix g;
+  GramInto(g);
+  return g;
+}
+
+void CsrMatrix::GramInto(Matrix& g) const {
   // Upper-triangle accumulation (CSR column indices are strictly
   // increasing per row) mirrored once at the end: same products in the
   // same row order as the historical both-triangles loop, so the result
   // is unchanged at half the flops.
   const SimdKernelTable& kern = ActiveSimd();
   CountSimdKernelCall("sparse_outer_acc");
-  Matrix g(cols_, cols_);
+  g.SetZero(cols_, cols_);
   for (size_t i = 0; i < rows_; ++i) {
     const auto idx = RowIndices(i);
     const auto val = RowValues(i);
@@ -152,7 +158,6 @@ Matrix CsrMatrix::Gram() const {
   for (size_t i = 0; i < cols_; ++i) {
     for (size_t j = i + 1; j < cols_; ++j) g(j, i) = g(i, j);
   }
-  return g;
 }
 
 double CsrMatrix::RowSquaredNorm(size_t i) const {

@@ -56,6 +56,9 @@ class CsrMatrix {
   Matrix MultiplyTransposeA(const Matrix& b) const;
   /// The Gram matrix A^T A (dense d-by-d).
   Matrix Gram() const;
+  /// Workspace-reusing form of Gram: resizes `g` to d-by-d (reusing its
+  /// storage) and writes A^T A into it, bit-identical to Gram().
+  void GramInto(Matrix& g) const;
 
   /// Squared Euclidean norm of row i.
   double RowSquaredNorm(size_t i) const;

@@ -54,6 +54,9 @@ void Matrix::AppendRows(const Matrix& other) {
 Matrix Matrix::RowRange(size_t begin, size_t end) const {
   DS_CHECK(begin <= end && end <= rows_);
   Matrix out(end - begin, cols_);
+  // An empty range may come from a matrix with no storage, and memcpy
+  // must not be handed its null pointer even for zero bytes.
+  if (out.size() == 0) return out;
   std::memcpy(out.data(), data_.data() + begin * cols_,
               (end - begin) * cols_ * sizeof(double));
   return out;

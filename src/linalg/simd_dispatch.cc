@@ -230,8 +230,10 @@ size_t PackWindowScalar(const int64_t* quotients, size_t i0, size_t entries,
     const uint64_t byte_off = b >> 3;
     if (byte_off + 9 > payload_bytes) break;
     const int64_t qv = quotients[i];
-    const uint64_t mag =
-        qv < 0 ? static_cast<uint64_t>(-qv) : static_cast<uint64_t>(qv);
+    // 0 - u wraps in unsigned arithmetic, so INT64_MIN's magnitude 2^63
+    // needs no signed negation (which would overflow).
+    const uint64_t mag = qv < 0 ? 0 - static_cast<uint64_t>(qv)
+                                : static_cast<uint64_t>(qv);
     if ((mag >> (bpe - 1)) != 0) {
       *bit = b;
       return SIZE_MAX;

@@ -33,6 +33,9 @@ CountSketchCompressor::CountSketchCompressor(size_t buckets, size_t dim,
   compressed_.SetZero(buckets, dim);
 }
 
+CountSketchCompressor::CountSketchCompressor(uint64_t seed, Matrix compressed)
+    : seed_(seed), compressed_(std::move(compressed)) {}
+
 StatusOr<CountSketchCompressor> CountSketchCompressor::FromEps(
     size_t dim, double eps, uint64_t seed, double oversample) {
   if (eps <= 0.0 || oversample <= 0.0) {
@@ -50,10 +53,7 @@ StatusOr<CountSketchCompressor> CountSketchCompressor::FromState(
         "CountSketchCompressor::FromState: compressed matrix must be "
         "non-empty");
   }
-  CountSketchCompressor compressor(state.compressed.rows(),
-                                   state.compressed.cols(), state.seed);
-  compressor.compressed_ = std::move(state.compressed);
-  return compressor;
+  return CountSketchCompressor(state.seed, std::move(state.compressed));
 }
 
 CountSketchState CountSketchCompressor::ExportState() const {

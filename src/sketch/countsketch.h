@@ -58,7 +58,9 @@ class CountSketchCompressor {
       double oversample = kDefaultCountSketchOversample);
 
   /// Rebuilds a compressor from captured state (checkpoint restore /
-  /// compact form conversion).
+  /// compact form conversion). Adopts `state.compressed`'s storage
+  /// without allocating, so a caller can run one buffer through
+  /// FromState and TakeCompressed again and again.
   static StatusOr<CountSketchCompressor> FromState(CountSketchState state);
 
   /// Captures the full logical state (see CountSketchState).
@@ -91,6 +93,9 @@ class CountSketchCompressor {
   void Hash(uint64_t row_index, size_t* bucket, double* sign) const;
 
  private:
+  // Adopts `compressed` as the running state (FromState validates it).
+  CountSketchCompressor(uint64_t seed, Matrix compressed);
+
   uint64_t seed_;
   Matrix compressed_;
 };

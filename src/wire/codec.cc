@@ -43,13 +43,18 @@ Status ShapeCheck(uint64_t rows, uint64_t cols) {
   return Status::OK();
 }
 
+void AppendDenseHeader(uint64_t rows, uint64_t cols,
+                       std::vector<uint8_t>* out) {
+  out->insert(out->end(), kDenseMagic, kDenseMagic + sizeof(kDenseMagic));
+  AppendPod<uint64_t>(rows, out);
+  AppendPod<uint64_t>(cols, out);
+}
+
 }  // namespace
 
 void AppendDenseBody(const Matrix& a, std::vector<uint8_t>* out) {
   out->reserve(out->size() + kShapeHeaderBytes + a.size() * sizeof(double));
-  out->insert(out->end(), kDenseMagic, kDenseMagic + sizeof(kDenseMagic));
-  AppendPod<uint64_t>(a.rows(), out);
-  AppendPod<uint64_t>(a.cols(), out);
+  AppendDenseHeader(a.rows(), a.cols(), out);
   // A range insert writes each entry byte once (a resize would zero-fill
   // the body first).
   const auto* entries = reinterpret_cast<const uint8_t*>(a.data());
@@ -130,8 +135,8 @@ Status AppendQuantizedBody(const QuantizeResult& q, std::vector<uint8_t>* out) {
   // padding bits zero.
   auto entry_word = [&](uint64_t idx, uint64_t* word) {
     const int64_t qv = q.quotients[idx];
-    const uint64_t mag =
-        qv < 0 ? static_cast<uint64_t>(-qv) : static_cast<uint64_t>(qv);
+    const uint64_t mag = qv < 0 ? 0 - static_cast<uint64_t>(qv)
+                                : static_cast<uint64_t>(qv);
     if ((mag >> (bpe - 1)) != 0) return false;
     *word = (qv < 0 ? 1u : 0u) | (mag << 1);
     return true;
@@ -366,6 +371,21 @@ Matrix PackUpperTriangle(const Matrix& g) {
     }
   }
   return packed;
+}
+
+void AppendSymmetricPayload(const Matrix& g, std::vector<uint8_t>* out) {
+  DS_CHECK(g.rows() == g.cols());
+  const size_t d = g.rows();
+  const size_t packed = d * (d + 1) / 2;
+  out->reserve(out->size() + DensePayloadBytes(1, packed));
+  out->push_back(static_cast<uint8_t>(MatrixEncoding::kDense));
+  AppendDenseHeader(1, packed, out);
+  // Row i's upper part g(i, i..d) is contiguous in row-major storage.
+  for (size_t i = 0; i < d; ++i) {
+    const auto* entries =
+        reinterpret_cast<const uint8_t*>(g.Row(i).data() + i);
+    out->insert(out->end(), entries, entries + (d - i) * sizeof(double));
+  }
 }
 
 StatusOr<Matrix> UnpackUpperTriangle(const Matrix& packed, size_t d) {

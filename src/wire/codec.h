@@ -84,6 +84,10 @@ Status AddMatrixPayloadInto(const uint8_t* data, size_t size, Matrix* dst);
 /// d(d+1)/2 count.
 Matrix PackUpperTriangle(const Matrix& g);
 
+/// Appends the dense payload of PackUpperTriangle(g) to `out`, writing the
+/// upper triangle straight from `g` (no packed row is materialised).
+void AppendSymmetricPayload(const Matrix& g, std::vector<uint8_t>* out);
+
 /// *dst += the symmetric d x d matrix whose packed upper triangle (see
 /// PackUpperTriangle) a matrix payload carries, in place: the exact-gram
 /// merge without materialising the received Gram. Runs every check

@@ -41,8 +41,15 @@ Message ScalarsMessage(std::string tag, const std::vector<double>& values) {
   return DenseMessage(std::move(tag), m);
 }
 
-Message SymmetricMessage(std::string tag, const Matrix& gram) {
-  return DenseMessage(std::move(tag), PackUpperTriangle(gram));
+Message SymmetricMessage(std::string tag, const Matrix& gram,
+                         std::vector<uint8_t> buffer) {
+  Message msg;
+  msg.tag = std::move(tag);
+  msg.payload = std::move(buffer);
+  msg.payload.clear();
+  AppendSymmetricPayload(gram, &msg.payload);
+  msg.words = gram.rows() * (gram.rows() + 1) / 2;
+  return msg;
 }
 
 Message SeedMessage(std::string tag, uint64_t seed) {

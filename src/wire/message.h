@@ -58,8 +58,10 @@ Message ScalarsMessage(std::string tag, const std::vector<double>& values);
 
 /// The upper triangle (with diagonal) of a symmetric d x d matrix as a
 /// 1 x d(d+1)/2 dense row: d(d+1)/2 words, the exact-gram protocol's
-/// analytic count.
-Message SymmetricMessage(std::string tag, const Matrix& gram);
+/// analytic count. Like DenseMessage, the payload is encoded into
+/// `buffer`'s storage (cleared first).
+Message SymmetricMessage(std::string tag, const Matrix& gram,
+                         std::vector<uint8_t> buffer = {});
 
 /// A 64-bit seed, bit-cast into one double: 1 word. The dense codec only
 /// copies bytes, so the cast is exact end to end.

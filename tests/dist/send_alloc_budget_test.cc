@@ -5,10 +5,14 @@
 // and delivered as a view of it (none), an attempt the network mangles
 // builds one whole frame in a buffer the send's later attempts reuse (at
 // most one per send), and Cluster::Send hands the caller's message to the
-// wire without copying it. The replacement forwards to malloc/free, so it
-// also runs under ASan.
+// wire without copying it. The tree-path tests pin the protocols' side of
+// the budget: a leaf's local sketch is built in reused per-thread scratch
+// and encoded straight into its uplink, so only nodes that absorb uplinks
+// hold a sketch-sized accumulator. The replacement forwards to
+// malloc/free, so it also runs under ASan.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -17,10 +21,16 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "dist/cluster.h"
 #include "dist/comm_log.h"
+#include "dist/countsketch_protocol.h"
+#include "dist/exact_gram_protocol.h"
 #include "dist/fault_injection.h"
+#include "dist/merge_topology.h"
+#include "dist/protocol.h"
 #include "linalg/matrix.h"
+#include "sketch/countsketch.h"
 #include "wire/frame.h"
 #include "wire/message.h"
 
@@ -170,6 +180,103 @@ TEST(SendAllocBudget, ClusterSendCopiesNoPayloadEndToEnd) {
     EXPECT_LE(counter.count(), 1u);
   }
 }
+
+// Tree-path budget: s = 64 servers under tree(8), each holding a few rows
+// far smaller than one sketch-sized buffer.
+constexpr size_t kTreeServers = 64;
+
+std::vector<Matrix> TreeShards(size_t rows_per_server, size_t d) {
+  std::vector<Matrix> shards;
+  for (size_t i = 0; i < kTreeServers; ++i) {
+    Matrix m(rows_per_server, d);
+    for (size_t k = 0; k < m.size(); ++k) {
+      m.data()[k] = std::sin(0.37 * static_cast<double>(i * m.size() + k));
+    }
+    shards.push_back(std::move(m));
+  }
+  return shards;
+}
+
+size_t ReceivingNodes(const MergeTopologyOptions& options) {
+  auto topo = MergeTopology::Build(kTreeServers, options);
+  DS_CHECK(topo.ok());
+  size_t receivers = 0;
+  for (size_t i = 0; i < kTreeServers; ++i) {
+    if (!topo->node(i).children.empty()) ++receivers;
+  }
+  return receivers;
+}
+
+// Sketch-sized allocations of the second Run in the process (the first
+// warms up every lane's scratch and the comm log). A pool lane that ran
+// no leaf in the warm-up allocates its scratch once at its first leaf,
+// hence the lanes - 1 slack.
+uint64_t SecondRunAllocs(SketchProtocol& protocol, Cluster& cluster,
+                         size_t threshold) {
+  EXPECT_TRUE(protocol.Run(cluster).ok());
+  BigAllocCounter counter(threshold);
+  EXPECT_TRUE(protocol.Run(cluster).ok());
+  return counter.count();
+}
+
+class TreeAllocBudget : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    saved_threads_ = ThreadPool::GlobalThreads();
+    ThreadPool::SetGlobalThreads(GetParam());
+  }
+  void TearDown() override { ThreadPool::SetGlobalThreads(saved_threads_); }
+  size_t lane_slack() const { return GetParam() - 1; }
+
+ private:
+  size_t saved_threads_ = 1;
+};
+
+TEST_P(TreeAllocBudget, CountSketchLeavesHoldNoAccumulator) {
+  constexpr size_t d = 32;
+  CountSketchProtocolOptions options;
+  options.eps = 0.2;
+  options.topology = MergeTopologyOptions::Tree(8);
+  const size_t m = CountSketchBuckets(options.eps, options.oversample);
+  auto cluster = Cluster::Create(TreeShards(4, d), 0.1);
+  ASSERT_TRUE(cluster.ok());
+  CountSketchProtocol protocol(options);
+  const size_t receivers = ReceivingNodes(options.topology);
+  ASSERT_GT(receivers, 0u);
+  ASSERT_LT(receivers, kTreeServers);
+  const uint64_t allocs =
+      SecondRunAllocs(protocol, *cluster, m * d * sizeof(double));
+  // One payload per uplink, one accumulator per receiving node, and the
+  // coordinator's sum; a per-node accumulator would add s - receivers.
+  EXPECT_LE(allocs, kTreeServers + receivers + 1 + lane_slack());
+}
+
+TEST_P(TreeAllocBudget, ExactGramLeavesHoldNoGram) {
+  // d = 48 keeps a d-by-d buffer above RunTreeReduce's per-node
+  // bookkeeping array (s entries), which a star run does not make. The
+  // packed upper triangle a Gram uplink carries stays below it, so only
+  // whole Grams (and the coordinator's eigensolve) count.
+  constexpr size_t d = 48;
+  const size_t threshold = d * d * sizeof(double);
+  ASSERT_LT(wire::DensePayloadBytes(1, d * (d + 1) / 2), threshold);
+  auto cluster = Cluster::Create(TreeShards(8, d), 0.1);
+  ASSERT_TRUE(cluster.ok());
+  // The star run builds every server's Gram plus the coordinator's share;
+  // the tree keeps Grams only at receiving nodes.
+  ExactGramProtocol star;
+  const uint64_t star_allocs = SecondRunAllocs(star, *cluster, threshold);
+  ASSERT_GE(star_allocs, kTreeServers);
+  const uint64_t coordinator_allocs = star_allocs - kTreeServers;
+  ExactGramOptions options;
+  options.topology = MergeTopologyOptions::Tree(8);
+  ExactGramProtocol tree(options);
+  const size_t receivers = ReceivingNodes(options.topology);
+  const uint64_t allocs = SecondRunAllocs(tree, *cluster, threshold);
+  EXPECT_LE(allocs, receivers + coordinator_allocs + lane_slack());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, TreeAllocBudget,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 }  // namespace
 }  // namespace distsketch

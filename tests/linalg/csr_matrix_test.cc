@@ -65,6 +65,11 @@ TEST(CsrMatrixTest, MultiplyAndGramMatchDense) {
   EXPECT_TRUE(AlmostEqual(sparse.MultiplyTransposeA(c),
                           MultiplyTransposeA(dense, c), 1e-10));
   EXPECT_TRUE(AlmostEqual(sparse.Gram(), Gram(dense), 1e-10));
+  // GramInto overwrites a stale workspace of another shape with the same
+  // bits as Gram().
+  Matrix workspace = GenerateGaussian(15, 15, 1.0, 7);
+  sparse.GramInto(workspace);
+  EXPECT_EQ(workspace, sparse.Gram());
 }
 
 TEST(CsrMatrixTest, NormsMatchDense) {

@@ -1,5 +1,6 @@
 #include "wire/codec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "linalg/matrix.h"
 #include "linalg/simd_dispatch.h"
 #include "sketch/quantizer.h"
+#include "wire/message.h"
 
 namespace distsketch {
 namespace wire {
@@ -437,6 +439,31 @@ TEST(UpperTriangleTest, PackUnpackRoundTrip) {
   EXPECT_TRUE(BitExactEqual(g, *back));
   // Size mismatch is rejected.
   EXPECT_FALSE(UnpackUpperTriangle(packed, d + 1).ok());
+}
+
+// The exact-gram uplink is written straight from the Gram: the same bytes
+// as the dense payload of the packed row, appended after what `out`
+// already holds, and SymmetricMessage encodes into the caller's buffer.
+TEST(UpperTriangleTest, SymmetricPayloadIsTheDensePayloadOfThePackedRow) {
+  for (const size_t d : {size_t{1}, size_t{2}, size_t{7}}) {
+    Matrix g = RandomMatrix(d, d, 300 + d);
+    g = Add(g, Transpose(g));
+    const std::vector<uint8_t> want = EncodeDensePayload(PackUpperTriangle(g));
+    std::vector<uint8_t> out = {0xAB};
+    AppendSymmetricPayload(g, &out);
+    ASSERT_EQ(out.size(), 1 + want.size()) << "d " << d;
+    EXPECT_EQ(out[0], 0xAB);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin() + 1))
+        << "d " << d;
+
+    std::vector<uint8_t> buffer = {1, 2, 3};
+    buffer.reserve(DensePayloadBytes(1, d * (d + 1) / 2));
+    const uint8_t* storage = buffer.data();
+    const Message msg = SymmetricMessage("gram", g, std::move(buffer));
+    EXPECT_EQ(msg.payload, want) << "d " << d;
+    EXPECT_EQ(msg.payload.data(), storage) << "d " << d;
+    EXPECT_EQ(msg.words, d * (d + 1) / 2);
+  }
 }
 
 }  // namespace
