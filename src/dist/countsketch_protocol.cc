@@ -1,5 +1,7 @@
 #include "dist/countsketch_protocol.h"
 
+#include <algorithm>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,28 +104,40 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   };
 
   // A leaf's bucket matrix is its uplink: it is compressed at the leaf's
-  // stage into a per-thread scratch and encoded straight into the uplink
-  // payload, so no per-node accumulator exists for it. Only a node that
-  // absorbs uplinks (one with topology children) keeps an m-by-d
+  // stage into a per-thread scratch and encoded straight into an uplink
+  // payload buffer, so no per-node accumulator exists for it. Only a node
+  // that absorbs uplinks (one with topology children) keeps an m-by-d
   // accumulator for the whole run, filled with its own rows first, then
   // with its children's uplinks in arrival order.
   //
-  // The accumulators and every uplink payload buffer are allocated here,
-  // on the calling thread in server order; the pool only fills them.
-  // Which heap holds a node's buffer then does not depend on which pool
-  // thread claims it, so the allocator's layout, and the memory it
-  // returns to the OS between runs, is the same in every process. The
-  // leaves' scratch is allocated once per pool thread and reused across
-  // leaves and runs.
+  // Every sketch-sized buffer of the run is allocated on the calling
+  // thread, here in server order; the pool only fills them. Which heap holds a buffer
+  // then does not depend on which pool thread claims its node, so the
+  // allocator's layout, and the memory it returns to the OS between runs,
+  // is the same in every process. A receiving node gets its accumulator
+  // and its own uplink buffer. Leaves share one window's worth of uplink
+  // buffers: RunTreeReduce builds at most kTreeReduceWindow uplinks at a
+  // time and hands each released payload back through `recycle`, so the
+  // spares are never empty when a window builds (only a replay, on the
+  // calling thread, may find them empty and allocate). The leaves'
+  // scratch is allocated once per pool thread and reused across leaves
+  // and runs.
+  const size_t payload_bytes = wire::DensePayloadBytes(m, d);
   std::vector<Matrix> accumulators(s);
   std::vector<size_t> receivers;
-  std::vector<std::vector<uint8_t>> uplink_payloads(s);
+  std::vector<std::vector<uint8_t>> receiver_payloads(s);
   for (size_t i = 0; i < s; ++i) {
     if (!topo.node(i).children.empty()) {
       accumulators[i].SetZero(m, d);
+      receiver_payloads[i].reserve(payload_bytes);
       receivers.push_back(i);
     }
-    uplink_payloads[i].reserve(wire::DensePayloadBytes(m, d));
+  }
+  std::mutex spare_mu;
+  std::vector<std::vector<uint8_t>> spare_payloads(
+      std::min(kTreeReduceWindow, s - receivers.size()));
+  for (std::vector<uint8_t>& buffer : spare_payloads) {
+    buffer.reserve(payload_bytes);
   }
   std::vector<Status> local_status =
       ParallelMap<Status>(receivers.size(), [&](size_t k) {
@@ -148,19 +162,35 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     const size_t i = static_cast<size_t>(node);
     if (!topo.node(i).children.empty()) {
       Matrix& acc = accumulators[i];
-      wire::Message uplink =
-          wire::DenseMessage("local_cs", acc, std::move(uplink_payloads[i]));
+      wire::Message uplink = wire::DenseMessage(
+          "local_cs", acc, std::move(receiver_payloads[i]));
       // Nothing absorbs into a node after its uplink is built (every
       // receiver sits at a later stage), and RunTreeReduce replays the
       // kept uplink, not the accumulator, if an ancestor dies: free it.
       acc = Matrix();
       return uplink;
     }
+    // A function of the node alone, as RunTreeReduce requires of a
+    // childless node (it calls this again to replay a released uplink):
+    // the spare buffer only lends its capacity.
+    std::vector<uint8_t> buffer;
+    {
+      std::lock_guard<std::mutex> lock(spare_mu);
+      if (!spare_payloads.empty()) {
+        buffer = std::move(spare_payloads.back());
+        spare_payloads.pop_back();
+      }
+    }
     thread_local Matrix scratch;
     scratch.SetZero(m, d);
     DS_RETURN_IF_ERROR(compress_local(i, scratch));
-    return wire::DenseMessage("local_cs", scratch,
-                              std::move(uplink_payloads[i]));
+    return wire::DenseMessage("local_cs", scratch, std::move(buffer));
+  };
+  hooks.recycle = [&](int node, std::vector<uint8_t> payload) {
+    if (topo.node(static_cast<size_t>(node)).children.empty()) {
+      std::lock_guard<std::mutex> lock(spare_mu);
+      spare_payloads.push_back(std::move(payload));
+    }
   };
   // A server's own mass, known without compressing: RunTreeReduce asks
   // for it before any stage runs. An unseeded server contributes nothing.

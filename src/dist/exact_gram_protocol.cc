@@ -134,17 +134,16 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   }
 
   // Parallel phase: local d-by-d Grams and, in fault mode, the local
-  // masses.
-  struct LocalGram {
-    Matrix gram;
-    double mass = 0.0;
-  };
-  std::vector<LocalGram> locals = ParallelMap<LocalGram>(s, [&](size_t i) {
-    LocalGram w;
+  // masses. The Grams are allocated here, on the calling thread in server
+  // order, and the pool only fills them (the tree path's rule), so which
+  // heap holds them does not depend on the pool's schedule.
+  std::vector<Matrix> grams(s);
+  for (Matrix& g : grams) g.SetZero(d, d);
+  std::vector<double> masses(s, 0.0);
+  ThreadPool::Global().ParallelFor(s, [&](size_t i) {
     const Server& server = cluster.server(i);
-    LocalGramInto(server, static_cast<int64_t>(i), d, w.gram);
-    if (ft) w.mass = server.squared_frobenius_norm();
-    return w;
+    LocalGramInto(server, static_cast<int64_t>(i), d, grams[i]);
+    if (ft) masses[i] = server.squared_frobenius_norm();
   });
 
   // Serial phase: sends and the coordinator's sum, in server-index order.
@@ -153,10 +152,10 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
     const int id = static_cast<int>(i);
     // Symmetric payload: upper triangle only, packed as a flat row so
     // the measured wire words equal the analytic d(d+1)/2.
-    wire::Message msg = wire::SymmetricMessage("local_gram", locals[i].gram);
+    wire::Message msg = wire::SymmetricMessage("local_gram", grams[i]);
     DS_CHECK(msg.words == d * (d + 1) / 2);
     ServerSendResult sent = SendWithMassAccounting(
-        cluster, id, kCoordinator, msg, result.degraded, locals[i].mass,
+        cluster, id, kCoordinator, msg, result.degraded, masses[i],
         /*mass_known_if_lost=*/false, /*prepend_mass_report=*/ft);
     if (!sent.delivered) continue;
     DS_RETURN_IF_ERROR(wire::AddSymmetricPayloadInto(

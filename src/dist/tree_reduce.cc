@@ -1,10 +1,14 @@
 #include "dist/tree_reduce.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
+#include <span>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "telemetry/span.h"
+#include "telemetry/telemetry.h"
 #include "wire/checksum.h"
 
 namespace distsketch {
@@ -14,19 +18,24 @@ namespace {
 struct NodeState {
   /// Senders whose uplinks were delivered to this node, in deterministic
   /// arrival order. Only ids: the delivered bytes are the sender's
-  /// retained `uplink.payload` (checked on delivery), so this node's
-  /// stage absorbs from that one copy. If this node dies, these are the
-  /// senders that must retransmit to its live ancestor.
+  /// retained `uplink.payload` (checked on delivery), which this node
+  /// absorbs after the delivering window has sent. If this node dies,
+  /// these are the senders that must retransmit to its live ancestor.
   std::vector<int> contributors;
-  /// This node's built uplink, the one copy of it the run holds. In
-  /// fault mode it is kept to the end of the run so it can be replayed
-  /// verbatim if a downstream ancestor dies; on the ideal wire no server
-  /// is ever lost, so it is released once its receiver has absorbed it.
+  /// This node's built uplink, the one copy of it the run holds, from its
+  /// window's build until the driver releases it (`built` says which).
   wire::Message uplink;
+  bool built = false;
   /// Fault-mode bookkeeping.
   double mass = 0.0;
   bool mass_reported = false;
   bool loss_recorded = false;
+};
+
+/// One receiver's deliveries of a window, senders in arrival order.
+struct Inbound {
+  int receiver = 0;
+  std::vector<int> senders;
 };
 
 }  // namespace
@@ -53,10 +62,39 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
 
   TreeReduceStats stats;
   std::vector<NodeState> nodes(s);
+  // (receiver, sender) of every delivery to a server in the current
+  // window, in arrival order; absorbed and cleared once the window sent.
+  std::vector<std::pair<int, int>> arrivals;
   // First hook/decode error seen anywhere; checked after every phase.
   Status first_error = Status::OK();
   auto note_error = [&](const Status& st) {
     if (!st.ok() && first_error.ok()) first_error = st;
+  };
+
+  // Builds `node`'s uplink and takes its frame checksum while the payload
+  // is still in cache, rather than on the serial transfer path.
+  auto build = [&](int node) -> Status {
+    NodeState& st = nodes[static_cast<size_t>(node)];
+    DS_ASSIGN_OR_RETURN(st.uplink, hooks.make_message(node));
+    st.uplink.payload_checksum =
+        Checksum64(st.uplink.payload.data(), st.uplink.payload.size());
+    st.built = true;
+    return Status::OK();
+  };
+  auto release = [&](int node) {
+    NodeState& st = nodes[static_cast<size_t>(node)];
+    if (!st.built) return;
+    st.built = false;
+    if (hooks.recycle) hooks.recycle(node, std::move(st.uplink.payload));
+    st.uplink = wire::Message();
+  };
+  // In fault mode a node that absorbed others keeps its uplink to the end
+  // of the run: its make_message consumed its accumulator, so a replay
+  // must resend these bytes. Every other uplink is released once
+  // absorbed; a childless one is rebuilt if a replay needs it.
+  auto kept_for_replay = [&](int node) {
+    return fault_mode &&
+           !topology.node(static_cast<size_t>(node)).children.empty();
   };
 
   auto first_live_ancestor = [&](int node) {
@@ -77,14 +115,24 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     degraded.RecordLoss(node, st.mass, st.mass_reported);
   };
 
-  // deliver/reparent are mutually recursive: retransmitting a kept
-  // uplink can itself discover further dead nodes. Each discovery marks
-  // one more node lost, so the recursion is bounded by s.
+  // deliver/reparent are mutually recursive: retransmitting an uplink can
+  // itself discover further dead nodes. Each discovery marks one more
+  // node lost, so the recursion is bounded by s.
   std::function<void(int, int)> deliver;
   std::function<void(int)> reparent_contributors;
 
   deliver = [&](int node, int target) {
     NodeState& st = nodes[static_cast<size_t>(node)];
+    if (!st.built) {
+      // A released childless uplink replayed around a dead receiver: its
+      // pure make_message rebuilds the bytes it sent the first time.
+      const Status rebuilt = build(node);
+      if (!rebuilt.ok()) {
+        note_error(rebuilt);
+        return;
+      }
+      telemetry::Count("tree_reduce.rebuilt_uplinks");
+    }
     while (true) {
       SendOutcome out = cluster.Send(node, target, st.uplink);
       if (out.delivered) {
@@ -96,16 +144,18 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
         if (target == kCoordinator) {
           note_error(hooks.absorb(kCoordinator, st.uplink.payload));
           ++stats.coordinator_inbound;
-          if (!fault_mode) st.uplink = wire::Message();
+          // The coordinator never dies, so nothing replays this uplink.
+          release(node);
         } else {
           nodes[static_cast<size_t>(target)].contributors.push_back(node);
+          arrivals.emplace_back(target, node);
         }
         return;
       }
       if (cluster.ServerLost(node)) {
         // Sender's channel exhausted: node (and only node) is gone. Its
-        // already-absorbed subtree survives in the contributors' kept
-        // uplinks — route those around the corpse.
+        // already-absorbed subtree survives in the contributors' uplinks
+        // (kept, or rebuilt) — route those around the corpse.
         record_own_loss(node);
         reparent_contributors(node);
         return;
@@ -138,6 +188,44 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     }
   };
 
+  // Absorbs the current window's deliveries. Receivers sit at later
+  // stages than every sender of the window, so each absorb lands before
+  // its receiver's own stage, and a receiver's uplinks arrive in the same
+  // order whichever window carried them. Distinct receivers touch
+  // distinct accumulators and read distinct senders' uplinks, so they
+  // run concurrently; a receiver already lost skips its absorbs (its
+  // contributors replay to a live ancestor at its stage).
+  auto absorb_arrivals = [&](size_t level) -> Status {
+    std::vector<Inbound> inbound;
+    for (const auto& [receiver, sender] : arrivals) {
+      if (cluster.ServerLost(receiver)) continue;
+      auto it = std::find_if(
+          inbound.begin(), inbound.end(),
+          [&](const Inbound& in) { return in.receiver == receiver; });
+      if (it == inbound.end()) {
+        inbound.push_back({receiver, {}});
+        it = std::prev(inbound.end());
+      }
+      it->senders.push_back(sender);
+    }
+    std::vector<Status> absorbed = ParallelMap<Status>(
+        inbound.size(), [&](size_t k) -> Status {
+          const Inbound& in = inbound[k];
+          telemetry::Span span("tree_reduce/absorb",
+                               telemetry::Phase::kCompute);
+          span.SetAttr("level", static_cast<uint64_t>(level));
+          span.SetAttr("node", static_cast<int64_t>(in.receiver));
+          span.SetAttr("inbound", static_cast<uint64_t>(in.senders.size()));
+          for (int c : in.senders) {
+            DS_RETURN_IF_ERROR(hooks.absorb(
+                in.receiver, nodes[static_cast<size_t>(c)].uplink.payload));
+          }
+          return Status::OK();
+        });
+    for (const Status& st : absorbed) note_error(st);
+    return first_error;
+  };
+
   // Mass reports go out before any uplink, every node in ascending id
   // order, exactly like the star protocols: the coordinator learns each
   // server's 1-word mass while its channel is still young, so a node
@@ -164,51 +252,51 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     stage_span.SetAttr("level", static_cast<uint64_t>(level));
     stage_span.SetAttr("width", static_cast<uint64_t>(stage.size()));
 
-    // Merge compute fans out across the pool: each node absorbs its
-    // contributors' uplinks and builds and checksums its own, touching
-    // only its slot and its contributors' (no two nodes share one), so
-    // the result is thread-count invariant.
-    std::vector<Status> merge_status = ParallelMap<Status>(
-        stage.size(), [&](size_t i) -> Status {
-          const int node = stage[i];
-          NodeState& st = nodes[static_cast<size_t>(node)];
-          if (cluster.ServerLost(node)) return Status::OK();
-          telemetry::Span node_span("tree_reduce/node_merge",
-                                    telemetry::Phase::kCompute);
-          node_span.SetAttr("level", static_cast<uint64_t>(level));
-          node_span.SetAttr("node", static_cast<int64_t>(node));
-          node_span.SetAttr("inbound",
-                            static_cast<uint64_t>(st.contributors.size()));
-          // Every contributor sent at an earlier stage and nothing else
-          // touches its slot before this stage's transfers, so reading
-          // (and on the ideal wire releasing) its uplink here is
-          // race-free.
-          for (int c : st.contributors) {
-            NodeState& sender = nodes[static_cast<size_t>(c)];
-            DS_RETURN_IF_ERROR(hooks.absorb(node, sender.uplink.payload));
-            if (!fault_mode) sender.uplink = wire::Message();
-          }
-          DS_ASSIGN_OR_RETURN(st.uplink, hooks.make_message(node));
-          // The frame checksum, taken here while the payload is still in
-          // cache rather than on the serial transfer path.
-          st.uplink.payload_checksum = Checksum64(
-              st.uplink.payload.data(), st.uplink.payload.size());
-          return Status::OK();
-        });
-    for (const auto& st : merge_status) note_error(st);
-    DS_RETURN_IF_ERROR(first_error);
+    for (size_t begin = 0; begin < stage.size();
+         begin += kTreeReduceWindow) {
+      const std::span<const int> window(
+          stage.data() + begin,
+          std::min(kTreeReduceWindow, stage.size() - begin));
 
-    // Transfers stay serial in ascending node order: the transcript (and
-    // the per-server fault RNG consumption) is independent of DS_THREADS.
-    for (int node : stage) {
-      if (cluster.ServerLost(node)) {
-        // Died before its turn (e.g. as a discovered-dead receiver).
-        record_own_loss(node);
-        reparent_contributors(node);
-        continue;
-      }
-      deliver(node, topology.node(static_cast<size_t>(node)).parent);
+      // Build compute fans out across the pool: every contributor of a
+      // window node was absorbed by an earlier window, and each node
+      // touches only its own slot, so the result is thread-count
+      // invariant.
+      std::vector<Status> build_status = ParallelMap<Status>(
+          window.size(), [&](size_t k) -> Status {
+            const int node = window[k];
+            if (cluster.ServerLost(node)) return Status::OK();
+            telemetry::Span node_span("tree_reduce/node_build",
+                                      telemetry::Phase::kCompute);
+            node_span.SetAttr("level", static_cast<uint64_t>(level));
+            node_span.SetAttr("node", static_cast<int64_t>(node));
+            return build(node);
+          });
+      for (const Status& st : build_status) note_error(st);
       DS_RETURN_IF_ERROR(first_error);
+
+      // Transfers stay serial in ascending node order: the transcript
+      // (and the per-server fault RNG consumption) is independent of
+      // DS_THREADS.
+      for (int node : window) {
+        if (cluster.ServerLost(node)) {
+          // Died before its turn (e.g. as a discovered-dead receiver).
+          record_own_loss(node);
+          reparent_contributors(node);
+          continue;
+        }
+        deliver(node, topology.node(static_cast<size_t>(node)).parent);
+        DS_RETURN_IF_ERROR(first_error);
+      }
+
+      DS_RETURN_IF_ERROR(absorb_arrivals(level));
+      for (int node : window) {
+        if (!kept_for_replay(node)) release(node);
+      }
+      for (const auto& [receiver, sender] : arrivals) {
+        if (!kept_for_replay(sender)) release(sender);
+      }
+      arrivals.clear();
     }
   }
   DS_RETURN_IF_ERROR(first_error);

@@ -1,6 +1,7 @@
 #ifndef DISTSKETCH_DIST_TREE_REDUCE_H_
 #define DISTSKETCH_DIST_TREE_REDUCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -13,18 +14,27 @@
 
 namespace distsketch {
 
+/// Nodes per window: RunTreeReduce builds, sends and absorbs a stage
+/// this many consecutive nodes at a time. A fixed constant (never derived
+/// from the thread count), so which uplinks are live together, and the
+/// memory a run holds, is the same at any DS_THREADS.
+inline constexpr size_t kTreeReduceWindow = 64;
+
 /// Protocol-specific pieces of a topology-driven reduction. The driver
 /// owns scheduling, transfers, loss accounting and re-parenting; the
 /// hooks own the sketch math (what "merge" means).
 struct TreeReduceHooks {
   /// Folds one delivered uplink payload into `node`'s accumulator
-  /// (`node == kCoordinator` for the final merge). Called on the thread
-  /// pool for distinct server nodes concurrently — implementations may
-  /// mutate only node-local state — and on the caller thread for the
-  /// coordinator, in deterministic arrival order. `payload` is the
-  /// sender's retained uplink payload (the buffer its make_message
-  /// built), which is the delivered view itself (the driver checks data()
-  /// and size()); it is only valid for the duration of the call.
+  /// (`node == kCoordinator` for the final merge). Server nodes absorb
+  /// after the window that delivered to them has sent, on the thread
+  /// pool, distinct receivers concurrently — implementations may mutate
+  /// only node-local state — and each receiver's uplinks in arrival
+  /// order; every absorb into a node lands before the node's own stage.
+  /// The coordinator absorbs on the caller thread as each uplink
+  /// arrives. `payload` is the sender's retained uplink payload (the
+  /// buffer its make_message built), which is the delivered view itself
+  /// (the driver checks data() and size()); it is only valid for the
+  /// duration of the call.
   std::function<Status(int node, const std::vector<uint8_t>& payload)>
       absorb;
   /// Builds `node`'s uplink message, called on the thread pool at the
@@ -33,12 +43,20 @@ struct TreeReduceHooks {
   /// input plus everything absorbed); a node with no topology children
   /// absorbs nothing, so it may compute its whole local contribution
   /// here and encode it straight into the uplink, keeping no accumulator.
-  /// RunTreeReduce checksums the returned payload right after, while it
-  /// is still in cache.
+  /// For such a childless node make_message must be pure: in fault mode
+  /// the driver releases its uplink once absorbed and, if the receiver
+  /// dies later, calls make_message again on the caller thread to replay
+  /// the same bytes. RunTreeReduce checksums the returned payload right
+  /// after, while it is still in cache.
   std::function<StatusOr<wire::Message>(int node)> make_message;
   /// `node`'s own local Frobenius mass — the degraded-mode accounting
   /// unit. Required when the cluster is in fault mode.
   std::function<double(int node)> local_mass;
+  /// Optional. Called on the caller thread, never concurrently with the
+  /// other hooks, with the payload buffer of every uplink the driver
+  /// releases; the hook may keep the buffer so a later make_message
+  /// reuses its capacity.
+  std::function<void(int node, std::vector<uint8_t> payload)> recycle;
 };
 
 /// Driver-level counters (the CommLog meters the wire itself).
@@ -49,11 +67,13 @@ struct TreeReduceStats {
   size_t reparented_sends = 0;
 };
 
-/// Runs one reduction over the topology: stage by stage, every live node
-/// absorbs its received payloads and builds its uplink on the thread
-/// pool (per-node isolation keeps the result bit-identical at any
-/// DS_THREADS), then sends serially in ascending node order — so the
-/// wire transcript is a pure function of (data, topology, fault plan).
+/// Runs one reduction over the topology, stage by stage and, inside a
+/// stage, kTreeReduceWindow consecutive nodes at a time. Each window
+/// builds its live nodes' uplinks on the thread pool, sends them serially
+/// in ascending node order, then has every receiver absorb what this
+/// window delivered to it, on the pool. Per-node isolation keeps the
+/// result bit-identical at any DS_THREADS, and the wire transcript is a
+/// pure function of (data, topology, fault plan).
 ///
 /// Fault handling mirrors the star protocols' degraded mode, extended
 /// with re-parenting: a node whose own channel is exhausted is recorded
@@ -68,9 +88,14 @@ struct TreeReduceStats {
 /// The run holds one copy of each uplink: the sender's. The transport
 /// verifies it in place and delivers a view of it (checked by identity);
 /// a delivery to an interior node records only the sender id, and the
-/// receiver's stage absorbs from the sender's copy. On the ideal wire an
-/// uplink is released once its receiver has absorbed it; in fault mode
-/// every uplink is kept to the end of the run for replay.
+/// receiver absorbs from the sender's copy once the window has sent.
+/// Uplinks are then released, window by window (and one the coordinator
+/// absorbed, at once), so a run holds one window of uplinks at a time,
+/// plus those a replay rebuilds in it and, in fault mode only, the
+/// uplink of every node with topology children: its make_message
+/// consumed its accumulator, so a replay must resend those bytes
+/// verbatim. A replayed childless uplink is rebuilt by make_message
+/// (counted by the telemetry counter tree_reduce.rebuilt_uplinks).
 StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                                         const MergeTopology& topology,
                                         const TreeReduceHooks& hooks,

@@ -52,17 +52,15 @@ Status SketchService::CheckpointTenant(const TenantSketch& tenant) {
 
 Status SketchService::EvictLruLocked() {
   // The batch admission phase pins every tenant the in-flight batch
-  // touches (their pointers are live in the parallel phase), so the scan
-  // skips pinned entries. Deterministic: min (last_touch, name) over the
-  // ordered map.
-  const Resident* victim = nullptr;
-  const std::string* victim_name = nullptr;
-  for (const auto& [name, res] : resident_) {
-    if (pinned_ != nullptr && pinned_->count(name) > 0) continue;
-    if (victim == nullptr || res.last_touch < victim->last_touch) {
-      victim = &res;
-      victim_name = &name;
-    }
+  // touches (their pointers are live in the parallel phase), so the walk
+  // skips pinned entries. Deterministic: the victim is the least
+  // recently touched unpinned tenant. Pinned tenants were touched by this
+  // batch, so they sit at the newest end of the order and the walk from
+  // the oldest one passes at most the batch's own tenants.
+  Resident* victim = lru_oldest_;
+  while (victim != nullptr && pinned_ != nullptr &&
+         pinned_->count(victim->sketch->name()) > 0) {
+    victim = victim->newer;
   }
   if (victim == nullptr) {
     return Status::Overloaded(
@@ -70,7 +68,8 @@ Status SketchService::EvictLruLocked() {
         "in-flight batch");
   }
   DS_RETURN_IF_ERROR(CheckpointTenant(*victim->sketch));
-  resident_.erase(*victim_name);
+  Unlink(*victim);
+  resident_.erase(resident_.find(victim->sketch->name()));
   ++evictions_;
   telemetry::Count("svc.evictions");
   return Status::OK();
@@ -79,8 +78,10 @@ Status SketchService::EvictLruLocked() {
 StatusOr<TenantSketch*> SketchService::TouchTenant(const std::string& name) {
   auto it = resident_.find(name);
   if (it != resident_.end()) {
-    it->second.last_touch = ++touch_counter_;
-    return it->second.sketch.get();
+    Resident& res = it->second;
+    Unlink(res);
+    LinkNewest(res);
+    return res.sketch.get();
   }
   const bool is_known = known_.count(name) > 0;
   if (!is_known && known_.size() >= options_.max_tenants) {
@@ -117,10 +118,22 @@ StatusOr<TenantSketch*> SketchService::TouchTenant(const std::string& name) {
     known_.insert(name);
     telemetry::Count("svc.tenants_admitted");
   }
-  res.last_touch = ++touch_counter_;
   TenantSketch* ptr = res.sketch.get();
-  resident_.emplace(name, std::move(res));
+  LinkNewest(resident_.emplace(name, std::move(res)).first->second);
   return ptr;
+}
+
+void SketchService::LinkNewest(Resident& res) {
+  res.older = lru_newest_;
+  res.newer = nullptr;
+  (lru_newest_ != nullptr ? lru_newest_->newer : lru_oldest_) = &res;
+  lru_newest_ = &res;
+}
+
+void SketchService::Unlink(Resident& res) {
+  (res.older != nullptr ? res.older->newer : lru_oldest_) = res.newer;
+  (res.newer != nullptr ? res.newer->older : lru_newest_) = res.older;
+  res.older = res.newer = nullptr;
 }
 
 const TenantOptions& SketchService::TenantOptionsFor(
@@ -451,6 +464,7 @@ Status SketchService::EvictTenant(const std::string& tenant) {
         "SketchService: cannot evict without a store");
   }
   DS_RETURN_IF_ERROR(CheckpointTenant(*it->second.sketch));
+  Unlink(it->second);
   resident_.erase(it);
   ++evictions_;
   telemetry::Count("svc.evictions");

@@ -92,6 +92,9 @@ class SketchService {
   StatusOr<Matrix> AggregateQuery(size_t fanout = 8);
 
   size_t resident_tenants() const { return resident_.size(); }
+  bool IsResident(const std::string& tenant) const {
+    return resident_.count(tenant) > 0;
+  }
   size_t known_tenants() const { return known_.size(); }
   uint64_t evictions() const { return evictions_; }
   uint64_t restores() const { return restores_; }
@@ -109,7 +112,9 @@ class SketchService {
 
   struct Resident {
     std::unique_ptr<TenantSketch> sketch;
-    uint64_t last_touch = 0;
+    /// Neighbours in touch order (the LRU list): null at either end.
+    Resident* older = nullptr;
+    Resident* newer = nullptr;
   };
 
   /// Admission + residency: returns the live TenantSketch for `name`,
@@ -117,6 +122,10 @@ class SketchService {
   /// registry (or, without a store, the residency cap) is full.
   StatusOr<TenantSketch*> TouchTenant(const std::string& name);
   Status EvictLruLocked();
+  /// Links `res` as the most recently touched tenant / takes it out of
+  /// the touch order.
+  void LinkNewest(Resident& res);
+  void Unlink(Resident& res);
   Status CheckpointTenant(const TenantSketch& tenant);
   ServiceResponse MakeResponse(const ServiceRequest& request,
                                const Status& status, TenantSketch* tenant);
@@ -137,9 +146,16 @@ class SketchService {
   /// Solved sizing of kConfigure-provisioned tenants (kept across
   /// eviction: Restore must rebuild with the same sizing).
   std::map<std::string, TenantOptions> tenant_options_;
-  /// Live tenants. std::map: deterministic iteration for eviction scans
-  /// and FlushAll.
+  /// Live tenants. std::map: deterministic iteration for FlushAll and
+  /// AggregateQuery.
   std::map<std::string, Resident> resident_;
+  /// Ends of the list that links every resident tenant in touch order,
+  /// through Resident::older/newer (map nodes never move, so the links
+  /// stay valid until their own entry is erased). Touching relinks a
+  /// tenant at the newest end, so the list is ordered by last touch and
+  /// allocates nothing.
+  Resident* lru_oldest_ = nullptr;
+  Resident* lru_newest_ = nullptr;
   /// Every admitted tenant name (resident or evicted) — the bounded
   /// registry.
   std::set<std::string> known_;
@@ -147,7 +163,6 @@ class SketchService {
   /// skips them. Set only for the duration of a HandleBatch admission
   /// phase.
   const std::set<std::string>* pinned_ = nullptr;
-  uint64_t touch_counter_ = 0;
   uint64_t evictions_ = 0;
   uint64_t restores_ = 0;
   uint64_t shed_ = 0;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "dist/fault_injection.h"
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "dist/tree_reduce.h"
 #include "linalg/matrix.h"
 #include "sketch/countsketch.h"
 #include "wire/frame.h"
@@ -37,11 +39,21 @@
 namespace {
 
 std::atomic<size_t> g_threshold{SIZE_MAX};
+std::atomic<size_t> g_ceiling{SIZE_MAX};
 std::atomic<uint64_t> g_big_allocs{0};
+// The thread that opened the counter, and the big allocations made on any
+// other thread (the pool's workers).
+std::atomic<std::thread::id> g_counting_thread{};
+std::atomic<uint64_t> g_big_allocs_elsewhere{0};
 
 void* CountedAlloc(size_t n) {
-  if (n >= g_threshold.load(std::memory_order_relaxed)) {
+  if (n >= g_threshold.load(std::memory_order_relaxed) &&
+      n <= g_ceiling.load(std::memory_order_relaxed)) {
     g_big_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (std::this_thread::get_id() !=
+        g_counting_thread.load(std::memory_order_relaxed)) {
+      g_big_allocs_elsewhere.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
@@ -60,15 +72,21 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace distsketch {
 namespace {
 
-// Counts allocations of at least `threshold` bytes while in scope.
+// Counts allocations of at least `threshold` (and at most `ceiling`)
+// bytes while in scope, in total and off the thread that opened the
+// counter.
 class BigAllocCounter {
  public:
-  explicit BigAllocCounter(size_t threshold) {
+  explicit BigAllocCounter(size_t threshold, size_t ceiling = SIZE_MAX) {
     g_big_allocs.store(0);
+    g_big_allocs_elsewhere.store(0);
+    g_counting_thread.store(std::this_thread::get_id());
+    g_ceiling.store(ceiling);
     g_threshold.store(threshold);
   }
   ~BigAllocCounter() { g_threshold.store(SIZE_MAX); }
   uint64_t count() const { return g_big_allocs.load(); }
+  uint64_t off_thread_count() const { return g_big_allocs_elsewhere.load(); }
 };
 
 // A 64 KiB dense payload: far above every bookkeeping allocation the
@@ -185,9 +203,10 @@ TEST(SendAllocBudget, ClusterSendCopiesNoPayloadEndToEnd) {
 // far smaller than one sketch-sized buffer.
 constexpr size_t kTreeServers = 64;
 
-std::vector<Matrix> TreeShards(size_t rows_per_server, size_t d) {
+std::vector<Matrix> TreeShards(size_t rows_per_server, size_t d,
+                               size_t servers = kTreeServers) {
   std::vector<Matrix> shards;
-  for (size_t i = 0; i < kTreeServers; ++i) {
+  for (size_t i = 0; i < servers; ++i) {
     Matrix m(rows_per_server, d);
     for (size_t k = 0; k < m.size(); ++k) {
       m.data()[k] = std::sin(0.37 * static_cast<double>(i * m.size() + k));
@@ -197,11 +216,12 @@ std::vector<Matrix> TreeShards(size_t rows_per_server, size_t d) {
   return shards;
 }
 
-size_t ReceivingNodes(const MergeTopologyOptions& options) {
-  auto topo = MergeTopology::Build(kTreeServers, options);
+size_t ReceivingNodes(const MergeTopologyOptions& options,
+                      size_t servers = kTreeServers) {
+  auto topo = MergeTopology::Build(servers, options);
   DS_CHECK(topo.ok());
   size_t receivers = 0;
-  for (size_t i = 0; i < kTreeServers; ++i) {
+  for (size_t i = 0; i < servers; ++i) {
     if (!topo->node(i).children.empty()) ++receivers;
   }
   return receivers;
@@ -212,9 +232,9 @@ size_t ReceivingNodes(const MergeTopologyOptions& options) {
 // no leaf in the warm-up allocates its scratch once at its first leaf,
 // hence the lanes - 1 slack.
 uint64_t SecondRunAllocs(SketchProtocol& protocol, Cluster& cluster,
-                         size_t threshold) {
+                         size_t threshold, size_t ceiling = SIZE_MAX) {
   EXPECT_TRUE(protocol.Run(cluster).ok());
-  BigAllocCounter counter(threshold);
+  BigAllocCounter counter(threshold, ceiling);
   EXPECT_TRUE(protocol.Run(cluster).ok());
   return counter.count();
 }
@@ -275,8 +295,67 @@ TEST_P(TreeAllocBudget, ExactGramLeavesHoldNoGram) {
   EXPECT_LE(allocs, receivers + coordinator_allocs + lane_slack());
 }
 
+// s = 1024 under tree(8): 896 leaves, 128 receiving nodes. Leaves share
+// one window of uplink buffers, so the run's sketch-sized allocations are
+// an accumulator and a reserved uplink per receiving node, the window's
+// leaf buffers, the coordinator's sum and the lanes' scratch — none per
+// leaf. At this s the driver's and the comm log's per-run arrays outgrow
+// one m-by-d buffer, so the count takes only sizes from an m-by-d matrix
+// to its encoded payload. The drop-only fault plan mangles no frame, so
+// the fault-mode sends allocate nothing either
+// (CleanFaultPlanSendAllocatesNothing).
+TEST_P(TreeAllocBudget, CountSketchLeafBuffersDoNotGrowWithLeafCount) {
+  constexpr size_t servers = 1024;
+  constexpr size_t d = 32;
+  CountSketchProtocolOptions options;
+  options.eps = 0.2;
+  options.topology = MergeTopologyOptions::Tree(8);
+  const size_t m = CountSketchBuckets(options.eps, options.oversample);
+  const size_t receivers = ReceivingNodes(options.topology, servers);
+  ASSERT_LT(2 * receivers + kTreeReduceWindow, servers - receivers);
+  CountSketchProtocol protocol(options);
+  FaultConfig drops;
+  drops.default_profile.drop_prob = 0.05;
+  drops.seed = 31;
+  for (const bool fault_mode : {false, true}) {
+    SCOPED_TRACE(fault_mode ? "fault mode" : "ideal wire");
+    auto cluster = Cluster::Create(TreeShards(2, d, servers), 0.1);
+    ASSERT_TRUE(cluster.ok());
+    if (fault_mode) cluster->InstallFaultPlan(drops);
+    const uint64_t allocs =
+        SecondRunAllocs(protocol, *cluster, m * d * sizeof(double),
+                        wire::DensePayloadBytes(m, d));
+    EXPECT_LE(allocs, 2 * receivers + kTreeReduceWindow + GetParam());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, TreeAllocBudget,
                          ::testing::Values(size_t{1}, size_t{4}));
+
+// The exact_gram star allocates every server's d-by-d Gram on the calling
+// thread; the pool only fills them. So a warm run at 4 lanes makes no
+// Gram-sized allocation on a pool worker, while it still makes one per
+// server (the star baseline ExactGramLeavesHoldNoGram measures).
+TEST(StarAllocBudget, ExactGramStarAllocatesGramsOnTheCallingThread) {
+  constexpr size_t d = 48;
+  const size_t saved_threads = ThreadPool::GlobalThreads();
+  ThreadPool::SetGlobalThreads(4);
+  auto cluster = Cluster::Create(TreeShards(8, d), 0.1);
+  ASSERT_TRUE(cluster.ok());
+  ExactGramProtocol star;
+  EXPECT_TRUE(star.Run(*cluster).ok());
+  uint64_t allocs = 0;
+  uint64_t off_thread = 0;
+  {
+    BigAllocCounter counter(d * d * sizeof(double));
+    EXPECT_TRUE(star.Run(*cluster).ok());
+    allocs = counter.count();
+    off_thread = counter.off_thread_count();
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
+  EXPECT_GE(allocs, kTreeServers);
+  EXPECT_EQ(off_thread, 0u);
+}
 
 }  // namespace
 }  // namespace distsketch

@@ -8,6 +8,7 @@
 // node that dies stages later still widens the bound by a known amount.
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "dist/exact_gram_protocol.h"
 #include "dist/fd_merge_protocol.h"
 #include "linalg/blas.h"
+#include "telemetry/telemetry.h"
 #include "workload/generators.h"
 #include "workload/partition.h"
 
@@ -201,6 +203,82 @@ TEST(TreeChaosTest, ChaosRunsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got->comm.retransmit_words, base->comm.retransmit_words);
   }
   ThreadPool::SetGlobalThreads(saved);
+}
+
+// Node 3 heads {4, 5} under node 0 (fanout 3 over 12 servers) and dies
+// after both children delivered to it and the driver absorbed them, but
+// before its own uplink stage. The children are leaves, so their uplinks
+// were released after the absorb; replaying them to node 0 calls their
+// make_message again. The degraded result must still be bit-identical to
+// the fault-free oracle without shard 3 (integer data; exact merges), and
+// identical at 1 and 4 pool threads, transcript included.
+void ExpectRebuiltReplayMatchesOracle(SketchProtocol& protocol,
+                                      double die_at_time) {
+  const Matrix a = SignData();
+  FaultConfig config;
+  config.per_server[3].die_at_time = die_at_time;
+  config.seed = 5;
+  const Matrix oracle = OracleWithout({3}, a, protocol);
+
+  const size_t saved = ThreadPool::GlobalThreads();
+  Matrix first_sketch;
+  uint64_t first_digest = 0;
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ThreadPool::SetGlobalThreads(threads);
+    Cluster cluster = MakeCluster(Parts(a));
+    cluster.InstallFaultPlan(config);
+    telemetry::Telemetry telem;
+    StatusOr<SketchProtocolResult> result = Status::Internal("not run");
+    {
+      telemetry::ScopedTelemetry scope(telem);
+      result = protocol.Run(cluster);
+    }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->degraded.lost_servers, std::vector<int>{3});
+    EXPECT_TRUE(result->degraded.mass_known);
+    // Both children's uplinks reached node 3 before it died, so both
+    // replays were rebuilt rather than re-parented on first send.
+    EXPECT_EQ(telem.metrics().CounterValue("tree_reduce.rebuilt_uplinks"),
+              2u);
+    EXPECT_TRUE(result->sketch == oracle);
+    const uint64_t digest = TranscriptDigest(cluster.log(), cluster.faults());
+    if (threads == 1) {
+      first_sketch = result->sketch;
+      first_digest = digest;
+    } else {
+      EXPECT_TRUE(result->sketch == first_sketch);
+      EXPECT_EQ(digest, first_digest);
+    }
+  }
+  ThreadPool::SetGlobalThreads(saved);
+}
+
+// Death times come from the virtual clock: every send advances it, so
+// node 3's window of death (after its children's stage-0 sends, before
+// its own) starts later for CountSketch, whose seed downlink sends first.
+TEST(TreeChaosTest, ExactGramReplaysRebuiltLeafUplinks) {
+  ExactGramProtocol protocol({.topology = MergeTopologyOptions::Tree(3)});
+  ExpectRebuiltReplayMatchesOracle(protocol, /*die_at_time=*/18.0);
+}
+
+TEST(TreeChaosTest, CountSketchReplaysRebuiltLeafUplinks) {
+  CountSketchProtocol protocol({.eps = 0.4,
+                                .oversample = 2.0,
+                                .seed = 77,
+                                .topology = MergeTopologyOptions::Tree(3)});
+  ExpectRebuiltReplayMatchesOracle(protocol, /*die_at_time=*/30.0);
+}
+
+// eps = 0.01 sizes the sketch (101 rows) above the 96 input rows, so no
+// node ever shrinks and FD merging is exact: the oracle comparison is
+// then bit for bit, as for the additive protocols.
+TEST(TreeChaosTest, FdMergeReplaysRebuiltLeafUplinks) {
+  FdMergeOptions options;
+  options.eps = 0.01;
+  options.topology = MergeTopologyOptions::Tree(3);
+  FdMergeProtocol protocol(options);
+  ExpectRebuiltReplayMatchesOracle(protocol, /*die_at_time=*/18.0);
 }
 
 }  // namespace

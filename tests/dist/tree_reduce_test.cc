@@ -9,6 +9,8 @@
 // payload it is handed and the coordinator's row 0 shows exactly which
 // servers' contributions arrived.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "dist/cluster.h"
 #include "dist/merge_topology.h"
 #include "dist/tree_reduce.h"
+#include "telemetry/telemetry.h"
 #include "wire/codec.h"
 #include "wire/message.h"
 
@@ -188,6 +191,113 @@ TEST(TreeReduceTest, IdentityHoldsAtAnyThreadCount) {
     ExpectFaultFreeReduce(40, 3, &plan);
   }
   ThreadPool::SetGlobalThreads(saved);
+}
+
+// Stages wider than one window: builds, sends and absorbs run window by
+// window, and every receiver must still absorb its senders in arrival
+// order, from the senders' own buffers.
+TEST(TreeReduceTest, StagesWiderThanAWindowKeepArrivalOrder) {
+  FaultConfig plan;
+  plan.default_profile.drop_prob = 0.1;
+  plan.default_profile.corrupt_prob = 0.05;
+  plan.seed = 29;
+  for (const size_t fanout : {2, 8}) {
+    ExpectFaultFreeReduce(3 * kTreeReduceWindow + 7, fanout, nullptr);
+    ExpectFaultFreeReduce(3 * kTreeReduceWindow + 7, fanout, &plan);
+  }
+}
+
+// Node 3 heads {4, 5} under node 0 and dies at t = 18: after both
+// children delivered to it and were absorbed, before its own stage. The
+// leaves' uplinks were released after that absorb, so the replay to node
+// 0 rebuilds them through make_message, and node 0 must be handed the
+// rebuilt buffers.
+TEST(TreeReduceTest, ReplayRebuildsReleasedLeafUplinks) {
+  const size_t s = 12;
+  auto topo = MergeTopology::Build(s, MergeTopologyOptions::Tree(3));
+  ASSERT_TRUE(topo.ok());
+  FaultConfig plan;
+  plan.per_server[3].die_at_time = 18.0;
+  plan.seed = 5;
+  Cluster cluster = MakeCluster(s);
+  cluster.InstallFaultPlan(plan);
+  Recorder rec(s);
+  DegradedModeInfo degraded;
+  telemetry::Telemetry telem;
+  StatusOr<TreeReduceStats> stats = Status::Internal("not run");
+  {
+    telemetry::ScopedTelemetry scope(telem);
+    stats = RunTreeReduce(cluster, *topo, rec.Hooks(), degraded);
+  }
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(degraded.lost_servers, std::vector<int>{3});
+
+  EXPECT_EQ(rec.absorbed[3], (std::vector<int>{4, 5}));
+  EXPECT_EQ(telem.metrics().CounterValue("tree_reduce.rebuilt_uplinks"), 2u);
+  for (size_t i = 0; i <= s; ++i) {
+    EXPECT_EQ(rec.foreign_at[i], 0) << "receiver slot " << i;
+  }
+  for (int child : {4, 5}) {
+    EXPECT_EQ(std::count(rec.absorbed[0].begin(), rec.absorbed[0].end(),
+                         child),
+              1)
+        << "child " << child << " of the dead node";
+  }
+  for (size_t j = 0; j < s; ++j) {
+    EXPECT_EQ(rec.total(0, j), j == 3 ? 0.0 : 1.0) << j;
+  }
+}
+
+// The driver releases uplinks window by window through the recycle hook:
+// on the ideal wire at most one window of uplinks is live at once and
+// every uplink is handed back by the end; in fault mode the uplinks of
+// nodes that absorbed others may also stay, for replay.
+TEST(TreeReduceTest, AtMostOneWindowOfUplinksIsLive) {
+  const size_t s = 4 * kTreeReduceWindow;
+  auto topo = MergeTopology::Build(s, MergeTopologyOptions::Tree(8));
+  ASSERT_TRUE(topo.ok());
+  size_t receivers = 0;
+  for (size_t i = 0; i < s; ++i) {
+    if (!topo->node(i).children.empty()) ++receivers;
+  }
+  FaultConfig plan;
+  plan.default_profile.drop_prob = 0.1;
+  plan.seed = 13;
+  for (const bool fault_mode : {false, true}) {
+    SCOPED_TRACE(fault_mode ? "fault mode" : "ideal wire");
+    Cluster cluster = MakeCluster(s);
+    if (fault_mode) cluster.InstallFaultPlan(plan);
+    Recorder rec(s);
+    TreeReduceHooks hooks = rec.Hooks();
+    std::atomic<int64_t> live{0};
+    std::atomic<int64_t> peak{0};
+    hooks.make_message = [&, build = hooks.make_message](int node) {
+      const int64_t now = live.fetch_add(1) + 1;
+      int64_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      return build(node);
+    };
+    size_t recycled = 0;
+    hooks.recycle = [&](int node, std::vector<uint8_t> payload) {
+      EXPECT_EQ(payload.data(), rec.built[static_cast<size_t>(node)]);
+      live.fetch_sub(1);
+      ++recycled;
+    };
+    DegradedModeInfo degraded;
+    auto stats = RunTreeReduce(cluster, *topo, hooks, degraded);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_FALSE(degraded.degraded());
+    for (size_t j = 0; j < s; ++j) EXPECT_EQ(rec.total(0, j), 1.0) << j;
+    if (fault_mode) {
+      EXPECT_LE(peak.load(),
+                static_cast<int64_t>(kTreeReduceWindow + receivers));
+    } else {
+      EXPECT_LE(peak.load(), static_cast<int64_t>(kTreeReduceWindow));
+      EXPECT_EQ(recycled, s);
+      EXPECT_EQ(live.load(), 0);
+    }
+  }
 }
 
 }  // namespace

@@ -12,7 +12,10 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -380,6 +383,133 @@ TEST(SketchService, ExplicitEvictThenTouchRestores) {
   ASSERT_EQ(after.code, StatusCode::kOk);
   EXPECT_EQ(service->restores(), 1u);
   EXPECT_EQ(MatrixDigest(after.sketch), MatrixDigest(before.sketch));
+}
+
+// The eviction rule as it was first written: scan every resident tenant,
+// skip the ones the in-flight batch pinned, evict the smallest
+// last_touch. The service's touch-ordered list must pick the same
+// victims.
+struct LruModel {
+  size_t max_resident = 0;
+  std::map<std::string, uint64_t> last_touch;  // resident tenants
+  std::set<std::string> known;
+  uint64_t clock = 0;
+  uint64_t evictions = 0;
+  uint64_t restores = 0;
+
+  /// Admits or touches `name` for a batch that pinned `pinned`; false
+  /// when residency is full and every resident tenant is pinned.
+  bool Touch(const std::string& name, std::set<std::string>& pinned,
+             std::vector<std::string>& victims) {
+    if (last_touch.count(name) == 0 && last_touch.size() >= max_resident) {
+      const std::string* victim = nullptr;
+      for (const auto& [tenant, touch] : last_touch) {
+        if (pinned.count(tenant) > 0) continue;
+        if (victim == nullptr || touch < last_touch.at(*victim)) {
+          victim = &tenant;
+        }
+      }
+      if (victim == nullptr) return false;
+      victims.push_back(*victim);
+      last_touch.erase(victims.back());
+      ++evictions;
+    }
+    if (last_touch.count(name) == 0 && !known.insert(name).second) {
+      ++restores;
+    }
+    last_touch[name] = ++clock;
+    pinned.insert(name);
+    return true;
+  }
+};
+
+// A random admission script over 16 tenants with 5 resident slots: most
+// steps are one request (at most one eviction, so the resident set names
+// the victim), the rest batches of up to 7 requests (pins, including
+// batches that pin every slot and shed). Every step checks the resident
+// set, the eviction and restore counts and the response codes against
+// the model; every query answer must match a never-evicting shadow fed
+// the same accepted requests.
+TEST(SketchService, LruIndexEvictsTheSameVictimsAsTheFullScan) {
+  StoreDir dir;
+  auto store = SketchStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  constexpr size_t kTenants = 16;
+  constexpr size_t kResident = 5;
+  auto service = SketchService::Create({.tenant = SmallTenant(),
+                                        .max_tenants = 64,
+                                        .max_resident = kResident,
+                                        .store = &*store});
+  auto shadow = SketchService::Create(
+      {.tenant = SmallTenant(), .max_tenants = 64, .max_resident = 64});
+  ASSERT_TRUE(service.ok() && shadow.ok());
+  LruModel model;
+  model.max_resident = kResident;
+
+  std::mt19937_64 rng(2027);
+  auto draw = [&rng](uint64_t n) { return rng() % n; };
+  size_t victims_seen = 0;
+  size_t sheds_seen = 0;
+  size_t queries_seen = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const size_t requests = draw(3) == 0 ? 2 + draw(6) : 1;
+    std::vector<ServiceRequest> batch;
+    for (size_t r = 0; r < requests; ++r) {
+      // Skewed draw: low-numbered tenants are hot, the rest cycle out.
+      const uint64_t t = std::min(draw(kTenants), draw(kTenants));
+      const std::string name = "t" + std::to_string(t);
+      ServiceRequest req;
+      req.tenant = name;
+      if (draw(5) == 0) {
+        req.kind = ServiceRequestKind::kQuery;
+      } else {
+        req.rows = Rows(5, 7000 + 10 * step + r);
+      }
+      batch.push_back(std::move(req));
+    }
+
+    std::set<std::string> pinned;
+    std::vector<std::string> victims;
+    std::vector<uint8_t> accepted(batch.size(), 0);
+    std::vector<ServiceRequest> shadow_batch;
+    for (size_t r = 0; r < batch.size(); ++r) {
+      accepted[r] = model.Touch(batch[r].tenant, pinned, victims) ? 1 : 0;
+      if (accepted[r]) shadow_batch.push_back(batch[r]);
+    }
+    const std::vector<ServiceResponse> got = service->HandleBatch(batch);
+    const std::vector<ServiceResponse> want = shadow->HandleBatch(shadow_batch);
+
+    size_t next_shadow = 0;
+    for (size_t r = 0; r < batch.size(); ++r) {
+      if (!accepted[r]) {
+        EXPECT_EQ(got[r].code, StatusCode::kOverloaded) << "request " << r;
+        ++sheds_seen;
+        continue;
+      }
+      const ServiceResponse& expect = want[next_shadow++];
+      ASSERT_EQ(got[r].code, StatusCode::kOk) << "request " << r;
+      EXPECT_EQ(got[r].epoch, expect.epoch) << "request " << r;
+      EXPECT_EQ(got[r].rows_ingested, expect.rows_ingested) << "request " << r;
+      if (batch[r].kind == ServiceRequestKind::kQuery) {
+        EXPECT_EQ(MatrixDigest(got[r].sketch), MatrixDigest(expect.sketch))
+            << "request " << r;
+        ++queries_seen;
+      }
+    }
+    victims_seen += victims.size();
+    for (size_t t = 0; t < kTenants; ++t) {
+      const std::string name = "t" + std::to_string(t);
+      EXPECT_EQ(service->IsResident(name), model.last_touch.count(name) > 0)
+          << name;
+    }
+    ASSERT_EQ(service->evictions(), model.evictions);
+    ASSERT_EQ(service->restores(), model.restores);
+  }
+  // The script must exercise what it checks.
+  EXPECT_GT(victims_seen, 100u);
+  EXPECT_GT(sheds_seen, 0u);
+  EXPECT_GT(queries_seen, 50u);
 }
 
 TEST(SketchService, BatchResultsIdenticalAcrossThreadWidths) {
