@@ -27,10 +27,6 @@ StatusOr<std::unique_ptr<SketchProtocol>> BuildProtocol(
       options.k = config.k;
       options.quantize = config.quantize_bits > 0;
       options.topology = config.topology;
-      if (options.quantize && !config.topology.is_star()) {
-        return Status::InvalidArgument(
-            "BuildProtocol: quantized fd_merge requires the star topology");
-      }
       return {std::make_unique<FdMergeProtocol>(options)};
     }
     case ProtocolFamily::kExactGram: {

@@ -382,7 +382,7 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
     }
 
     // Topology variants: associative families may reduce through
-    // interior servers; the quantized fd_merge wire format is star-only.
+    // interior servers; FdMergeProtocol quantizes on the star only.
     std::vector<MergeTopologyOptions> topologies;
     if (Associative(variant.family) && !variant.quantized &&
         shape.num_servers > 2) {

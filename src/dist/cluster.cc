@@ -98,13 +98,16 @@ SendOutcome Cluster::Send(int from, int to, wire::Message&& msg) {
 Matrix Cluster::AssembleGroundTruth() const {
   if (partition_ == PartitionModel::kAdditive) {
     Matrix sum(total_rows_, dim_);
-    for (const auto& s : servers_) sum = Add(sum, s.local_rows());
+    for (const auto& s : servers_) {
+      const Matrix& share = s.local_rows();
+      for (size_t k = 0; k < sum.size(); ++k) sum.data()[k] += share.data()[k];
+    }
     return sum;
   }
-  Matrix out;
-  out.SetZero(0, dim_);
-  for (const auto& s : servers_) out.AppendRows(s.local_rows());
-  return out;
+  std::vector<const Matrix*> parts;
+  parts.reserve(servers_.size());
+  for (const auto& s : servers_) parts.push_back(&s.local_rows());
+  return ConcatRows(parts);
 }
 
 }  // namespace distsketch

@@ -23,7 +23,6 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
   CommLog& log = cluster.log();
-  const bool ft = cluster.fault_mode();
   log.BeginRound();
 
   if (options_.eps <= 0.0 || options_.oversample <= 0.0) {
@@ -192,15 +191,13 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
       spare_payloads.push_back(std::move(payload));
     }
   };
-  // A server's own mass, known without compressing: RunTreeReduce asks
-  // for it before any stage runs. An unseeded server contributes nothing.
+  // An unseeded server contributes nothing, so it reports no mass.
   hooks.local_mass = [&](int node) {
     const size_t i = static_cast<size_t>(node);
-    return ft && seeded[i] ? cluster.server(i).squared_frobenius_norm() : 0.0;
+    return seeded[i] ? cluster.server(i).squared_frobenius_norm() : 0.0;
   };
-  DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
-                      RunTreeReduce(cluster, topo, hooks, result.degraded));
-  (void)tree_stats;
+  DS_RETURN_IF_ERROR(
+      RunTreeReduce(cluster, topo, hooks, result.degraded).status());
   if (additive && result.degraded.degraded()) {
     return Status::Unavailable(
         "countsketch: share " +

@@ -1,11 +1,12 @@
 #include "dist/exact_gram_protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
 #include "dist/tree_reduce.h"
@@ -64,106 +65,73 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   ProtocolRunScope run_scope(cluster, Name());
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
-  CommLog& log = cluster.log();
-  const bool ft = cluster.fault_mode();
-  log.BeginRound();
+  cluster.log().BeginRound();
 
+  // Gram addition is associative: a tree's interior servers sum partial
+  // Grams and forward one upper triangle (a star is the depth-1 case).
   SketchProtocolResult result;
-  if (!options_.topology.is_star()) {
-    // Communication-avoiding path: Gram addition is associative, so
-    // interior servers sum partial Grams and forward one upper triangle;
-    // the coordinator receives top_width messages instead of s.
-    DS_ASSIGN_OR_RETURN(MergeTopology topo,
-                        MergeTopology::Build(s, options_.topology));
-    // A leaf (no topology children) builds its Gram at its stage in a
-    // per-thread scratch and packs it straight into its uplink; only a
-    // node that absorbs uplinks keeps a d-by-d Gram for the run, its own
-    // rows' Gram first, then its children's in arrival order. Those
-    // Grams and every uplink payload buffer are allocated here, on the
-    // calling thread, so which heap holds them does not depend on the
-    // pool's schedule (the CountSketch protocol follows the same rule).
-    std::vector<Matrix> grams(s);
-    std::vector<size_t> receivers;
-    std::vector<std::vector<uint8_t>> uplink_payloads(s);
-    for (size_t i = 0; i < s; ++i) {
-      if (!topo.node(i).children.empty()) {
-        grams[i].SetZero(d, d);
-        receivers.push_back(i);
-      }
-      uplink_payloads[i].reserve(wire::DensePayloadBytes(1, d * (d + 1) / 2));
-    }
-    ThreadPool::Global().ParallelFor(receivers.size(), [&](size_t k) {
-      const size_t i = receivers[k];
-      LocalGramInto(cluster.server(i), static_cast<int64_t>(i), d, grams[i]);
-    });
-    Matrix total_gram(d, d);
-    TreeReduceHooks hooks;
-    hooks.absorb = [&](int node,
-                       const std::vector<uint8_t>& payload) -> Status {
-      Matrix& dst = (node == kCoordinator)
-                        ? total_gram
-                        : grams[static_cast<size_t>(node)];
-      return wire::AddSymmetricPayloadInto(payload.data(), payload.size(), d,
-                                           &dst);
-    };
-    hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-      const size_t i = static_cast<size_t>(node);
-      if (!topo.node(i).children.empty()) {
-        wire::Message uplink = wire::SymmetricMessage(
-            "local_gram", grams[i], std::move(uplink_payloads[i]));
-        grams[i] = Matrix();  // nothing absorbs into it after this stage
-        return uplink;
-      }
-      thread_local Matrix scratch;
-      LocalGramInto(cluster.server(i), node, d, scratch);
-      return wire::SymmetricMessage("local_gram", scratch,
-                                    std::move(uplink_payloads[i]));
-    };
-    hooks.local_mass = [&](int node) {
-      return ft ? cluster.server(static_cast<size_t>(node))
-                      .squared_frobenius_norm()
-                : 0.0;
-    };
-    DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
-                        RunTreeReduce(cluster, topo, hooks, result.degraded));
-    (void)tree_stats;
-    DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(total_gram));
-    result.comm = log.Stats();
-    result.sketch_rows = result.sketch.rows();
-    return result;
-  }
-
-  // Parallel phase: local d-by-d Grams and, in fault mode, the local
-  // masses. The Grams are allocated here, on the calling thread in server
-  // order, and the pool only fills them (the tree path's rule), so which
-  // heap holds them does not depend on the pool's schedule.
+  DS_ASSIGN_OR_RETURN(MergeTopology topo,
+                      MergeTopology::Build(s, options_.topology));
+  // A leaf (no topology children) builds its Gram at its stage in a
+  // borrowed scratch Gram and packs it straight into its uplink; only a
+  // node that absorbs uplinks keeps a d-by-d Gram for the run, its own
+  // rows' Gram first, then its children's in arrival order. Every Gram
+  // and uplink payload buffer is allocated on the calling thread, so
+  // which heap holds it does not depend on the pool's schedule (the
+  // CountSketch protocol follows the same rule). The scratch Grams, one
+  // per pool lane (at most that many leaves build at once), are the
+  // calling thread's, kept across runs.
+  thread_local std::vector<Matrix> callers_scratch;
+  std::vector<Matrix>& scratch_grams = callers_scratch;  // not the lane's
+  scratch_grams.resize(
+      std::max(scratch_grams.size(), ThreadPool::GlobalThreads()));
+  for (Matrix& g : scratch_grams) g.SetZero(d, d);
+  std::mutex scratch_mu;
   std::vector<Matrix> grams(s);
-  for (Matrix& g : grams) g.SetZero(d, d);
-  std::vector<double> masses(s, 0.0);
-  ThreadPool::Global().ParallelFor(s, [&](size_t i) {
-    const Server& server = cluster.server(i);
-    LocalGramInto(server, static_cast<int64_t>(i), d, grams[i]);
-    if (ft) masses[i] = server.squared_frobenius_norm();
-  });
-
-  // Serial phase: sends and the coordinator's sum, in server-index order.
-  Matrix total_gram(d, d);
+  std::vector<std::vector<uint8_t>> uplink_payloads(s);
   for (size_t i = 0; i < s; ++i) {
-    const int id = static_cast<int>(i);
-    // Symmetric payload: upper triangle only, packed as a flat row so
-    // the measured wire words equal the analytic d(d+1)/2.
-    wire::Message msg = wire::SymmetricMessage("local_gram", grams[i]);
-    DS_CHECK(msg.words == d * (d + 1) / 2);
-    ServerSendResult sent = SendWithMassAccounting(
-        cluster, id, kCoordinator, msg, result.degraded, masses[i],
-        /*mass_known_if_lost=*/false, /*prepend_mass_report=*/ft);
-    if (!sent.delivered) continue;
-    DS_RETURN_IF_ERROR(wire::AddSymmetricPayloadInto(
-        sent.payload.data(), sent.payload.size(), d, &total_gram));
+    if (!topo.node(i).children.empty()) grams[i].SetZero(d, d);
+    uplink_payloads[i].reserve(wire::DensePayloadBytes(1, d * (d + 1) / 2));
   }
-
+  ThreadPool::Global().ParallelFor(s, [&](size_t i) {
+    if (grams[i].empty()) return;
+    LocalGramInto(cluster.server(i), static_cast<int64_t>(i), d, grams[i]);
+  });
+  Matrix total_gram(d, d);
+  TreeReduceHooks hooks;
+  hooks.absorb = [&](int node, const std::vector<uint8_t>& payload) -> Status {
+    Matrix& dst =
+        (node == kCoordinator) ? total_gram : grams[static_cast<size_t>(node)];
+    return wire::AddSymmetricPayloadInto(payload.data(), payload.size(), d,
+                                         &dst);
+  };
+  // Symmetric payload: upper triangle only, packed as a flat row so the
+  // measured wire words equal the analytic d(d+1)/2.
+  hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
+    const size_t i = static_cast<size_t>(node);
+    if (!topo.node(i).children.empty()) {
+      wire::Message uplink = wire::SymmetricMessage(
+          "local_gram", grams[i], std::move(uplink_payloads[i]));
+      grams[i] = Matrix();  // nothing absorbs into it after this stage
+      return uplink;
+    }
+    Matrix scratch;
+    {
+      std::lock_guard<std::mutex> lock(scratch_mu);
+      scratch = std::move(scratch_grams.back());
+      scratch_grams.pop_back();
+    }
+    LocalGramInto(cluster.server(i), node, d, scratch);
+    wire::Message uplink = wire::SymmetricMessage(
+        "local_gram", scratch, std::move(uplink_payloads[i]));
+    std::lock_guard<std::mutex> lock(scratch_mu);
+    scratch_grams.push_back(std::move(scratch));
+    return uplink;
+  };
+  DS_RETURN_IF_ERROR(
+      RunTreeReduce(cluster, topo, hooks, result.degraded).status());
   DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(total_gram));
-  result.comm = log.Stats();
+  result.comm = cluster.log().Stats();
   result.sketch_rows = result.sketch.rows();
   return result;
 }

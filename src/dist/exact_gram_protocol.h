@@ -9,11 +9,11 @@ namespace distsketch {
 
 /// Options for the exact-Gram protocol.
 struct ExactGramOptions {
-  /// Aggregation topology (dist/merge_topology.h). Gram summation is
-  /// exactly associative, so any topology computes the same sum; the
-  /// default star keeps the frozen v1 wire transcript, while tree and
-  /// pipeline let interior servers add partial Grams locally and cut the
-  /// coordinator's inbound traffic to top_width messages.
+  /// Aggregation topology (dist/merge_topology.h), run by RunTreeReduce.
+  /// Gram summation is exactly associative, so any topology computes the
+  /// same sum; the default star (the depth-1 case) keeps the frozen v1
+  /// wire transcript, while tree and pipeline let interior servers add
+  /// partial Grams and cut the coordinator's inbound to top_width messages.
   MergeTopologyOptions topology;
 };
 

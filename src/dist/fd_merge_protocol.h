@@ -25,13 +25,15 @@ struct FdMergeOptions {
   /// order — and the sketch bytes — match an uninterrupted run; lost
   /// servers are never marked done and are retried on resume.
   CheckpointConfig checkpoint;
-  /// Aggregation topology (dist/merge_topology.h). The default star is
-  /// the paper's one-round protocol and keeps the frozen v1 wire
-  /// transcript bit-for-bit; tree/pipeline route uplinks through interior
-  /// servers that shrink-merge in place (FD mergeability), cutting the
-  /// coordinator's inbound traffic to top_width messages. Incompatible
-  /// with `quantize` and `checkpoint` (both are star-transcript
-  /// features; requesting either together is an InvalidArgument).
+  /// Aggregation topology (dist/merge_topology.h), run by RunTreeReduce.
+  /// The default star, its depth-1 case, is the paper's one-round protocol
+  /// and keeps the frozen v1 wire transcript bit-for-bit; tree/pipeline
+  /// route uplinks through interior servers that shrink-merge in place
+  /// (FD mergeability), cutting the coordinator's inbound traffic to
+  /// top_width messages. `quantize` and `checkpoint` stay star-only
+  /// (InvalidArgument otherwise): an interior node would round again what
+  /// it absorbed, and the done bitmap cannot name contributors re-parented
+  /// to the coordinator past a dead interior node.
   MergeTopologyOptions topology;
 };
 

@@ -26,6 +26,8 @@ struct NodeState {
   /// window's build until the driver releases it (`built` says which).
   wire::Message uplink;
   bool built = false;
+  /// Named by the skip hook: the caller already holds its rows.
+  bool skipped = false;
   /// Fault-mode bookkeeping.
   double mass = 0.0;
   bool mass_reported = false;
@@ -55,13 +57,13 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
         "tree_reduce: absorb and make_message hooks are required");
   }
   const bool fault_mode = cluster.fault_mode();
-  if (fault_mode && !hooks.local_mass) {
-    return Status::InvalidArgument(
-        "tree_reduce: local_mass hook is required in fault mode");
-  }
 
   TreeReduceStats stats;
   std::vector<NodeState> nodes(s);
+  for (size_t i = 0; i < s; ++i) {
+    nodes[i].skipped = hooks.skip && hooks.skip(static_cast<int>(i));
+    DS_CHECK(!nodes[i].skipped || topology.node(i).children.empty());
+  }
   // (receiver, sender) of every delivery to a server in the current
   // window, in arrival order; absorbed and cleared once the window sent.
   std::vector<std::pair<int, int>> arrivals;
@@ -107,7 +109,7 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
 
   // A node's local rows are unrecoverable once its channel is exhausted;
   // record the loss exactly once, with its mass iff the 1-word report
-  // made it to the coordinator first (star-protocol semantics).
+  // made it to the coordinator first.
   auto record_own_loss = [&](int node) {
     NodeState& st = nodes[static_cast<size_t>(node)];
     if (st.loss_recorded) return;
@@ -143,7 +145,6 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                  out.payload.size() == st.uplink.payload.size());
         if (target == kCoordinator) {
           note_error(hooks.absorb(kCoordinator, st.uplink.payload));
-          ++stats.coordinator_inbound;
           // The coordinator never dies, so nothing replays this uplink.
           release(node);
         } else {
@@ -226,21 +227,27 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     return first_error;
   };
 
-  // Mass reports go out before any uplink, every node in ascending id
-  // order, exactly like the star protocols: the coordinator learns each
-  // server's 1-word mass while its channel is still young, so a node
-  // that dies stages later widens the bound by a *known* amount. A
-  // report that fails is itself the loss signal (mass unknown), recorded
-  // by ReportLocalMass.
-  if (fault_mode) {
+  // Sends `node`'s 1-word mass report to the coordinator. A report that
+  // fails is itself the loss signal (mass unknown), recorded by
+  // ReportLocalMass; the node then sends no uplink.
+  auto report_mass = [&](int node) {
+    NodeState& st = nodes[static_cast<size_t>(node)];
+    st.mass = hooks.local_mass
+                  ? hooks.local_mass(node)
+                  : cluster.server(static_cast<size_t>(node))
+                        .squared_frobenius_norm();
+    st.mass_reported = ReportLocalMass(cluster, node, st.mass, degraded);
+    st.loss_recorded = !st.mass_reported;
+  };
+  // On a depth-1 topology (a star) each report goes right before its
+  // node's uplink. Deeper, every report goes before the first stage, in
+  // ascending id order, so a node that dies stages later widens the bound
+  // by a *known* amount. Deaths are keyed on the simulated clock, so the
+  // order is part of every fault-mode transcript.
+  const bool report_before_uplink = topology.depth() == 1;
+  if (fault_mode && !report_before_uplink) {
     for (size_t i = 0; i < s; ++i) {
-      NodeState& st = nodes[i];
-      st.mass = hooks.local_mass(static_cast<int>(i));
-      if (ReportLocalMass(cluster, static_cast<int>(i), st.mass, degraded)) {
-        st.mass_reported = true;
-      } else {
-        st.loss_recorded = true;
-      }
+      if (!nodes[i].skipped) report_mass(static_cast<int>(i));
     }
   }
 
@@ -265,7 +272,10 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
       std::vector<Status> build_status = ParallelMap<Status>(
           window.size(), [&](size_t k) -> Status {
             const int node = window[k];
-            if (cluster.ServerLost(node)) return Status::OK();
+            if (cluster.ServerLost(node) ||
+                nodes[static_cast<size_t>(node)].skipped) {
+              return Status::OK();
+            }
             telemetry::Span node_span("tree_reduce/node_build",
                                       telemetry::Phase::kCompute);
             node_span.SetAttr("level", static_cast<uint64_t>(level));
@@ -279,14 +289,24 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
       // (and the per-server fault RNG consumption) is independent of
       // DS_THREADS.
       for (int node : window) {
+        const NodeState& st = nodes[static_cast<size_t>(node)];
+        if (st.skipped) continue;
+        if (fault_mode && report_before_uplink) report_mass(node);
+        const int parent = topology.node(static_cast<size_t>(node)).parent;
         if (cluster.ServerLost(node)) {
-          // Died before its turn (e.g. as a discovered-dead receiver).
+          // Died before its turn (its report failed, or it was
+          // discovered dead as a receiver).
           record_own_loss(node);
           reparent_contributors(node);
-          continue;
+        } else {
+          deliver(node, parent);
         }
-        deliver(node, topology.node(static_cast<size_t>(node)).parent);
         DS_RETURN_IF_ERROR(first_error);
+        if (parent == kCoordinator && hooks.settled) {
+          DS_ASSIGN_OR_RETURN(stats.halted,
+                              hooks.settled(node, !st.loss_recorded));
+          if (stats.halted) return stats;
+        }
       }
 
       DS_RETURN_IF_ERROR(absorb_arrivals(level));

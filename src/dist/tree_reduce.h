@@ -49,22 +49,32 @@ struct TreeReduceHooks {
   /// the same bytes. RunTreeReduce checksums the returned payload right
   /// after, while it is still in cache.
   std::function<StatusOr<wire::Message>(int node)> make_message;
-  /// `node`'s own local Frobenius mass — the degraded-mode accounting
-  /// unit. Required when the cluster is in fault mode.
+  /// Optional. `node`'s own local Frobenius mass, the degraded-mode
+  /// accounting unit, asked for in fault mode only. Defaults to
+  /// cluster.server(node).squared_frobenius_norm().
   std::function<double(int node)> local_mass;
   /// Optional. Called on the caller thread, never concurrently with the
   /// other hooks, with the payload buffer of every uplink the driver
   /// releases; the hook may keep the buffer so a later make_message
   /// reuses its capacity.
   std::function<void(int node, std::vector<uint8_t> payload)> recycle;
+  /// Optional. Names the childless nodes whose rows the caller already
+  /// holds (a restored checkpoint): they report, build and send nothing.
+  /// Asked once per node, on the caller thread, before the first stage.
+  std::function<bool(int node)> skip;
+  /// Optional. Called on the caller thread once the uplink of a node whose
+  /// parent is the coordinator is settled: absorbed, or its sender
+  /// recorded lost. It may save a checkpoint; returning true stops the run
+  /// there, with nothing more sent, and sets TreeReduceStats::halted.
+  std::function<StatusOr<bool>(int node, bool absorbed)> settled;
 };
 
 /// Driver-level counters (the CommLog meters the wire itself).
 struct TreeReduceStats {
-  /// Uplink payloads the coordinator absorbed.
-  size_t coordinator_inbound = 0;
   /// Sends redirected past a dead interior node to a live ancestor.
   size_t reparented_sends = 0;
+  /// True iff the settled hook stopped the run early.
+  bool halted = false;
 };
 
 /// Runs one reduction over the topology, stage by stage and, inside a
@@ -75,15 +85,16 @@ struct TreeReduceStats {
 /// result bit-identical at any DS_THREADS, and the wire transcript is a
 /// pure function of (data, topology, fault plan).
 ///
-/// Fault handling mirrors the star protocols' degraded mode, extended
-/// with re-parenting: a node whose own channel is exhausted is recorded
-/// lost (its local rows are the only unrecoverable contribution), and
-/// every uplink it had already absorbed is retransmitted by its original
-/// sender to the node's nearest live ancestor — recursively, so an
-/// arbitrary set of interior deaths degrades the result by exactly the
-/// lost nodes' local masses. In fault mode each node first reports its
-/// 1-word local mass straight to the coordinator, exactly like the star
-/// protocols, so the widened error bound stays honest.
+/// A star is the depth-1 case. Fault handling is degraded mode plus
+/// re-parenting: a node whose own channel is exhausted is recorded lost
+/// (its local rows are the only unrecoverable contribution), and every
+/// uplink it had already absorbed is retransmitted by its original sender
+/// to the node's nearest live ancestor — recursively, so an arbitrary set
+/// of interior deaths degrades the result by exactly the lost nodes' local
+/// masses. In fault mode each node reports its 1-word local mass to the
+/// coordinator, so the widened error bound stays honest: on a depth-1
+/// topology right before its uplink (a failed report skips the uplink),
+/// deeper every node before the first stage.
 ///
 /// The run holds one copy of each uplink: the sender's. The transport
 /// verifies it in place and delivers a view of it (checked by identity);

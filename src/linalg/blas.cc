@@ -260,10 +260,28 @@ Matrix ConcatRows(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix ConcatRows(std::span<const Matrix> parts) {
+Matrix ConcatRows(std::span<const Matrix* const> parts) {
+  // The shape comes from the first part with rows, or from the first
+  // part when every part is empty (a 0-by-d result).
+  const Matrix* shape = parts.empty() ? nullptr : parts.front();
+  size_t rows = 0;
+  for (const Matrix* p : parts) {
+    if (rows == 0 && p->rows() > 0) shape = p;
+    rows += p->rows();
+  }
   Matrix out;
-  for (const Matrix& p : parts) out.AppendRows(p);
+  if (shape == nullptr) return out;
+  out.SetZero(0, shape->cols());
+  out.Reserve(rows);
+  for (const Matrix* p : parts) out.AppendRows(*p);
   return out;
+}
+
+Matrix ConcatRows(std::span<const Matrix> parts) {
+  std::vector<const Matrix*> views;
+  views.reserve(parts.size());
+  for (const Matrix& p : parts) views.push_back(&p);
+  return ConcatRows(views);
 }
 
 bool AlmostEqual(const Matrix& a, const Matrix& b, double tol) {

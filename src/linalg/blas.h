@@ -120,7 +120,11 @@ void ScaleByPowerOfTwo(Matrix& a, int shift);
 /// [A; B] — rows of A followed by rows of B. Either side may be empty.
 Matrix ConcatRows(const Matrix& a, const Matrix& b);
 
-/// Concatenates the rows of every matrix in `parts` in order.
+/// Concatenates the rows of every matrix in `parts` in order, into one
+/// allocation of the total size. Parts with rows must share a column
+/// count; when every part is empty the result is 0 x (the first part's
+/// columns).
+Matrix ConcatRows(std::span<const Matrix* const> parts);
 Matrix ConcatRows(std::span<const Matrix> parts);
 
 /// True iff A and B have the same shape and max |a_ij - b_ij| <= tol.

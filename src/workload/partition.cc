@@ -110,9 +110,7 @@ std::vector<Matrix> PartitionRowsZipf(const Matrix& a, size_t s,
 }
 
 Matrix UnpartitionRows(const std::vector<Matrix>& parts) {
-  Matrix out;
-  for (const auto& p : parts) out.AppendRows(p);
-  return out;
+  return ConcatRows(parts);
 }
 
 std::vector<Matrix> SplitAdditive(const Matrix& a, size_t s,

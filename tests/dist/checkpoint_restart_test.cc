@@ -108,6 +108,57 @@ TEST_F(CheckpointRestartTest, FdMergeHaltResumeBitIdentical) {
   }
 }
 
+// The star runs through the tree driver; under a fault plan that drops,
+// duplicates and corrupts frames but kills no server, every retry still
+// delivers, so a halt after 3 servers and a resume must reproduce the
+// uninterrupted run under the same plan bit for bit.
+TEST_F(CheckpointRestartTest,
+       FdMergeHaltResumeBitIdenticalUnderTransientFaults) {
+  const Matrix a = Workload(26);
+  const double eps = 0.4;
+  FaultConfig faults;
+  faults.default_profile.drop_prob = 0.2;
+  faults.default_profile.duplicate_prob = 0.2;
+  faults.default_profile.corrupt_prob = 0.15;
+  faults.max_retries = 12;
+  faults.seed = 53;
+  auto faulty_cluster = [&] {
+    Cluster cluster = MakeCluster(a, eps);
+    cluster.InstallFaultPlan(faults);
+    return cluster;
+  };
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    ThreadPool::SetGlobalThreads(threads);
+
+    Cluster baseline_cluster = faulty_cluster();
+    auto expected = FdMergeProtocol({.eps = eps, .k = 3}).Run(baseline_cluster);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_FALSE(expected->degraded.degraded());
+    ASSERT_GT(expected->comm.num_retransmits, 0u);
+
+    SketchStore store =
+        OpenFreshStore("fd_faults_t" + std::to_string(threads));
+    FdMergeOptions halted_options{.eps = eps, .k = 3};
+    halted_options.checkpoint = {
+        .store = &store, .key = "fd", .halt_after_servers = 3};
+    Cluster halted_cluster = faulty_cluster();
+    auto halted = FdMergeProtocol(halted_options).Run(halted_cluster);
+    ASSERT_TRUE(halted.ok());
+    EXPECT_TRUE(halted->halted);
+    EXPECT_FALSE(halted->degraded.degraded());
+
+    FdMergeOptions resume_options{.eps = eps, .k = 3};
+    resume_options.checkpoint = {.store = &store, .key = "fd",
+                                 .resume = true};
+    Cluster resumed_cluster = faulty_cluster();
+    auto resumed = FdMergeProtocol(resume_options).Run(resumed_cluster);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_FALSE(resumed->halted);
+    EXPECT_FALSE(resumed->degraded.degraded());
+    ExpectMatrixBitsEq(resumed->sketch, expected->sketch);
+  }
+}
+
 TEST_F(CheckpointRestartTest, SvsHaltResumeBitIdentical) {
   const Matrix a = Workload(22);
   const double alpha = 0.3;

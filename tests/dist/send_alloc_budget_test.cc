@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -239,6 +240,17 @@ uint64_t SecondRunAllocs(SketchProtocol& protocol, Cluster& cluster,
   return counter.count();
 }
 
+// The exact_gram coordinator's share of a warm run's Gram-sized
+// allocations (its sum and eigensolve), for the kTreeServers x 8 rows of
+// TreeShards(8, d): measured on one server holding all of them, whose
+// single leaf builds its Gram inline in the calling thread's reused
+// scratch, so the count holds the coordinator's buffers alone.
+uint64_t CoordinatorGramAllocs(SketchProtocol& protocol, size_t d) {
+  auto one = Cluster::Create(TreeShards(8 * kTreeServers, d, 1), 0.1);
+  DS_CHECK(one.ok());
+  return SecondRunAllocs(protocol, *one, d * d * sizeof(double));
+}
+
 class TreeAllocBudget : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override {
@@ -281,12 +293,13 @@ TEST_P(TreeAllocBudget, ExactGramLeavesHoldNoGram) {
   ASSERT_LT(wire::DensePayloadBytes(1, d * (d + 1) / 2), threshold);
   auto cluster = Cluster::Create(TreeShards(8, d), 0.1);
   ASSERT_TRUE(cluster.ok());
-  // The star run builds every server's Gram plus the coordinator's share;
-  // the tree keeps Grams only at receiving nodes.
   ExactGramProtocol star;
-  const uint64_t star_allocs = SecondRunAllocs(star, *cluster, threshold);
-  ASSERT_GE(star_allocs, kTreeServers);
-  const uint64_t coordinator_allocs = star_allocs - kTreeServers;
+  const uint64_t coordinator_allocs = CoordinatorGramAllocs(star, d);
+  ASSERT_GT(coordinator_allocs, 0u);
+  // The star is all leaves: beyond the coordinator's share it allocates
+  // only the lanes' scratch. The tree keeps Grams only at receiving nodes.
+  EXPECT_LE(SecondRunAllocs(star, *cluster, threshold),
+            coordinator_allocs + lane_slack());
   ExactGramOptions options;
   options.topology = MergeTopologyOptions::Tree(8);
   ExactGramProtocol tree(options);
@@ -332,17 +345,48 @@ TEST_P(TreeAllocBudget, CountSketchLeafBuffersDoNotGrowWithLeafCount) {
 INSTANTIATE_TEST_SUITE_P(Threads, TreeAllocBudget,
                          ::testing::Values(size_t{1}, size_t{4}));
 
-// The exact_gram star allocates every server's d-by-d Gram on the calling
-// thread; the pool only fills them. So a warm run at 4 lanes makes no
-// Gram-sized allocation on a pool worker, while it still makes one per
-// server (the star baseline ExactGramLeavesHoldNoGram measures).
+// Stacking the servers' rows reserves the total once, and summing
+// additive shares adds in place: over 64 shards, AssembleGroundTruth makes
+// one allocation of at least half the result's size under either
+// partition model, where appending (or adding) shard by shard reallocated
+// and copied the growing result.
+TEST(StackAllocBudget, AssembleGroundTruthAllocatesTheResultOnce) {
+  constexpr size_t d = 16;
+  constexpr size_t rows = 8;
+  const size_t stacked_bytes = kTreeServers * rows * d * sizeof(double);
+  auto stacked = Cluster::Create(TreeShards(rows, d), 0.1);
+  ASSERT_TRUE(stacked.ok());
+  auto summed = Cluster::CreateAdditive(TreeShards(rows, d), 0.1);
+  ASSERT_TRUE(summed.ok());
+  for (auto [cluster, result_bytes] :
+       {std::pair{&*stacked, stacked_bytes},
+        std::pair{&*summed, rows * d * sizeof(double)}}) {
+    uint64_t allocs = 0;
+    Matrix truth;
+    {
+      BigAllocCounter counter(result_bytes / 2);
+      truth = cluster->AssembleGroundTruth();
+      allocs = counter.count();
+    }
+    EXPECT_EQ(truth.size() * sizeof(double), result_bytes);
+    EXPECT_LE(allocs, 1u);
+  }
+}
+
+// The exact_gram star is all leaves: each builds its d-by-d Gram in its
+// lane's reused scratch and packs it into an uplink buffer the calling
+// thread reserved. So a warm run at 4 lanes makes no Gram-sized
+// allocation on a pool worker, and no more in all than the coordinator's
+// share plus the lanes' scratch.
 TEST(StarAllocBudget, ExactGramStarAllocatesGramsOnTheCallingThread) {
   constexpr size_t d = 48;
+  constexpr size_t lanes = 4;
   const size_t saved_threads = ThreadPool::GlobalThreads();
-  ThreadPool::SetGlobalThreads(4);
+  ThreadPool::SetGlobalThreads(lanes);
   auto cluster = Cluster::Create(TreeShards(8, d), 0.1);
   ASSERT_TRUE(cluster.ok());
   ExactGramProtocol star;
+  const uint64_t coordinator_allocs = CoordinatorGramAllocs(star, d);
   EXPECT_TRUE(star.Run(*cluster).ok());
   uint64_t allocs = 0;
   uint64_t off_thread = 0;
@@ -353,7 +397,7 @@ TEST(StarAllocBudget, ExactGramStarAllocatesGramsOnTheCallingThread) {
     off_thread = counter.off_thread_count();
   }
   ThreadPool::SetGlobalThreads(saved_threads);
-  EXPECT_GE(allocs, kTreeServers);
+  EXPECT_LE(allocs, coordinator_allocs + lanes - 1);
   EXPECT_EQ(off_thread, 0u);
 }
 

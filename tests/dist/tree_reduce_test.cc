@@ -12,12 +12,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
 #include "dist/cluster.h"
+#include "dist/comm_log.h"
+#include "dist/fault_injection.h"
 #include "dist/merge_topology.h"
 #include "dist/tree_reduce.h"
 #include "telemetry/telemetry.h"
@@ -297,6 +301,151 @@ TEST(TreeReduceTest, AtMostOneWindowOfUplinksIsLive) {
       EXPECT_EQ(recycled, s);
       EXPECT_EQ(live.load(), 0);
     }
+  }
+}
+
+// Payload records of a run's transcript, in send order (NAK control
+// frames dropped).
+std::vector<MessageRecord> PayloadRecords(const Cluster& cluster) {
+  std::vector<MessageRecord> out;
+  for (const MessageRecord& rec : cluster.log().messages()) {
+    if (!rec.control) out.push_back(rec);
+  }
+  return out;
+}
+
+FaultConfig TransientPlan(uint64_t seed) {
+  FaultConfig plan;
+  plan.default_profile.drop_prob = 0.15;
+  plan.default_profile.corrupt_prob = 0.1;
+  plan.default_profile.duplicate_prob = 0.1;
+  plan.seed = seed;
+  return plan;
+}
+
+// Deaths are keyed on the simulated clock, so the order of the fault-mode
+// mass reports is part of every transcript. On a depth-1 topology (the
+// star) each server's report goes right before its own uplink; deeper,
+// every report goes before the first uplink.
+TEST(TreeReduceTest, StarReportsEachMassRightBeforeItsUplink) {
+  const size_t s = 9;
+  for (const auto& options :
+       {MergeTopologyOptions::Star(), MergeTopologyOptions::Tree(3)}) {
+    auto topo = MergeTopology::Build(s, options);
+    ASSERT_TRUE(topo.ok());
+    SCOPED_TRACE(testing::Message() << "depth " << topo->depth());
+    Cluster cluster = MakeCluster(s);
+    cluster.InstallFaultPlan(TransientPlan(41));
+    Recorder rec(s);
+    DegradedModeInfo degraded;
+    auto stats = RunTreeReduce(cluster, *topo, rec.Hooks(), degraded);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_FALSE(degraded.degraded());
+
+    const std::vector<MessageRecord> records = PayloadRecords(cluster);
+    size_t last_report = 0;
+    size_t first_uplink = records.size();
+    for (size_t r = 0; r < records.size(); ++r) {
+      if (records[r].tag == "local_mass") last_report = r;
+      if (records[r].tag == "uplink") first_uplink = std::min(first_uplink, r);
+    }
+    if (topo->depth() > 1) {
+      EXPECT_LT(last_report, first_uplink);
+      continue;
+    }
+    for (size_t i = 0; i < s; ++i) {
+      const int id = static_cast<int>(i);
+      auto first = std::find_if(
+          records.begin(), records.end(), [&](const MessageRecord& r) {
+            return r.tag == "uplink" && r.from == id;
+          });
+      ASSERT_NE(first, records.end()) << "server " << i;
+      ASSERT_NE(first, records.begin()) << "server " << i;
+      const MessageRecord& before = *std::prev(first);
+      EXPECT_EQ(before.tag, "local_mass") << "server " << i;
+      EXPECT_EQ(before.from, id) << "server " << i;
+    }
+  }
+}
+
+// A skipped node is already held by the caller: it reports, builds and
+// sends nothing, on a star and on a tree (where only leaves may be
+// skipped), and the rest of the reduction is untouched.
+TEST(TreeReduceTest, SkippedNodesReportBuildAndSendNothing) {
+  const size_t s = 12;
+  for (const auto& options :
+       {MergeTopologyOptions::Star(), MergeTopologyOptions::Tree(3)}) {
+    auto topo = MergeTopology::Build(s, options);
+    ASSERT_TRUE(topo.ok());
+    SCOPED_TRACE(testing::Message() << "depth " << topo->depth());
+    std::vector<int> skipped;
+    for (size_t i = 0; i < s; ++i) {
+      if (i % 4 == 1 && topo->node(i).children.empty()) {
+        skipped.push_back(static_cast<int>(i));
+      }
+    }
+    ASSERT_GE(skipped.size(), 2u);
+    auto is_skipped = [&](int node) {
+      return std::find(skipped.begin(), skipped.end(), node) != skipped.end();
+    };
+    Cluster cluster = MakeCluster(s);
+    cluster.InstallFaultPlan(TransientPlan(43));
+    Recorder rec(s);
+    TreeReduceHooks hooks = rec.Hooks();
+    std::atomic<int> built_skipped{0};
+    hooks.make_message = [&, build = hooks.make_message](int node) {
+      if (is_skipped(node)) built_skipped.fetch_add(1);
+      return build(node);
+    };
+    hooks.skip = is_skipped;
+    DegradedModeInfo degraded;
+    auto stats = RunTreeReduce(cluster, *topo, hooks, degraded);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_FALSE(degraded.degraded());
+
+    EXPECT_EQ(built_skipped.load(), 0);
+    for (const MessageRecord& r : cluster.log().messages()) {
+      EXPECT_FALSE(is_skipped(r.from) || is_skipped(r.to))
+          << r.tag << " " << r.from << " -> " << r.to;
+    }
+    for (size_t j = 0; j < s; ++j) {
+      EXPECT_EQ(rec.total(0, j), is_skipped(static_cast<int>(j)) ? 0.0 : 1.0)
+          << j;
+    }
+  }
+}
+
+// The settled hook sees each coordinator-bound uplink once it is absorbed
+// or its sender lost (server 1 dies before its report), in send order;
+// when it asks to halt, nothing more is sent.
+TEST(TreeReduceTest, SettledHookHaltStopsSendingAfterThatNode) {
+  const size_t s = 6;
+  auto topo = MergeTopology::Build(s, MergeTopologyOptions::Star());
+  ASSERT_TRUE(topo.ok());
+  FaultConfig plan = TransientPlan(47);
+  plan.per_server[1].die_at_time = 0.0;
+  Cluster cluster = MakeCluster(s);
+  cluster.InstallFaultPlan(plan);
+  Recorder rec(s);
+  TreeReduceHooks hooks = rec.Hooks();
+  std::vector<std::pair<int, bool>> settled;
+  hooks.settled = [&](int node, bool absorbed) -> StatusOr<bool> {
+    settled.emplace_back(node, absorbed);
+    return node == 3;
+  };
+  DegradedModeInfo degraded;
+  auto stats = RunTreeReduce(cluster, *topo, hooks, degraded);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->halted);
+
+  const std::vector<std::pair<int, bool>> expected = {
+      {0, true}, {1, false}, {2, true}, {3, true}};
+  EXPECT_EQ(settled, expected);
+  EXPECT_EQ(degraded.lost_servers, std::vector<int>{1});
+  EXPECT_EQ(rec.coordinator_absorbed, (std::vector<int>{0, 2, 3}));
+  for (const MessageRecord& r : cluster.log().messages()) {
+    EXPECT_TRUE(r.from <= 3 && r.to <= 3)
+        << r.tag << " " << r.from << " -> " << r.to;
   }
 }
 
