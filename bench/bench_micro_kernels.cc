@@ -7,7 +7,7 @@
 // and the fd_block_absorb rows to BENCH_sketch.json so the dispatch
 // policy's claims live next to the protocol measurements. `--smoke` runs
 // only those rows at tiny sizes for the perf-smoke CTest; `--check
-// <baseline.json>` runs them at full size and gates them.
+// bench/gates.json` runs them at full size and gates them.
 
 #include <benchmark/benchmark.h>
 
@@ -414,39 +414,26 @@ FdAbsorbMs EmitFdBlockAbsorbRows(bool smoke) {
   return ms;
 }
 
-/// Gate for CI: AppendBlock must beat AppendRows on the tenant shape by
-/// at least fd_block_min_speedup, and the best SIMD backend must beat
-/// scalar by at least the per-kernel floor in the committed baseline
-/// JSON. The SIMD part is skipped with a notice when the host has no SIMD
-/// backend (nothing to compare). `baseline` was read and validated before
-/// anything was measured (see main).
-int CheckAgainstBaseline(
-    const bench::Baseline& baseline,
+/// Gate for CI: AppendBlock must beat AppendRows on the tenant shape, and
+/// the best SIMD backend must beat scalar on each dispatched kernel that
+/// has an `<op>_speedup_min` key. The SIMD part is skipped with a notice
+/// when the host has no SIMD backend (nothing to compare).
+void CheckKernelGates(
+    bench::Gates& gates,
     const std::map<std::string, std::map<std::string, double>>& all,
     const FdAbsorbMs& fd) {
-  int rc = 0;
-  const double fd_floor = baseline.Number("fd_block_min_speedup", -1.0);
-  const double fd_speedup = fd.rows / fd.block;
-  std::printf("kernel gate: %-16s AppendBlock vs AppendRows %.2fx "
-              "(floor %.2fx)\n",
-              "fd_block_absorb", fd_speedup, fd_floor);
-  if (fd_speedup < fd_floor) {
-    std::fprintf(stderr,
-                 "FAIL: fd_block_absorb %.2fx below baseline floor %.2fx\n",
-                 fd_speedup, fd_floor);
-    rc = 1;
-  }
+  gates.Check("fd_block_speedup_min", fd.rows / fd.block,
+              "fd_block AppendBlock vs AppendRows");
   if (SupportedBackends().size() == 1) {
     std::printf("kernel gate: host supports only the scalar backend; "
                 "no SIMD comparison — skipping\n");
-    return rc;
+    return;
   }
-  for (const auto& [op, by_backend] : all) {
-    const double floor = baseline.Number(op + "_min_speedup", -1.0);
-    if (floor <= 0.0) continue;  // kernel not gated by this baseline
-    const auto scalar = by_backend.find("scalar");
-    if (scalar == by_backend.end()) continue;
-    double best = scalar->second;
+  for (const char* op :
+       {"simd_gram", "simd_multiply", "simd_bitpack", "simd_eigen"}) {
+    const std::map<std::string, double>& by_backend = all.at(op);
+    const double scalar = by_backend.at("scalar");
+    double best = scalar;
     std::string best_name = "scalar";
     for (const auto& [name, ms] : by_backend) {
       if (ms < best) {
@@ -454,17 +441,9 @@ int CheckAgainstBaseline(
         best_name = name;
       }
     }
-    const double speedup = scalar->second / best;
-    std::printf("kernel gate: %-16s best=%-7s speedup %.2fx (floor %.2fx)\n",
-                op.c_str(), best_name.c_str(), speedup, floor);
-    if (speedup < floor) {
-      std::fprintf(stderr,
-                   "FAIL: %s best backend %.2fx below baseline floor %.2fx\n",
-                   op.c_str(), speedup, floor);
-      rc = 1;
-    }
+    gates.Check(std::string(op) + "_speedup_min", scalar / best,
+                std::string(op) + " best " + best_name + " vs scalar");
   }
-  return rc;
 }
 
 }  // namespace
@@ -472,30 +451,27 @@ int CheckAgainstBaseline(
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  const char* baseline_path = nullptr;
+  const char* gates_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
+      gates_path = argv[++i];
     }
   }
-  if (baseline_path != nullptr) {
-    // CI kernel-regression gate: full-size backend rows, compared
-    // against the committed speedup floors. The baseline is read first,
-    // so a wrong path fails in milliseconds, not after the measurement.
-    // The fd_block floor gates on every host (scalar-only ones too), so a
-    // file without it is not a kernel baseline.
-    const std::optional<distsketch::bench::Baseline> baseline =
-        distsketch::bench::Baseline::Read(baseline_path);
-    if (!baseline) return 2;
-    if (baseline->Number("fd_block_min_speedup", -1.0) <= 0.0) {
-      std::fprintf(stderr, "baseline %s missing fd_block_min_speedup\n",
-                   baseline_path);
-      return 2;
-    }
+  if (gates_path != nullptr) {
+    // CI kernel-regression gate: full-size backend rows, checked against
+    // bench/gates.json. The file is read first, so a wrong path or a
+    // missing key fails in milliseconds, not after the measurement.
+    std::optional<distsketch::bench::Gates> gates =
+        distsketch::bench::Gates::Read(
+            gates_path, {"fd_block_speedup_min", "simd_gram_speedup_min",
+                         "simd_multiply_speedup_min",
+                         "simd_bitpack_speedup_min", "simd_eigen_speedup_min"});
+    if (!gates) return 2;
     const auto all = distsketch::EmitSimdBackendRows(/*smoke=*/false);
     const auto fd = distsketch::EmitFdBlockAbsorbRows(/*smoke=*/false);
-    return distsketch::CheckAgainstBaseline(*baseline, all, fd);
+    distsketch::CheckKernelGates(*gates, all, fd);
+    return gates->exit_code();
   }
   if (smoke) {
     // CTest perf-smoke entry: only the JSON-emitting kernel rows, tiny.

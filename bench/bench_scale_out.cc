@@ -13,8 +13,8 @@
 //     honest).
 //
 // `--smoke` shrinks the sweep to s <= 256 for CTest / CI. `--check
-// <baseline.json>` gates the measured ratios against the committed
-// floors in bench/scale_out_baseline.json and exits nonzero on a
+// bench/gates.json` gates the measured ratios against the committed
+// floors (`smoke_` or `full_` keys by sweep size) and exits nonzero on a
 // regression. Each gated star/tree pair is timed interleaved, one run
 // of each per repetition on its own cluster, and each side reports its
 // best of 9. The inbound-bytes floor (>= 8x) is hardware-independent;
@@ -122,47 +122,30 @@ struct GateRatios {
   double sparse_gram = 0.0;
 };
 
-int CheckAgainstBaseline(const char* path, bool smoke,
-                         const GateRatios& measured) {
-  const std::optional<bench::Baseline> baseline = bench::Baseline::Read(path);
-  if (!baseline) return 2;
-  const std::string mode = smoke ? "smoke" : "full";
-  const double inbound_min =
-      baseline->Number(mode + "_inbound_ratio_min", -1.0);
-  const double wall_min = baseline->Number(mode + "_wall_ratio_min", -1.0);
-  const double sparse_min =
-      baseline->Number(mode + "_sparse_gram_ratio_min", -1.0);
-  if (inbound_min <= 0.0 || wall_min <= 0.0 || sparse_min <= 0.0) {
-    std::fprintf(stderr, "baseline %s missing %s-mode floors\n", path,
-                 mode.c_str());
-    return 2;
-  }
-  int rc = 0;
-  const auto gate = [&rc](const char* what, double value, double floor) {
-    std::printf("gate %-28s %8.2fx (floor %.2fx)%s\n", what, value, floor,
-                value >= floor ? "" : "  FAIL");
-    if (value < floor) rc = 1;
-  };
-  gate("fd_merge coord inbound", measured.fd_inbound, inbound_min);
-  gate("exact_gram coord inbound", measured.gram_inbound, inbound_min);
-  gate("fd_merge wall star/tree", measured.fd_wall, wall_min);
-  gate("exact_gram wall star/tree", measured.gram_wall, wall_min);
-  gate("sparse gram kernel", measured.sparse_gram, sparse_min);
-  return rc;
-}
-
 }  // namespace
 }  // namespace distsketch
 
 int main(int argc, char** argv) {
   using namespace distsketch;
   bool smoke = false;
-  const char* baseline_path = nullptr;
+  const char* gates_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
+      gates_path = argv[++i];
     }
+  }
+  // The gates file is read before the sweep, so a wrong path or a
+  // missing key exits 2 at once.
+  const std::string mode = smoke ? "smoke_" : "full_";
+  const std::string inbound_key = mode + "inbound_ratio_min";
+  const std::string wall_key = mode + "wall_ratio_min";
+  const std::string sparse_key = mode + "sparse_gram_ratio_min";
+  std::optional<bench::Gates> gates;
+  if (gates_path != nullptr) {
+    gates = bench::Gates::Read(gates_path,
+                               {inbound_key, wall_key, sparse_key});
+    if (!gates) return 2;
   }
 
   std::printf("Scale-out sweep: star vs tree(8) aggregation\n\n");
@@ -188,7 +171,7 @@ int main(int argc, char** argv) {
                                              .noise_stddev = 0.3,
                                              .seed = 7});
   bench::BenchJsonWriter json;
-  GateRatios gates;
+  GateRatios ratios;
 
   const MergeTopologyOptions star = MergeTopologyOptions::Star();
   const MergeTopologyOptions tree8 = MergeTopologyOptions::Tree(8);
@@ -239,13 +222,13 @@ int main(int argc, char** argv) {
     report("countsketch", 0, cs_r);
 
     if (s == s_gate) {
-      gates.fd_inbound = static_cast<double>(fd_r.star.coord_wire_bytes) /
+      ratios.fd_inbound = static_cast<double>(fd_r.star.coord_wire_bytes) /
                          static_cast<double>(fd_r.tree.coord_wire_bytes);
-      gates.fd_wall = fd_r.star.wall_ms / fd_r.tree.wall_ms;
-      gates.gram_inbound =
+      ratios.fd_wall = fd_r.star.wall_ms / fd_r.tree.wall_ms;
+      ratios.gram_inbound =
           static_cast<double>(gram_r.star.coord_wire_bytes) /
           static_cast<double>(gram_r.tree.coord_wire_bytes);
-      gates.gram_wall = gram_r.star.wall_ms / gram_r.tree.wall_ms;
+      ratios.gram_wall = gram_r.star.wall_ms / gram_r.tree.wall_ms;
     }
   }
 
@@ -300,10 +283,10 @@ int main(int argc, char** argv) {
       if (sparse_ms < 0.0 || m2 < sparse_ms) sparse_ms = m2;
       DS_CHECK(MaxAbs(Subtract(g1, g2)) < 1e-9);
     }
-    gates.sparse_gram = dense_ms / sparse_ms;
+    ratios.sparse_gram = dense_ms / sparse_ms;
     std::printf("gram kernel %zux%zu: dense %.3f ms, sparse %.3f ms "
                 "(%.1fx)\n",
-                sn, sd, dense_ms, sparse_ms, gates.sparse_gram);
+                sn, sd, dense_ms, sparse_ms, ratios.sparse_gram);
     json.Add({.op = "gram_kernel_dense", .n = sn, .d = sd, .s = 0, .l = 0,
               .threads = 1, .wall_ms = dense_ms, .words = 0,
               .wire_bytes = 0});
@@ -376,11 +359,16 @@ int main(int argc, char** argv) {
 
   std::printf("\nratios at s=%zu: fd inbound %.1fx wall %.2fx | gram "
               "inbound %.1fx wall %.2fx | sparse gram %.1fx\n",
-              s_gate, gates.fd_inbound, gates.fd_wall, gates.gram_inbound,
-              gates.gram_wall, gates.sparse_gram);
+              s_gate, ratios.fd_inbound, ratios.fd_wall, ratios.gram_inbound,
+              ratios.gram_wall, ratios.sparse_gram);
 
-  if (baseline_path != nullptr) {
-    return CheckAgainstBaseline(baseline_path, smoke, gates);
-  }
-  return 0;
+  if (!gates) return 0;
+  gates->Check(inbound_key, ratios.fd_inbound,
+               "fd_merge coord inbound star/tree");
+  gates->Check(inbound_key, ratios.gram_inbound,
+               "exact_gram coord inbound star/tree");
+  gates->Check(wall_key, ratios.fd_wall, "fd_merge wall star/tree");
+  gates->Check(wall_key, ratios.gram_wall, "exact_gram wall star/tree");
+  gates->Check(sparse_key, ratios.sparse_gram, "gram kernel dense/sparse");
+  return gates->exit_code();
 }

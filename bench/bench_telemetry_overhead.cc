@@ -6,9 +6,9 @@
 //     null sink. The acceptance budget is < 3% on the table-1 shape.
 //  2. Null-sink overhead — ns/op of the TELEM instrumentation calls
 //     when telemetry is disabled (one pointer load + one branch). CI
-//     gates this against bench/telemetry_overhead_baseline.json:
-//     `--check <baseline.json>` exits nonzero when an instrument
-//     regresses more than the baseline's tolerance (5%).
+//     gates this against the null_*_ns_per_op_max ceilings:
+//     `--check bench/gates.json` exits nonzero when an instrument costs
+//     more than its ceiling.
 //
 // `--smoke` shrinks sizes/reps so CTest can keep the binary and its
 // BENCH_sketch.json rows exercised under the perf-smoke label.
@@ -125,54 +125,26 @@ double NullSpanNsPerOp(size_t iters) {
          static_cast<double>(iters);
 }
 
-/// Compares measured null-sink costs against the committed baseline.
-/// Returns the process exit code.
-int CheckAgainstBaseline(const char* path, double count_ns,
-                         double span_ns) {
-  const std::optional<bench::Baseline> baseline = bench::Baseline::Read(path);
-  if (!baseline) return 2;
-  const double base_count = baseline->Number("count_ns_per_op", -1.0);
-  const double base_span = baseline->Number("span_ns_per_op", -1.0);
-  const double tolerance = baseline->Number("tolerance", 0.05);
-  if (base_count <= 0.0 || base_span <= 0.0) {
-    std::fprintf(stderr, "baseline %s missing ns-per-op entries\n", path);
-    return 2;
-  }
-  int rc = 0;
-  const double count_limit = base_count * (1.0 + tolerance);
-  const double span_limit = base_span * (1.0 + tolerance);
-  std::printf("null-sink gate: count %.2f ns/op (limit %.2f), span %.2f "
-              "ns/op (limit %.2f)\n",
-              count_ns, count_limit, span_ns, span_limit);
-  if (count_ns > count_limit) {
-    std::fprintf(stderr,
-                 "FAIL: null-sink Count %.2f ns/op exceeds baseline %.2f "
-                 "+%.0f%%\n",
-                 count_ns, base_count, 100.0 * tolerance);
-    rc = 1;
-  }
-  if (span_ns > span_limit) {
-    std::fprintf(stderr,
-                 "FAIL: null-sink Span %.2f ns/op exceeds baseline %.2f "
-                 "+%.0f%%\n",
-                 span_ns, base_span, 100.0 * tolerance);
-    rc = 1;
-  }
-  return rc;
-}
-
 }  // namespace
 }  // namespace distsketch
 
 int main(int argc, char** argv) {
   using namespace distsketch;
   bool smoke = false;
-  const char* baseline_path = nullptr;
+  const char* gates_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
+      gates_path = argv[++i];
     }
+  }
+  // The gates file is read before anything runs, so a wrong path or a
+  // missing key exits 2 at once.
+  std::optional<bench::Gates> gates;
+  if (gates_path != nullptr) {
+    gates = bench::Gates::Read(
+        gates_path, {"null_count_ns_per_op_max", "null_span_ns_per_op_max"});
+    if (!gates) return 2;
   }
 
   std::printf("Telemetry overhead: Disabled() null sink vs live context\n\n");
@@ -236,8 +208,11 @@ int main(int argc, char** argv) {
             .words = 0,
             .wire_bytes = 0});
 
-  if (baseline_path != nullptr) {
-    return CheckAgainstBaseline(baseline_path, count_ns, span_ns);
+  if (gates) {
+    gates->Check("null_count_ns_per_op_max", count_ns,
+                 "null-sink Count ns/op");
+    gates->Check("null_span_ns_per_op_max", span_ns, "null-sink Span ns/op");
+    return gates->exit_code();
   }
   std::printf(
       "\nEnabled overhead budget is <3%% on the table-1 shape; the "

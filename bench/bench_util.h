@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -195,36 +197,60 @@ class BenchJsonWriter {
   std::vector<BenchRecord> records_;
 };
 
-/// A committed baseline JSON file read by a bench's `--check` gate. The
-/// baselines are flat objects, so a key is found by text search for
-/// `"key":` and the number after it is parsed.
-class Baseline {
+/// The CI bounds of a bench's `--check`, read from bench/gates.json: one
+/// flat object where a `<gate>_min` key is a floor and `<gate>_max` a
+/// ceiling. A bench reads it before measuring and names every key it will
+/// check, so a missing file or key exits 2 at once.
+class Gates {
  public:
-  /// Reads `path`. If it cannot be read, prints "cannot read baseline
-  /// <path>" to stderr and returns nullopt (the gates then exit 2).
-  static std::optional<Baseline> Read(const char* path) {
+  /// Reads the bound under each of `keys` from `path`. Prints what is
+  /// missing and returns nullopt (the bench then exits 2) if the file
+  /// cannot be read or lacks a key.
+  static std::optional<Gates> Read(const char* path,
+                                   const std::vector<std::string>& keys) {
     std::ifstream in(path);
     if (!in) {
-      std::fprintf(stderr, "cannot read baseline %s\n", path);
+      std::fprintf(stderr, "cannot read gates file %s\n", path);
       return std::nullopt;
     }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return Baseline(ss.str());
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    Gates gates;
+    for (const std::string& key : keys) {
+      DS_CHECK(key.ends_with("_min") || key.ends_with("_max"));
+      const std::string tag = "\"" + key + "\":";
+      const size_t pos = text.find(tag);
+      const char* begin =
+          pos == std::string::npos ? "" : text.c_str() + pos + tag.size();
+      char* end = nullptr;
+      const double bound = std::strtod(begin, &end);
+      if (end == begin) {
+        std::fprintf(stderr, "gates file %s has no number under %s\n", path,
+                     key.c_str());
+        return std::nullopt;
+      }
+      gates.bounds_[key] = bound;
+    }
+    return gates;
   }
 
-  /// The number stored under `key`, or `fallback` if the key is absent.
-  double Number(const std::string& key, double fallback) const {
-    const std::string tag = "\"" + key + "\":";
-    const size_t pos = text_.find(tag);
-    if (pos == std::string::npos) return fallback;
-    return std::strtod(text_.c_str() + pos + tag.size(), nullptr);
+  /// Prints what was measured, its value and the bound under `key`. A
+  /// value below a floor or above a ceiling fails the gate.
+  void Check(const std::string& key, double value, const std::string& what) {
+    const auto it = bounds_.find(key);
+    DS_CHECK(it != bounds_.end());  // declared when the file was read
+    const bool ok =
+        key.ends_with("_min") ? value >= it->second : value <= it->second;
+    std::printf("gate %-44s %8.2f (%s %g)%s\n", what.c_str(), value,
+                key.c_str(), it->second, ok ? "" : "  FAIL");
+    if (!ok) exit_code_ = 1;
   }
+
+  /// The bench's exit status: 1 if any check failed, else 0.
+  int exit_code() const { return exit_code_; }
 
  private:
-  explicit Baseline(std::string text) : text_(std::move(text)) {}
-
-  std::string text_;
+  std::map<std::string, double> bounds_;
+  int exit_code_ = 0;
 };
 
 /// Builds a cluster over a round-robin partition of `a`.

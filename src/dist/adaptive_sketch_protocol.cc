@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
+#include "linalg/blas.h"
 #include "sketch/adaptive_sketch.h"
 #include "sketch/quantizer.h"
 #include "telemetry/span.h"
@@ -100,9 +101,11 @@ StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
 
   // Round 3: every active server compresses its tail against the global
   // tail mass concurrently (per-server state, per-server seeds), then
-  // Q^(i) = [T^(i); W^(i)] goes to the coordinator in index order.
+  // Q^(i) = [T^(i); W^(i)] goes to the coordinator in index order. The
+  // coordinator keeps each decoded part and stacks them once at the end.
   log.BeginRound();
   result.sketch.SetZero(0, d);
+  std::vector<Matrix> parts;
   struct CompressSlot {
     Status status;
     Matrix q;
@@ -145,8 +148,9 @@ StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
     if (!sent.delivered) continue;
     DS_ASSIGN_OR_RETURN(wire::DecodedMatrix received,
                         wire::DecodeMessagePayload(sent.payload));
-    result.sketch.AppendRows(received.matrix);
+    parts.push_back(std::move(received.matrix));
   }
+  if (!parts.empty()) result.sketch = ConcatRows(parts);
 
   if (options_.recompress && result.sketch.rows() > 0) {
     telemetry::Span span("adaptive/recompress", telemetry::Phase::kCompute);

@@ -25,7 +25,7 @@ struct CountSketchProtocolOptions {
   /// same sum; trees also cut the coordinator's *outbound* seed traffic
   /// to top_width words, since interior nodes forward the seed to their
   /// children.
-  MergeTopologyOptions topology;
+  MergeTopologyOptions topology{};
 };
 
 /// The randomized *projection* protocol, and the one protocol that runs

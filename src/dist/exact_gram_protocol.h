@@ -14,7 +14,7 @@ struct ExactGramOptions {
   /// same sum; the default star (the depth-1 case) keeps the frozen v1
   /// wire transcript, while tree and pipeline let interior servers add
   /// partial Grams and cut the coordinator's inbound to top_width messages.
-  MergeTopologyOptions topology;
+  MergeTopologyOptions topology{};
 };
 
 /// The trivial exact protocol referenced throughout the paper: every

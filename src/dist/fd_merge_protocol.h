@@ -24,7 +24,7 @@ struct FdMergeOptions {
   /// already folded into a resumed checkpoint are skipped, so the merge
   /// order — and the sketch bytes — match an uninterrupted run; lost
   /// servers are never marked done and are retried on resume.
-  CheckpointConfig checkpoint;
+  CheckpointConfig checkpoint{};
   /// Aggregation topology (dist/merge_topology.h), run by RunTreeReduce.
   /// The default star, its depth-1 case, is the paper's one-round protocol
   /// and keeps the frozen v1 wire transcript bit-for-bit; tree/pipeline
@@ -34,7 +34,7 @@ struct FdMergeOptions {
   /// (InvalidArgument otherwise): an interior node would round again what
   /// it absorbed, and the done bitmap cannot name contributors re-parented
   /// to the coordinator past a dead interior node.
-  MergeTopologyOptions topology;
+  MergeTopologyOptions topology{};
 };
 
 /// The deterministic protocol of Theorem 2: each server streams its local

@@ -144,7 +144,9 @@ StatusOr<SketchProtocolResult> LowRankExactProtocol::Run(Cluster& cluster) {
     DS_ASSIGN_OR_RETURN(Matrix q_pinv, PseudoInverse(q_recv.matrix));
     const Matrix local_cov =
         Multiply(Multiply(q_pinv, g_recv.matrix), Transpose(q_pinv));
-    total_cov = Add(total_cov, local_cov);
+    for (size_t j = 0; j < total_cov.size(); ++j) {
+      total_cov.data()[j] += local_cov.data()[j];
+    }
   }
 
   // Coordinator output: exact covariance square root.

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "dist/protocol_telemetry.h"
+#include "linalg/blas.h"
 #include "sketch/row_sampling.h"
 #include "telemetry/span.h"
 #include "workload/row_stream.h"
@@ -106,9 +107,10 @@ StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
 
   // Round 3: servers rescale their first m_i reservoir rows with the
   // global mass they received (so that E[B^T B] = A^T A) and ship them;
-  // the coordinator appends what it decodes.
+  // the coordinator keeps what it decodes and stacks it once at the end.
   log.BeginRound();
   std::vector<double> scaled(d);
+  std::vector<Matrix> parts;
   for (size_t i = 0; i < s; ++i) {
     if (!active[i]) continue;
     Matrix rows(0, d);
@@ -131,9 +133,10 @@ StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
       if (!sent.delivered) continue;
       DS_ASSIGN_OR_RETURN(wire::DecodedMatrix received,
                           wire::DecodeMessagePayload(sent.payload));
-      result.sketch.AppendRows(received.matrix);
+      parts.push_back(std::move(received.matrix));
     }
   }
+  if (!parts.empty()) result.sketch = ConcatRows(parts);
 
   result.comm = log.Stats();
   result.sketch_rows = result.sketch.rows();

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
+#include "linalg/blas.h"
 #include "sketch/svs.h"
 #include "telemetry/span.h"
 #include "wire/sketch_serde.h"
@@ -33,6 +34,12 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
   CommLog& log = cluster.log();
   SketchProtocolResult result;
   result.sketch.SetZero(0, d);
+  // The coordinator keeps the restored partial sketch and each decoded
+  // part, and stacks them only to checkpoint and once at the end.
+  std::vector<Matrix> parts;
+  const auto stacked = [&] {
+    return parts.empty() ? result.sketch : ConcatRows(parts);
+  };
 
   double global_mass = 0.0;
   std::vector<double> masses(s, 0.0);
@@ -68,7 +75,7 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
                                     restored->sketch_blob.size()));
       DS_ASSIGN_OR_RETURN(wire::SvsSketchState partial,
                           compact.ToSvsState());
-      result.sketch = std::move(partial.sketch);
+      parts.push_back(std::move(partial.sketch));
     }
     if (global_mass <= 0.0) {
       result.comm = log.Stats();
@@ -181,7 +188,7 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
       if (!sent.delivered) continue;
       DS_ASSIGN_OR_RETURN(wire::DecodedMatrix received,
                           wire::DecodeMessagePayload(sent.payload));
-      result.sketch.AppendRows(received.matrix);
+      parts.push_back(std::move(received.matrix));
     }
     done[i] = 1;  // delivered, or nothing to send
     ++processed;
@@ -197,7 +204,7 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
         checkpoint.extra(1, j) = static_cast<double>(server_state[j]);
       }
       wire::SvsSketchState partial;
-      partial.sketch = result.sketch;
+      partial.sketch = stacked();
       partial.seed = options_.seed;
       checkpoint.sketch_blob = wire::SerializeSketchState(partial);
       DS_RETURN_IF_ERROR(SaveCheckpoint(options_.checkpoint, checkpoint));
@@ -208,6 +215,7 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
     }
   }
 
+  result.sketch = stacked();
   result.comm = log.Stats();
   result.sketch_rows = result.sketch.rows();
   return result;

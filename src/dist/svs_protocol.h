@@ -25,7 +25,7 @@ struct SvsProtocolOptions {
   /// each remaining server's sampling seed, and skips servers whose
   /// rows already reached the coordinator — so the appended sketch rows
   /// match an uninterrupted run bit-for-bit.
-  CheckpointConfig checkpoint;
+  CheckpointConfig checkpoint{};
 };
 
 /// The randomized covariance-sketch protocol of §3.1 (Algorithms 1+2):

@@ -20,7 +20,7 @@ std::string TenantCounter(const std::string& tenant, const char* what) {
 }  // namespace
 
 ServiceRunner::ServiceRunner(const ServiceRunnerOptions& options)
-    : wire_(options.bits_per_word),
+    : wire_(/*bits_per_word=*/64),
       channel_(
           [this](int from, int to, const wire::Message& msg) {
             return wire_.Transfer(from, to, msg);

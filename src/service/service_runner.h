@@ -26,8 +26,6 @@ struct ServiceRunnerOptions {
   /// the ideal wire (they are metered, never faulted — a lost request is
   /// answered kUnavailable, so every accepted submit gets a response).
   std::optional<FaultConfig> faults;
-  /// CommLog metering granularity (bits per word, CostModel §1.2).
-  uint64_t bits_per_word = 64;
 };
 
 /// The service front end: a bounded request channel carrying framed

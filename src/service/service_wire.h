@@ -89,7 +89,7 @@ struct ServiceRequest {
   ServiceRequestKind kind = ServiceRequestKind::kIngest;
   std::string tenant;
   Matrix rows;
-  ConfigureParams configure;
+  ConfigureParams configure{};
 };
 
 /// One response per request — the no-silent-drops contract: every

@@ -26,11 +26,14 @@
 #include "common/thread_pool.h"
 #include "dist/cluster.h"
 #include "dist/comm_log.h"
+#include "dist/adaptive_sketch_protocol.h"
 #include "dist/countsketch_protocol.h"
 #include "dist/exact_gram_protocol.h"
 #include "dist/fault_injection.h"
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "dist/row_sampling_protocol.h"
+#include "dist/svs_protocol.h"
 #include "dist/tree_reduce.h"
 #include "linalg/matrix.h"
 #include "sketch/countsketch.h"
@@ -399,6 +402,41 @@ TEST(StarAllocBudget, ExactGramStarAllocatesGramsOnTheCallingThread) {
   ThreadPool::SetGlobalThreads(saved_threads);
   EXPECT_LE(allocs, coordinator_allocs + lanes - 1);
   EXPECT_EQ(off_thread, 0u);
+}
+
+// The SVS, adaptive and row-sampling coordinators keep each decoded part
+// and stack them once, so the allocations of between half and all of the
+// final sketch's bytes do not grow with the number of servers. Appending
+// part by part reserved exactly each time and so copied the growing
+// sketch on every message: about s/2 such allocations. Each server holds
+// 16 rows, so no local buffer reaches half a sketch.
+TEST(StarAllocBudget, StarCoordinatorsStackTheSketchOnce) {
+  constexpr size_t d = 64;
+  SvsProtocol svs({.alpha = 0.05, .seed = 5});
+  AdaptiveSketchProtocol adaptive({.eps = 0.05, .k = 2, .seed = 5});
+  RowSamplingProtocol sampling({.eps = 0.05, .seed = 5});
+  for (SketchProtocol* protocol :
+       {static_cast<SketchProtocol*>(&svs),
+        static_cast<SketchProtocol*>(&adaptive),
+        static_cast<SketchProtocol*>(&sampling)}) {
+    std::vector<uint64_t> allocs;
+    for (const size_t s : {size_t{32}, size_t{256}}) {
+      auto cluster = Cluster::Create(TreeShards(16, d, s), 0.1);
+      ASSERT_TRUE(cluster.ok());
+      auto sized = protocol->Run(*cluster);
+      ASSERT_TRUE(sized.ok());
+      ASSERT_GT(sized->sketch.rows(), 0u);
+      {
+        const size_t bytes = sized->sketch.size() * sizeof(double);
+        BigAllocCounter counter(bytes / 2, bytes);
+        EXPECT_TRUE(protocol->Run(*cluster).ok());
+        allocs.push_back(counter.count());
+      }
+    }
+    EXPECT_LE(allocs[1], allocs[0])
+        << protocol->Name() << ": " << allocs[0] << " at s=32, "
+        << allocs[1] << " at s=256";
+  }
 }
 
 }  // namespace

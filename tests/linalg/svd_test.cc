@@ -61,7 +61,9 @@ TEST(SvdTest, AggregatedFormPreservesGram) {
   const Matrix cross = MultiplyTransposeB(agg, agg);
   for (size_t i = 0; i < cross.rows(); ++i) {
     for (size_t j = 0; j < cross.cols(); ++j) {
-      if (i != j) EXPECT_NEAR(cross(i, j), 0.0, 1e-8);
+      if (i != j) {
+        EXPECT_NEAR(cross(i, j), 0.0, 1e-8);
+      }
     }
   }
 }

@@ -4,7 +4,6 @@
 //   calibrate_autoconf --check <path>    rerun the sweep, compare against
 //                                        the committed table; exits non-zero
 //                                        on >10% drift at any grid point
-//   calibrate_autoconf --check <path> --tolerance 0.05   custom tolerance
 //
 // The sweep is deterministic (fixed spec, fixed seeds, protocols
 // bit-identical at any DS_THREADS), so --check catches real behaviour
@@ -13,7 +12,6 @@
 // autoconf-smoke gate.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -27,21 +25,21 @@ using distsketch::autoconf::DiffCalibrationTables;
 using distsketch::autoconf::LoadCalibrationTable;
 using distsketch::autoconf::RunCalibrationSweep;
 
+// Relative drift at any grid point that fails --check.
+constexpr double kDriftTolerance = 0.10;
+
 int main(int argc, char** argv) {
   std::string out_path;
   std::string check_path;
-  double tolerance = 0.10;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
       check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: calibrate_autoconf --out <path> | --check <path> "
-                   "[--tolerance <frac>]\n");
+                   "usage: calibrate_autoconf --out <path> | --check "
+                   "<path>\n");
       return 2;
     }
   }
@@ -76,11 +74,11 @@ int main(int argc, char** argv) {
                  committed.status().ToString().c_str());
     return 1;
   }
-  const auto drift = DiffCalibrationTables(*committed, *fresh, tolerance);
+  const auto drift = DiffCalibrationTables(*committed, *fresh, kDriftTolerance);
   if (!drift.empty()) {
     std::fprintf(stderr,
                  "calibration drift beyond %.0f%% at %zu grid point(s):\n",
-                 tolerance * 100.0, drift.size());
+                 kDriftTolerance * 100.0, drift.size());
     for (const std::string& line : drift) {
       std::fprintf(stderr, "  %s\n", line.c_str());
     }
@@ -90,6 +88,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("calibration check passed: all %zu grid points within %.0f%%\n",
-              committed->points.size(), tolerance * 100.0);
+              committed->points.size(), kDriftTolerance * 100.0);
   return 0;
 }
