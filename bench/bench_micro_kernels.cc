@@ -7,7 +7,8 @@
 // and the fd_block_absorb rows to BENCH_sketch.json so the dispatch
 // policy's claims live next to the protocol measurements. `--smoke` runs
 // only those rows at tiny sizes for the perf-smoke CTest; `--check
-// bench/gates.json` runs them at full size and gates them.
+// bench/gates.json` runs them at full size and gates them. Neither writes
+// BENCH_sketch.json.
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +34,7 @@
 #include "sketch/quantizer.h"
 #include "sketch/row_sampling.h"
 #include "sketch/svs.h"
+#include "wire/checksum.h"
 #include "wire/codec.h"
 #include "workload/generators.h"
 
@@ -264,6 +266,24 @@ constexpr size_t kEigenN = 42;
 // 64-row requests at d = 32).
 constexpr size_t kScanRows = 64;
 constexpr size_t kScanDim = 32;
+// The buffer the simd_frame_checksum row checksums: one fanout_cs uplink,
+// a 100 x 64 dense CountSketch bucket matrix (8 bytes per entry).
+constexpr size_t kChecksumBytes = 51200;
+
+int ChecksumsPerPass(bool smoke) { return smoke ? 10 : 2000; }
+
+std::vector<uint8_t> ChecksumBuffer() {
+  std::vector<uint8_t> buf(kChecksumBytes);
+  Rng rng(207);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64() >> 56);
+  return buf;
+}
+
+double GigabytesPerSecond(double ms, bool smoke) {
+  const double bytes =
+      static_cast<double>(kChecksumBytes) * ChecksumsPerPass(smoke);
+  return bytes / (ms * 1e6);
+}
 
 /// Times Gram / Multiply / Jacobi SVD / wire bit-packing / the FD
 /// eigensolve / the tenant request scan under one backend. Keys of the
@@ -324,7 +344,27 @@ std::map<std::string, double> TimeSimdKernelsMs(bool smoke) {
       benchmark::DoNotOptimize(MaxAbs(request, &finite));
     }
   });
+  // The frame checksum of one fanout_cs uplink, sent and verified once
+  // per delivery.
+  const std::vector<uint8_t> uplink = ChecksumBuffer();
+  ms["simd_frame_checksum"] = MinWallMs(reps, [&] {
+    for (int t = 0; t < ChecksumsPerPass(smoke); ++t) {
+      benchmark::DoNotOptimize(
+          wire::FrameChecksum(uplink.data(), uplink.size()));
+    }
+  });
   return ms;
+}
+
+/// XXH64 (Checksum64, the version-1 frame checksum) over the same uplink:
+/// the undispatched baseline printed beside the simd_frame_checksum rows.
+double TimeXxh64Ms(bool smoke) {
+  const std::vector<uint8_t> uplink = ChecksumBuffer();
+  return MinWallMs(smoke ? 1 : 5, [&] {
+    for (int t = 0; t < ChecksumsPerPass(smoke); ++t) {
+      benchmark::DoNotOptimize(Checksum64(uplink.data(), uplink.size()));
+    }
+  });
 }
 
 /// Per-backend rows for the dispatched kernels; returns
@@ -344,18 +384,36 @@ std::map<std::string, std::map<std::string, double>> EmitSimdBackendRows(
     for (const auto& [op, wall_ms] : TimeSimdKernelsMs(smoke)) {
       const bool eigen = op == "simd_eigen";
       const bool scan = op == "simd_max_abs";
+      const bool checksum = op == "simd_frame_checksum";
       bench::BenchRecord rec;
       rec.op = op;
-      rec.n = eigen ? kEigenN : scan ? kScanRows : n;
-      rec.d = eigen ? kEigenN : scan ? kScanDim : d;
+      rec.n = eigen      ? kEigenN
+              : scan     ? kScanRows
+              : checksum ? kChecksumBytes
+                         : n;
+      rec.d = eigen ? kEigenN : scan ? kScanDim : checksum ? 1 : d;
       rec.wall_ms = wall_ms;
       rec.backend = name;
       writer.Add(rec);
       all[op][name] = wall_ms;
-      std::printf("  %-16s backend=%-7s %9.3f ms\n", op.c_str(),
-                  name.c_str(), wall_ms);
+      std::printf("  %-19s backend=%-7s %9.3f ms", op.c_str(), name.c_str(),
+                  wall_ms);
+      if (checksum) {
+        std::printf("  (%.1f GB/s)", GigabytesPerSecond(wall_ms, smoke));
+      }
+      std::printf("\n");
     }
   }
+  bench::BenchRecord xxh64;
+  xxh64.op = "xxh64_frame_checksum";
+  xxh64.n = kChecksumBytes;
+  xxh64.d = 1;
+  xxh64.wall_ms = TimeXxh64Ms(smoke);
+  xxh64.backend = "scalar";
+  writer.Add(xxh64);
+  std::printf("  %-19s backend=%-7s %9.3f ms  (%.1f GB/s)\n",
+              xxh64.op.c_str(), "scalar", xxh64.wall_ms,
+              GigabytesPerSecond(xxh64.wall_ms, smoke));
   return all;
 }
 
@@ -429,8 +487,8 @@ void CheckKernelGates(
                 "no SIMD comparison — skipping\n");
     return;
   }
-  for (const char* op :
-       {"simd_gram", "simd_multiply", "simd_bitpack", "simd_eigen"}) {
+  for (const char* op : {"simd_gram", "simd_multiply", "simd_bitpack",
+                         "simd_eigen", "simd_frame_checksum"}) {
     const std::map<std::string, double>& by_backend = all.at(op);
     const double scalar = by_backend.at("scalar");
     double best = scalar;
@@ -458,15 +516,17 @@ int main(int argc, char** argv) {
       gates_path = argv[++i];
     }
   }
+  if (gates_path != nullptr || smoke) distsketch::bench::DisableBenchJson();
   if (gates_path != nullptr) {
     // CI kernel-regression gate: full-size backend rows, checked against
     // bench/gates.json. The file is read first, so a wrong path or a
     // missing key fails in milliseconds, not after the measurement.
     std::optional<distsketch::bench::Gates> gates =
         distsketch::bench::Gates::Read(
-            gates_path, {"fd_block_speedup_min", "simd_gram_speedup_min",
-                         "simd_multiply_speedup_min",
-                         "simd_bitpack_speedup_min", "simd_eigen_speedup_min"});
+            gates_path,
+            {"fd_block_speedup_min", "simd_gram_speedup_min",
+             "simd_multiply_speedup_min", "simd_bitpack_speedup_min",
+             "simd_eigen_speedup_min", "simd_frame_checksum_speedup_min"});
     if (!gates) return 2;
     const auto all = distsketch::EmitSimdBackendRows(/*smoke=*/false);
     const auto fd = distsketch::EmitFdBlockAbsorbRows(/*smoke=*/false);
@@ -474,7 +534,7 @@ int main(int argc, char** argv) {
     return gates->exit_code();
   }
   if (smoke) {
-    // CTest perf-smoke entry: only the JSON-emitting kernel rows, tiny.
+    // CTest perf-smoke entry: only the kernel-row measurements, tiny.
     distsketch::EmitSvdKernelRows(/*smoke=*/true);
     distsketch::EmitSimdBackendRows(/*smoke=*/true);
     distsketch::EmitFdBlockAbsorbRows(/*smoke=*/true);

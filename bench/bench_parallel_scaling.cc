@@ -10,9 +10,10 @@
 // Part 2 pins one thread and times FD on a tall d >> l instance, where
 // every shrink eigensolves the 2l-by-2l row Gram in O(l^2 d + l^3).
 //
-// Every measurement is appended to BENCH_sketch.json. `--smoke` shrinks
-// the instance so the binary doubles as a CTest perf-smoke (label
-// perf-smoke): it verifies the machinery, not the speedup.
+// Every full-size measurement is appended to BENCH_sketch.json. `--smoke`
+// shrinks the instance so the binary doubles as a CTest perf-smoke (label
+// perf-smoke) and writes nothing: it verifies the machinery, not the
+// speedup.
 
 #include <cstdio>
 #include <cstring>
@@ -128,12 +129,13 @@ void ShrinkTiming(const Sizes& sz, BenchJsonWriter& json) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const distsketch::Sizes& sz = smoke ? distsketch::kSmoke : distsketch::kFull;
+  if (smoke) distsketch::bench::DisableBenchJson();
   std::printf("E7: parallel scaling of the local-sketch hot path%s\n",
               smoke ? " (smoke sizes)" : "");
   distsketch::bench::BenchJsonWriter json;
   distsketch::SweepThreads(sz, json);
   distsketch::ShrinkTiming(sz, json);
   json.Flush();
-  std::printf("\nwrote BENCH_sketch.json\n");
+  if (!smoke) std::printf("\nwrote BENCH_sketch.json\n");
   return 0;
 }

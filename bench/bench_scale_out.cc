@@ -15,7 +15,8 @@
 // `--smoke` shrinks the sweep to s <= 256 for CTest / CI. `--check
 // bench/gates.json` gates the measured ratios against the committed
 // floors (`smoke_` or `full_` keys by sweep size) and exits nonzero on a
-// regression. Each gated star/tree pair is timed interleaved, one run
+// regression. Neither mode writes BENCH_sketch.json; only the full,
+// ungated sweep does. Each gated star/tree pair is timed interleaved, one run
 // of each per repetition on its own cluster, and each side reports its
 // best of 9. The inbound-bytes floor (>= 8x) is hardware-independent;
 // the wall floors are conservative because the tree's wall win comes
@@ -135,6 +136,7 @@ int main(int argc, char** argv) {
       gates_path = argv[++i];
     }
   }
+  if (smoke || gates_path != nullptr) bench::DisableBenchJson();
   // The gates file is read before the sweep, so a wrong path or a
   // missing key exits 2 at once.
   const std::string mode = smoke ? "smoke_" : "full_";

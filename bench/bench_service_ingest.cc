@@ -9,7 +9,8 @@
 //                            request cycle
 //
 // Columns: d = row dimension, s = tenants, l = rows per batch. `--smoke`
-// runs one tiny configuration for the perf-smoke CTest label.
+// runs one tiny configuration for the perf-smoke CTest label and writes no
+// rows.
 
 #include <algorithm>
 #include <cstdio>
@@ -131,6 +132,7 @@ void BenchConfig(const Config& cfg, bench::BenchJsonWriter& writer) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  if (smoke) distsketch::bench::DisableBenchJson();
   distsketch::bench::BenchJsonWriter writer;
   std::vector<distsketch::Config> configs;
   if (smoke) {

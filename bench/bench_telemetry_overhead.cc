@@ -10,8 +10,8 @@
 //     `--check bench/gates.json` exits nonzero when an instrument costs
 //     more than its ceiling.
 //
-// `--smoke` shrinks sizes/reps so CTest can keep the binary and its
-// BENCH_sketch.json rows exercised under the perf-smoke label.
+// `--smoke` shrinks sizes/reps so CTest can keep the binary exercised
+// under the perf-smoke label; it writes no BENCH_sketch.json rows.
 
 #include <chrono>
 #include <cstdio>
@@ -138,6 +138,7 @@ int main(int argc, char** argv) {
       gates_path = argv[++i];
     }
   }
+  if (smoke || gates_path != nullptr) bench::DisableBenchJson();
   // The gates file is read before anything runs, so a wrong path or a
   // missing key exits 2 at once.
   std::optional<bench::Gates> gates;

@@ -64,6 +64,20 @@ struct BenchRecord {
   uint64_t coord_wire_bytes = 0;
 };
 
+namespace internal {
+inline bool& BenchJsonDisabled() {
+  static bool disabled = false;
+  return disabled;
+}
+}  // namespace internal
+
+/// Turns every BenchJsonWriter in this process into a no-op. Gate
+/// (`--check`) and `--smoke` runs call it first: they measure on whatever
+/// host runs CI, often at toy sizes, and started from the repo root they
+/// would otherwise overwrite the committed BENCH_sketch.json rows. Only
+/// full measurement runs write.
+inline void DisableBenchJson() { internal::BenchJsonDisabled() = true; }
+
 /// Accumulates BenchRecords and merges them into a JSON array on Flush
 /// (and at destruction). Merging means: if the target file already holds
 /// an array written by this class — possibly by another bench binary —
@@ -80,6 +94,7 @@ class BenchJsonWriter {
   void Add(const BenchRecord& r) { records_.push_back(r); }
 
   void Flush() {
+    if (internal::BenchJsonDisabled()) records_.clear();
     if (records_.empty()) return;
     // Load the rows of any existing array, so records from earlier
     // runs/binaries survive (deduped against the new ones below).

@@ -17,6 +17,8 @@ CpuFeatures Probe() {
   f.avx512dq = __builtin_cpu_supports("avx512dq");
   f.avx512bw = __builtin_cpu_supports("avx512bw");
   f.avx512vl = __builtin_cpu_supports("avx512vl");
+  f.pclmulqdq = __builtin_cpu_supports("pclmul");
+  f.vpclmulqdq = __builtin_cpu_supports("vpclmulqdq");
 #endif
   return f;
 }

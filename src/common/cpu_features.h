@@ -29,6 +29,10 @@ struct CpuFeatures {
   bool avx512dq = false;
   bool avx512bw = false;
   bool avx512vl = false;
+  /// Carry-less multiply: PCLMULQDQ on xmm, VPCLMULQDQ on ymm/zmm. They
+  /// gate the crc64 kernels only, not a backend.
+  bool pclmulqdq = false;
+  bool vpclmulqdq = false;
 };
 
 /// Probes the CPU once and caches the result. Always all-false on

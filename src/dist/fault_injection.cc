@@ -15,7 +15,7 @@ namespace {
 uint64_t PayloadChecksum(const wire::Message& msg) {
   return msg.payload_checksum
              ? *msg.payload_checksum
-             : Checksum64(msg.payload.data(), msg.payload.size());
+             : wire::FrameChecksum(msg.payload.data(), msg.payload.size());
 }
 
 // The receiver's check of a clean attempt: the frame's header and tag are
@@ -288,7 +288,8 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
     }
     if (!msg.payload.empty() && rng.NextBernoulli(profile.corrupt_prob)) {
       // Corruption: the full frame crosses the wire with one payload
-      // byte flipped. The receiver's checksum verification catches it.
+      // byte flipped. The receiver's checksum verification catches it:
+      // the frame CRC detects every error burst of up to 64 bits.
       const size_t off = wire::FrameBytes(tag.size(), 0) +
                          static_cast<size_t>(rng.NextUint64Below(
                              msg.payload.size()));

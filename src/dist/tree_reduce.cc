@@ -79,7 +79,8 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     NodeState& st = nodes[static_cast<size_t>(node)];
     DS_ASSIGN_OR_RETURN(st.uplink, hooks.make_message(node));
     st.uplink.payload_checksum =
-        Checksum64(st.uplink.payload.data(), st.uplink.payload.size());
+        wire::FrameChecksum(st.uplink.payload.data(),
+                            st.uplink.payload.size());
     st.built = true;
     return Status::OK();
   };

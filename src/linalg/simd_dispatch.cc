@@ -315,6 +315,7 @@ const SimdKernelTable kScalarTable = {
     .sparse_outer_acc = simd_internal::SparseOuterAccScalar,
     .pack_window = simd_internal::PackWindowScalar,
     .unpack_window = simd_internal::UnpackWindowScalar,
+    .crc64 = simd_internal::Crc64Scalar,
 };
 
 std::atomic<const SimdKernelTable*> g_active{nullptr};

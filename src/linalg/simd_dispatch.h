@@ -120,6 +120,16 @@ struct SimdKernelTable {
   size_t (*unpack_window)(const uint8_t* stream, size_t stream_bytes,
                           size_t i0, size_t entries, uint64_t bpe,
                           double precision, double* out, uint64_t* bit);
+
+  /// CRC-64/XZ (reflected ECMA-182 polynomial 0x42F0E1EBA9EA3693, init
+  /// and xorout all-ones) of the n bytes at data, continuing from `crc`,
+  /// the CRC of the bytes before them (0 for none): crc64(crc64(0, a), b)
+  /// is crc64(0, a || b). Exact integer arithmetic, so every backend
+  /// returns the same value: a slice-by-8 table loop on scalar, a
+  /// PCLMULQDQ fold on avx2 and a VPCLMULQDQ fold on avx512, each gated
+  /// on its own CPUID bit (the table loop, or the PCLMULQDQ fold, stands
+  /// in on a host without it). The wire's frame checksum.
+  uint64_t (*crc64)(uint64_t crc, const uint8_t* data, size_t n);
 };
 
 /// The active kernel table. Resolved once at first use: the widest

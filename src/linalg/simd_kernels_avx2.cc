@@ -504,6 +504,7 @@ const SimdKernelTable& Avx2KernelTable() {
       .sparse_outer_acc = SparseOuterAccScalar,
       .pack_window = PackWindowAvx2,
       .unpack_window = UnpackWindowAvx2,
+      .crc64 = Crc64KernelFor(SimdBackend::kAvx2),
   };
   return table;
 }

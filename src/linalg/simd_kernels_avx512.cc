@@ -533,6 +533,7 @@ const SimdKernelTable& Avx512KernelTable() {
       .sparse_outer_acc = SparseOuterAccScalar,
       .pack_window = PackWindowAvx512,
       .unpack_window = UnpackWindowAvx512,
+      .crc64 = Crc64KernelFor(SimdBackend::kAvx512),
   };
   return table;
 }

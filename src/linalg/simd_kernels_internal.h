@@ -43,6 +43,24 @@ void SparseOuterAccScalar(const size_t* idx, const double* vals, size_t nnz,
 bool SymEigenScalar(double* z, size_t n, double* d, double* e, double eps,
                     int max_iters);
 
+// The crc64 kernels (SimdKernelTable::crc64). The table loop is in
+// crc64.cc; the folds are in crc64_pclmul.cc (-mavx2 -mpclmul) and
+// crc64_vpclmul.cc (AVX-512 + -mvpclmulqdq), compiled only when the
+// compiler takes those flags (DS_CRC64_COMPILED_*, private to ds_linalg).
+using Crc64Kernel = uint64_t (*)(uint64_t crc, const uint8_t* data, size_t n);
+uint64_t Crc64Scalar(uint64_t crc, const uint8_t* data, size_t n);
+#if defined(DS_CRC64_COMPILED_PCLMUL)
+uint64_t Crc64Pclmul(uint64_t crc, const uint8_t* data, size_t n);
+#endif
+#if defined(DS_CRC64_COMPILED_VPCLMUL)
+uint64_t Crc64Vpclmul(uint64_t crc, const uint8_t* data, size_t n);
+#endif
+// The widest crc64 kernel `backend`'s table may use on this host: the
+// VPCLMULQDQ fold for avx512, the PCLMULQDQ fold for avx2 (and for avx512
+// without VPCLMULQDQ), else the table loop. Each fold is gated on its
+// CPUID bit, not on the backend's.
+Crc64Kernel Crc64KernelFor(SimdBackend backend);
+
 #if defined(DS_SIMD_COMPILED_AVX2)
 // Defined in simd_kernels_avx2.cc (compiled with -mavx2 -mfma). Only
 // called after DetectCpuFeatures() confirmed the ISA.

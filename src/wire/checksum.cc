@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "linalg/simd_dispatch.h"
+
 namespace distsketch {
 namespace {
 
@@ -94,4 +96,12 @@ uint64_t Checksum64(const uint8_t* data, size_t size, uint64_t seed) {
   return h;
 }
 
+namespace wire {
+
+uint64_t FrameChecksum(const uint8_t* data, size_t size) {
+  CountSimdKernelCall("crc64");
+  return ActiveSimd().crc64(0, data, size);
+}
+
+}  // namespace wire
 }  // namespace distsketch

@@ -79,7 +79,7 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   std::vector<uint8_t> out;
   EncodeFrameInto(frame.tag, frame.from, frame.to, frame.attempt,
                   frame.payload,
-                  Checksum64(frame.payload.data(), frame.payload.size()),
+                  FrameChecksum(frame.payload.data(), frame.payload.size()),
                   &out);
   return out;
 }
@@ -96,7 +96,7 @@ StatusOr<FrameView> VerifyFramePartsImpl(std::span<const uint8_t> head,
     return Status::InvalidArgument("wire frame: bad magic");
   }
   const uint16_t version = ReadPod<uint16_t>(data + 4);
-  if (version != kFrameVersion) {
+  if (version != kFrameVersion && version != kFrameVersionV1) {
     return Status::InvalidArgument("wire frame: bad version " +
                                    std::to_string(version));
   }
@@ -121,7 +121,11 @@ StatusOr<FrameView> VerifyFramePartsImpl(std::span<const uint8_t> head,
   }
   view.payload_offset = head.size();
   view.payload_size = payload_len;
-  if (Checksum64(payload.data(), payload.size()) != checksum) {
+  const uint64_t expected =
+      version == kFrameVersion
+          ? FrameChecksum(payload.data(), payload.size())
+          : Checksum64(payload.data(), payload.size());
+  if (expected != checksum) {
     telemetry::Count("wire.checksum_failure");
     return Status::InvalidArgument("wire frame: checksum mismatch");
   }

@@ -19,9 +19,14 @@ namespace wire {
 ///   u32 magic "DSWF" | u16 version | u16 tag_len | u32 tag_id |
 ///   i32 from | i32 to | u32 attempt |
 ///   u64 payload_len | u64 checksum(payload)
+///
+/// Version 2 (written) checksums the payload with FrameChecksum
+/// (CRC-64/XZ); version 1 (read only) with Checksum64 (XXH64). Nothing
+/// else differs, so both versions have the same size.
 inline constexpr size_t kFrameHeaderBytes = 40;
 inline constexpr uint32_t kFrameMagic = 0x46575344;  // "DSWF" LE
-inline constexpr uint16_t kFrameVersion = 1;
+inline constexpr uint16_t kFrameVersion = 2;
+inline constexpr uint16_t kFrameVersionV1 = 1;
 
 /// Encoded size of a frame with a `tag_len`-byte tag and a
 /// `payload_len`-byte payload — what the wire meters, without building it.
@@ -48,7 +53,7 @@ struct Frame {
 /// capacity is reused). The payload bytes follow the head on the wire but
 /// are not copied: a clean attempt is verified as this head plus the
 /// sender's own payload (VerifyFrameParts). `payload_checksum` must be
-/// Checksum64(payload): it covers the payload only, so one value serves
+/// FrameChecksum(payload): it covers the payload only, so one value serves
 /// every attempt of a send.
 void EncodeFrameHeadInto(std::string_view tag, int from, int to,
                          uint32_t attempt, uint64_t payload_len,
@@ -61,8 +66,8 @@ void EncodeFrameInto(std::string_view tag, int from, int to, uint32_t attempt,
                      std::span<const uint8_t> payload,
                      uint64_t payload_checksum, std::vector<uint8_t>* out);
 
-/// Serializes header + tag + payload into one contiguous buffer. The
-/// checksum field is Checksum64 over the payload bytes only.
+/// Serializes header + tag + payload into one contiguous version-2 frame.
+/// The checksum field is FrameChecksum over the payload bytes only.
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
 
 /// A frame validated in place: the header fields plus where the payload
@@ -93,11 +98,12 @@ StatusOr<FrameView> VerifyFrameParts(std::span<const uint8_t> head,
 /// payload_offset. VerifyFrameParts on the frame split after its tag.
 StatusOr<FrameView> VerifyFrame(const uint8_t* data, size_t size);
 
-/// Parses and validates a frame buffer. Rejects, with InvalidArgument:
-/// short buffers ("truncated"), wrong magic ("bad magic"), unknown
-/// version ("bad version"), length mismatches between the header and the
-/// actual buffer size ("length mismatch"), and payload bytes whose
-/// checksum does not match the header ("checksum mismatch"). Any strict
+/// Parses and validates a frame buffer of either version. Rejects, with
+/// InvalidArgument: short buffers ("truncated"), wrong magic ("bad
+/// magic"), a version other than 1 or 2 ("bad version"), length
+/// mismatches between the header and the actual buffer size ("length
+/// mismatch"), and payload bytes whose checksum does not match the header
+/// ("checksum mismatch"). Any strict
 /// byte-prefix of a valid frame fails one of these checks, which is what
 /// lets a receiver detect fault-injected truncation. VerifyFrame plus one
 /// copy of the tag and payload.

@@ -29,7 +29,7 @@ struct Message {
   uint64_t words = 0;
   /// Metered bits; 0 means the CommLog default of words * bits_per_word.
   uint64_t bits = 0;
-  /// Checksum64(payload), when the sender already computed it (the tree
+  /// FrameChecksum(payload), when the sender already computed it (the tree
   /// driver does, on the thread pool, right after building an uplink);
   /// the transport uses it for the frame header, or computes it when
   /// unset. Set it only after the last write to `payload`. The receiver

@@ -11,6 +11,7 @@
 
 #include "dist/adaptive_sketch_protocol.h"
 #include "dist/cluster.h"
+#include "dist/countsketch_protocol.h"
 #include "dist/exact_gram_protocol.h"
 #include "dist/fd_merge_protocol.h"
 #include "dist/fault_injection.h"
@@ -73,7 +74,10 @@ struct PinnedRun {
 // Captured from the pre-refactor synchronous Cluster::Send path (commit
 // 68a7590) with the seeded workload above. Any drift here means the
 // channel adapter changed an observable transcript. These hold on every
-// SIMD backend.
+// SIMD backend. The CountSketch rows (star and tree(3) under the chaos
+// plan) pin the fault order of the tree driver's depth-1 and deeper
+// cases. Frame v1 (XXH64) and v2 (CRC-64) checksums give the same values:
+// the checksum decides no fault and changes no frame size.
 const PinnedRun kPins[] = {
     {"fd_merge", false, 0xc4753034a1c6230dull, 2112ull, 17480ull, 0ull},
     {"svs", false, 0x50555985a008bfe3ull, 64ull, 1794ull, 0ull},
@@ -85,6 +89,9 @@ const PinnedRun kPins[] = {
     {"adaptive_sketch", true, 0xa5fc29b7f6d57929ull, 2167ull, 20219ull, 86ull},
     {"exact_gram", true, 0xaeb2f50abdf721a0ull, 3009ull, 25421ull, 43ull},
     {"row_sampling", true, 0xc2dd40ddcc9e5801ull, 3557ull, 30751ull, 86ull},
+    {"countsketch", true, 0x0ebb4953ec5a6c07ull, 113039ull, 906446ull, 86ull},
+    {"countsketch_tree3", true, 0xecebfd1c95b27541ull, 96018ull, 770088ull,
+     86ull},
 };
 
 // Result-sketch digests, one per SIMD backend. The protocols that
@@ -109,6 +116,10 @@ const SketchPin kSketchPins[] = {
      0xe18ceccc10339d84ull},
     {"row_sampling", 0x92706e644040b951ull, 0x92706e644040b951ull,
      0x92706e644040b951ull},
+    {"countsketch", 0x28749bfc43592c96ull, 0x28749bfc43592c96ull,
+     0x28749bfc43592c96ull},
+    {"countsketch_tree3", 0x523df929726aff7dull, 0x523df929726aff7dull,
+     0x523df929726aff7dull},
 };
 
 uint64_t PinnedSketchDigest(const std::string& name) {
@@ -142,6 +153,13 @@ std::shared_ptr<SketchProtocol> MakeProtocol(const std::string& name) {
   }
   if (name == "row_sampling") {
     return std::make_shared<RowSamplingProtocol>(RowSamplingOptions{});
+  }
+  if (name == "countsketch" || name == "countsketch_tree3") {
+    CountSketchProtocolOptions options;
+    if (name == "countsketch_tree3") {
+      options.topology = MergeTopologyOptions::Tree(3);
+    }
+    return std::make_shared<CountSketchProtocol>(options);
   }
   return nullptr;
 }

@@ -2,16 +2,27 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../corruption_sweep.h"
 #include "wire/checksum.h"
+
+#ifndef DS_GOLDEN_DIR
+#error "DS_GOLDEN_DIR must point at the committed tests/golden directory"
+#endif
 
 namespace distsketch {
 namespace wire {
 namespace {
+
+using testing::ForEachBitFlip;
+using testing::ForEachTruncation;
 
 Frame TestFrame() {
   Frame f;
@@ -21,6 +32,29 @@ Frame TestFrame() {
   f.attempt = 2;
   f.payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   return f;
+}
+
+// The frozen version-1 frame (XXH64 checksum): decoding stays supported,
+// so every sweep below also runs over it.
+std::vector<uint8_t> GoldenV1Frame() {
+  std::ifstream in(std::string(DS_GOLDEN_DIR) + "/frame_local_sketch.frame",
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden v1 frame";
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+// The swept frames: a v2 frame as EncodeFrame writes it, and the golden
+// v1 frame. Both carry a 12-byte tag.
+struct SweptFrame {
+  const char* name;
+  std::vector<uint8_t> bytes;
+  size_t tag_len;
+};
+
+std::vector<SweptFrame> SweptFrames() {
+  const Frame f = TestFrame();
+  return {{"v2", EncodeFrame(f), f.tag.size()},
+          {"golden v1", GoldenV1Frame(), 12}};
 }
 
 void ExpectRejects(const std::vector<uint8_t>& buf, const char* substring) {
@@ -54,9 +88,13 @@ TEST(FrameTest, EmptyPayloadAndTagRoundTrip) {
 }
 
 TEST(FrameTest, EveryStrictPrefixFailsDecode) {
-  const std::vector<uint8_t> buf = EncodeFrame(TestFrame());
-  for (size_t cut = 0; cut < buf.size(); ++cut) {
-    EXPECT_FALSE(DecodeFrame(buf.data(), cut).ok()) << "prefix " << cut;
+  for (const SweptFrame& frame : SweptFrames()) {
+    SCOPED_TRACE(frame.name);
+    ASSERT_TRUE(DecodeFrame(frame.bytes.data(), frame.bytes.size()).ok());
+    ForEachTruncation(frame.bytes, [](const std::vector<uint8_t>& prefix,
+                                      const std::string& what) {
+      EXPECT_FALSE(DecodeFrame(prefix.data(), prefix.size()).ok()) << what;
+    });
   }
 }
 
@@ -87,15 +125,18 @@ TEST(FrameTest, RejectsTamperedTag) {
 }
 
 TEST(FrameTest, ChecksumCatchesEverySingleBitFlipInPayload) {
-  const Frame f = TestFrame();
-  const std::vector<uint8_t> clean = EncodeFrame(f);
-  const size_t payload_off = kFrameHeaderBytes + f.tag.size();
-  for (size_t i = payload_off; i < clean.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> buf = clean;
-      buf[i] ^= static_cast<uint8_t>(1u << bit);
+  for (const SweptFrame& frame : SweptFrames()) {
+    SCOPED_TRACE(frame.name);
+    const size_t payload_off = FrameBytes(frame.tag_len, 0);
+    const std::span<const uint8_t> payload =
+        std::span<const uint8_t>(frame.bytes).subspan(payload_off);
+    ForEachBitFlip(payload, [&](const std::vector<uint8_t>& flipped,
+                                const std::string& what) {
+      std::vector<uint8_t> buf = frame.bytes;
+      std::copy(flipped.begin(), flipped.end(), buf.begin() + payload_off);
+      SCOPED_TRACE(what);
       ExpectRejects(buf, "checksum mismatch");
-    }
+    });
   }
 }
 
@@ -104,11 +145,11 @@ TEST(FrameTest, EncodeFrameIntoIsByteEqualToEncodeFrame) {
   // A reused buffer with stale, larger contents must be fully replaced.
   std::vector<uint8_t> out(4096, 0xAB);
   EncodeFrameInto(f.tag, f.from, f.to, f.attempt, f.payload,
-                  Checksum64(f.payload.data(), f.payload.size()), &out);
+                  FrameChecksum(f.payload.data(), f.payload.size()), &out);
   EXPECT_EQ(out, EncodeFrame(f));
   EXPECT_EQ(out.size(), FrameBytes(f.tag.size(), f.payload.size()));
 
-  EncodeFrameInto("", 0, 0, 0, {}, Checksum64(nullptr, 0), &out);
+  EncodeFrameInto("", 0, 0, 0, {}, FrameChecksum(nullptr, 0), &out);
   EXPECT_EQ(out, EncodeFrame(Frame{}));
   EXPECT_EQ(out.size(), FrameBytes(0, 0));
 }
@@ -155,25 +196,21 @@ void ExpectVerifyMatchesDecode(const std::vector<uint8_t>& buf,
 }
 
 TEST(FrameTest, VerifyFrameAgreesWithDecodeFrameOnEveryPrefix) {
-  const std::vector<uint8_t> buf = EncodeFrame(TestFrame());
-  for (size_t cut = 0; cut < buf.size(); ++cut) {
-    // An exact-size copy, so a read past the prefix is an ASan error.
-    const std::vector<uint8_t> prefix(buf.begin(), buf.begin() + cut);
-    EXPECT_FALSE(VerifyFrame(prefix.data(), prefix.size()).ok());
-    ExpectVerifyMatchesDecode(prefix, "prefix " + std::to_string(cut));
+  for (const SweptFrame& frame : SweptFrames()) {
+    SCOPED_TRACE(frame.name);
+    ForEachTruncation(frame.bytes, [](const std::vector<uint8_t>& prefix,
+                                      const std::string& what) {
+      EXPECT_FALSE(VerifyFrame(prefix.data(), prefix.size()).ok()) << what;
+      ExpectVerifyMatchesDecode(prefix, what);
+    });
+    ExpectVerifyMatchesDecode(frame.bytes, "whole frame");
   }
-  ExpectVerifyMatchesDecode(buf, "whole frame");
 }
 
 TEST(FrameTest, VerifyFrameAgreesWithDecodeFrameOnEveryBitFlip) {
-  const std::vector<uint8_t> clean = EncodeFrame(TestFrame());
-  for (size_t i = 0; i < clean.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> buf = clean;
-      buf[i] ^= static_cast<uint8_t>(1u << bit);
-      ExpectVerifyMatchesDecode(
-          buf, "byte " + std::to_string(i) + " bit " + std::to_string(bit));
-    }
+  for (const SweptFrame& frame : SweptFrames()) {
+    SCOPED_TRACE(frame.name);
+    ForEachBitFlip(frame.bytes, ExpectVerifyMatchesDecode);
   }
 }
 
@@ -182,7 +219,7 @@ TEST(FrameTest, EncodeFrameHeadIntoWritesTheFramesLeadingBytes) {
   const std::vector<uint8_t> whole = EncodeFrame(f);
   std::vector<uint8_t> head(4096, 0xAB);
   EncodeFrameHeadInto(f.tag, f.from, f.to, f.attempt, f.payload.size(),
-                      Checksum64(f.payload.data(), f.payload.size()), &head);
+                      FrameChecksum(f.payload.data(), f.payload.size()), &head);
   ASSERT_EQ(head.size(), FrameBytes(f.tag.size(), 0));
   EXPECT_TRUE(std::equal(head.begin(), head.end(), whole.begin()));
 }
@@ -215,15 +252,17 @@ void ExpectPartsMatchVerify(const std::vector<uint8_t>& buf, size_t tag_len,
 }
 
 TEST(FrameTest, VerifyFramePartsAgreesWithVerifyFrameOnEveryPrefix) {
+  for (const SweptFrame& frame : SweptFrames()) {
+    SCOPED_TRACE(frame.name);
+    ForEachTruncation(frame.bytes, [&](const std::vector<uint8_t>& prefix,
+                                       const std::string& what) {
+      ExpectPartsMatchVerify(prefix, frame.tag_len, what);
+    });
+    ExpectPartsMatchVerify(frame.bytes, frame.tag_len, "whole frame");
+  }
+  // The payload need not follow the head in memory.
   const Frame f = TestFrame();
   const std::vector<uint8_t> buf = EncodeFrame(f);
-  for (size_t cut = 0; cut < buf.size(); ++cut) {
-    const std::vector<uint8_t> prefix(buf.begin(), buf.begin() + cut);
-    ExpectPartsMatchVerify(prefix, f.tag.size(),
-                           "prefix " + std::to_string(cut));
-  }
-  ExpectPartsMatchVerify(buf, f.tag.size(), "whole frame");
-  // The payload need not follow the head in memory.
   const std::vector<uint8_t> head(
       buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(
                                      FrameBytes(f.tag.size(), 0)));
@@ -231,16 +270,12 @@ TEST(FrameTest, VerifyFramePartsAgreesWithVerifyFrameOnEveryPrefix) {
 }
 
 TEST(FrameTest, VerifyFramePartsAgreesWithVerifyFrameOnEveryBitFlip) {
-  const Frame f = TestFrame();
-  const std::vector<uint8_t> clean = EncodeFrame(f);
-  for (size_t i = 0; i < clean.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> buf = clean;
-      buf[i] ^= static_cast<uint8_t>(1u << bit);
-      ExpectPartsMatchVerify(
-          buf, f.tag.size(),
-          "byte " + std::to_string(i) + " bit " + std::to_string(bit));
-    }
+  for (const SweptFrame& frame : SweptFrames()) {
+    SCOPED_TRACE(frame.name);
+    ForEachBitFlip(frame.bytes, [&](const std::vector<uint8_t>& buf,
+                                    const std::string& what) {
+      ExpectPartsMatchVerify(buf, frame.tag_len, what);
+    });
   }
 }
 

@@ -1,10 +1,12 @@
-// Golden-binary compatibility suite: replays the committed v1 binaries
-// under tests/golden/ (emitted once by tools/gen_golden) and asserts
-// they still decode bit-exactly and re-encode to identical bytes. A
-// failure here means the wire format changed — which v1 freezes. Fix
-// the code, not the goldens; regenerating them is a format break and
-// needs a version bump.
+// Golden-binary compatibility suite: replays the committed binaries
+// under tests/golden/ (emitted by tools/gen_golden) and asserts they
+// still decode bit-exactly and re-encode to identical bytes. A failure
+// here means a wire format changed. Fix the code, not the goldens;
+// regenerating them is a format break and needs a version bump. The one
+// bump so far is the frame's (v1 XXH64 -> v2 CRC-64): the v1 frame stays
+// committed and must keep decoding, and re-encodes as the v2 golden.
 
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -70,13 +72,14 @@ TEST(GoldenCompatTest, FormatConstantsAreFrozen) {
   EXPECT_EQ(kSketchHeaderBytes, 32u);
   EXPECT_EQ(kSketchSectionEntryBytes, 24u);
   EXPECT_EQ(kFrameMagic, 0x46575344u);
-  EXPECT_EQ(kFrameVersion, 1u);
+  EXPECT_EQ(kFrameVersion, 2u);
+  EXPECT_EQ(kFrameVersionV1, 1u);
   EXPECT_EQ(kFrameHeaderBytes, 40u);
 }
 
 TEST(GoldenCompatTest, ManifestMatchesFilesOnDisk) {
   const auto manifest = ReadManifest();
-  EXPECT_EQ(manifest.size(), 12u);
+  EXPECT_EQ(manifest.size(), 13u);
   for (const auto& [file, entry] : manifest) {
     const std::vector<uint8_t> bytes = ReadGolden(file);
     EXPECT_EQ(bytes.size(), entry.bytes) << file;
@@ -162,15 +165,42 @@ TEST(GoldenCompatTest, PayloadGoldensDecodeAndReencodeIdentically) {
   }
 }
 
+// The v1 frame decodes; EncodeFrame only writes v2, so its re-encoding
+// is the v2 golden of the same frame, byte for byte.
 TEST(GoldenCompatTest, FrameGoldenDecodesAndReencodesIdentically) {
   const std::vector<uint8_t> buf = ReadGolden("frame_local_sketch.frame");
+  ASSERT_GE(buf.size(), kFrameHeaderBytes);
+  EXPECT_EQ(buf[4], kFrameVersionV1);
   auto frame = DecodeFrame(buf.data(), buf.size());
   ASSERT_TRUE(frame.ok()) << frame.status().message();
   EXPECT_EQ(frame->tag, "local_sketch");
   EXPECT_EQ(frame->from, 3);
   EXPECT_EQ(frame->to, -1);
   EXPECT_EQ(frame->attempt, 1u);
+  EXPECT_EQ(EncodeFrame(*frame), ReadGolden("frame_local_sketch_v2.frame"));
+}
+
+TEST(GoldenCompatTest, FrameV2GoldenDecodesAndReencodesIdentically) {
+  const std::vector<uint8_t> v1 = ReadGolden("frame_local_sketch.frame");
+  const std::vector<uint8_t> buf = ReadGolden("frame_local_sketch_v2.frame");
+  ASSERT_EQ(buf.size(), v1.size());  // the versions differ in no length
+  EXPECT_EQ(buf[4], kFrameVersion);
+  auto frame = DecodeFrame(buf.data(), buf.size());
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  EXPECT_EQ(frame->tag, "local_sketch");
+  EXPECT_EQ(frame->from, 3);
+  EXPECT_EQ(frame->to, -1);
+  EXPECT_EQ(frame->attempt, 1u);
+  EXPECT_EQ(frame->payload,
+            std::vector<uint8_t>(v1.begin() + static_cast<std::ptrdiff_t>(
+                                                  FrameBytes(12, 0)),
+                                 v1.end()));
   EXPECT_EQ(EncodeFrame(*frame), buf);
+  // The header's checksum field is the payload's CRC-64/XZ.
+  uint64_t checksum;
+  std::memcpy(&checksum, buf.data() + 32, sizeof(checksum));
+  EXPECT_EQ(checksum, FrameChecksum(frame->payload.data(),
+                                    frame->payload.size()));
 }
 
 TEST(GoldenCompatTest, VersionBumpIsCleanlyRejected) {
@@ -188,7 +218,7 @@ TEST(GoldenCompatTest, VersionBumpIsCleanlyRejected) {
 TEST(GoldenCompatTest, FrameVersionBumpIsCleanlyRejected) {
   std::vector<uint8_t> buf = ReadGolden("frame_local_sketch.frame");
   ASSERT_GE(buf.size(), kFrameHeaderBytes);
-  buf[4] = 2;  // version u16 LE low byte
+  buf[4] = 3;  // version u16 LE low byte: neither v1 nor v2
   auto frame = DecodeFrame(buf.data(), buf.size());
   ASSERT_FALSE(frame.ok());
   EXPECT_NE(frame.status().message().find("bad version"), std::string::npos);

@@ -1,4 +1,4 @@
-// Emits the v1 golden binaries that tests/wire/golden_compat_test.cc
+// Emits the golden binaries that tests/wire/golden_compat_test.cc
 // replays every CI run. Usage:
 //
 //   gen_golden <outdir>
@@ -7,10 +7,16 @@
 //
 //   <file> <kind> <bytes> <checksum-16-hex>
 //
+// The version-1 wire frame is frozen: EncodeFrame writes version 2 now,
+// so this tool cannot produce v1 frame bytes. It reads
+// <outdir>/frame_local_sketch.frame (copy it from tests/golden/ when
+// <outdir> is elsewhere) for its manifest line and never rewrites it;
+// frame_local_sketch_v2.frame is the same frame in version 2.
+//
 // Every value below is dyadic (exactly representable in binary64) and
 // every state is built synthetically — no eigensolves, no Gaussians —
 // so the emitted bytes are identical on any conforming platform. The
-// committed goldens under tests/golden/ freeze format v1: regenerating
+// committed goldens under tests/golden/ freeze their formats: regenerating
 // must reproduce them byte-for-byte, and any diff is a wire break.
 
 #include <cstdint>
@@ -56,6 +62,8 @@ struct Artifact {
   std::string file;
   std::string kind;
   std::vector<uint8_t> bytes;
+  // Read from <outdir>, listed in the manifest, never written.
+  bool frozen = false;
 };
 
 Status Run(const std::string& outdir) {
@@ -78,6 +86,16 @@ Status Run(const std::string& outdir) {
   }
 
   {
+    const std::string v1_path = outdir + "/frame_local_sketch.frame";
+    StatusOr<std::vector<uint8_t>> v1 = ReadFileBytes(v1_path);
+    if (!v1.ok()) {
+      return Status::FailedPrecondition(
+          "the frozen v1 frame " + v1_path + " is missing (" +
+          std::string(v1.status().message()) +
+          "); copy tests/golden/frame_local_sketch.frame there first");
+    }
+    artifacts.push_back(
+        {"frame_local_sketch.frame", "frame", std::move(*v1), true});
     wire::Frame frame;
     frame.tag = "local_sketch";
     frame.from = 3;
@@ -85,7 +103,7 @@ Status Run(const std::string& outdir) {
     frame.attempt = 1;
     frame.payload = wire::EncodeDensePayload(DyadicMatrix(2, 3, 7));
     artifacts.push_back(
-        {"frame_local_sketch.frame", "frame", wire::EncodeFrame(frame)});
+        {"frame_local_sketch_v2.frame", "frame", wire::EncodeFrame(frame)});
   }
 
   artifacts.push_back({"fd_state.sketch", "frequent_directions",
@@ -194,8 +212,10 @@ Status Run(const std::string& outdir) {
 
   std::string manifest;
   for (const Artifact& a : artifacts) {
-    DS_RETURN_IF_ERROR(WriteFileAtomic(outdir + "/" + a.file,
-                                           a.bytes.data(), a.bytes.size()));
+    if (!a.frozen) {
+      DS_RETURN_IF_ERROR(WriteFileAtomic(outdir + "/" + a.file,
+                                         a.bytes.data(), a.bytes.size()));
+    }
     char line[256];
     std::snprintf(line, sizeof(line), "%s %s %zu %016llx\n", a.file.c_str(),
                   a.kind.c_str(), a.bytes.size(),
@@ -206,8 +226,8 @@ Status Run(const std::string& outdir) {
   DS_RETURN_IF_ERROR(WriteFileAtomic(
       outdir + "/manifest.txt",
       reinterpret_cast<const uint8_t*>(manifest.data()), manifest.size()));
-  std::printf("wrote %zu artifacts + manifest.txt to %s\n", artifacts.size(),
-              outdir.c_str());
+  std::printf("wrote %zu artifacts + manifest.txt to %s (frozen ones kept)\n",
+              artifacts.size(), outdir.c_str());
   return Status::OK();
 }
 
