@@ -12,6 +12,8 @@ namespace {
 // Set while the current thread runs a ParallelFor body (worker or inline).
 // thread_local so concurrent pools/threads cannot observe each other.
 thread_local bool t_in_parallel_region = false;
+// This thread's lane in the pool it works for: 0 unless it is a worker.
+thread_local size_t t_lane = 0;
 
 struct ParallelRegionScope {
   bool saved = t_in_parallel_region;
@@ -23,11 +25,13 @@ struct ParallelRegionScope {
 
 bool ThreadPool::InParallelRegion() { return t_in_parallel_region; }
 
+size_t ThreadPool::CurrentLane() { return t_lane; }
+
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t spawn = num_threads > 1 ? num_threads - 1 : 0;
   workers_.reserve(spawn);
   for (size_t t = 0; t < spawn; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, t] { WorkerLoop(t + 1); });
   }
 }
 
@@ -70,7 +74,8 @@ void ThreadPool::RunBatch(bool stolen) {
   }
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t lane) {
+  t_lane = lane;
   uint64_t seen_batch = 0;
   for (;;) {
     {

@@ -67,8 +67,14 @@ class ThreadPool {
   /// a ParallelFor, which the pool does not support.
   static bool InParallelRegion();
 
+  /// The lane running the calling thread's ParallelFor body: 0 for the
+  /// thread that called ParallelFor (and any thread outside a pool),
+  /// 1 .. num_threads() - 1 for the workers. Bodies running at once see
+  /// distinct lanes, so a body may use per-lane scratch the caller made.
+  static size_t CurrentLane();
+
  private:
-  void WorkerLoop();
+  void WorkerLoop(size_t lane);
   // Claims indices until the current batch is exhausted; returns with
   // pending_ decremented for every index it ran. `stolen` marks calls
   // from worker threads (vs the ParallelFor caller) for telemetry.

@@ -1,12 +1,9 @@
 #include "dist/countsketch_protocol.h"
 
-#include <algorithm>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
 #include "dist/tree_reduce.h"
 #include "sketch/countsketch.h"
@@ -73,9 +70,14 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   // r: base | r, with base = server << 32 under kRows (distinct across
   // servers, stable under re-partitioning by whole shards; local counts
   // stay far below 2^32) and 0 under kAdditive (shares of row r agree).
-  // `buckets` must be a zeroed m-by-d matrix; an unseeded server leaves
-  // it zero.
-  auto compress_local = [&](size_t i, Matrix& buckets) -> Status {
+  // An unseeded server leaves its zeroed m-by-d matrix zero. Bucket
+  // matrices add (linearity), so RunSumReduce sums them up the topology.
+  SumReduceHooks hooks;
+  hooks.rows = m;
+  hooks.cols = d;
+  hooks.payload_bytes = wire::DensePayloadBytes(m, d);
+  hooks.fill = [&](int node, Matrix& buckets) -> Status {
+    const size_t i = static_cast<size_t>(node);
     if (!seeded[i]) return Status::OK();
     telemetry::Span span("countsketch/local_compress",
                          telemetry::Phase::kCompute);
@@ -101,103 +103,19 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     buckets = std::move(compressor).TakeCompressed();
     return Status::OK();
   };
-
-  // A leaf's bucket matrix is its uplink: it is compressed at the leaf's
-  // stage into a per-thread scratch and encoded straight into an uplink
-  // payload buffer, so no per-node accumulator exists for it. Only a node
-  // that absorbs uplinks (one with topology children) keeps an m-by-d
-  // accumulator for the whole run, filled with its own rows first, then
-  // with its children's uplinks in arrival order.
-  //
-  // Every sketch-sized buffer of the run is allocated on the calling
-  // thread, here in server order; the pool only fills them. Which heap holds a buffer
-  // then does not depend on which pool thread claims its node, so the
-  // allocator's layout, and the memory it returns to the OS between runs,
-  // is the same in every process. A receiving node gets its accumulator
-  // and its own uplink buffer. Leaves share one window's worth of uplink
-  // buffers: RunTreeReduce builds at most kTreeReduceWindow uplinks at a
-  // time and hands each released payload back through `recycle`, so the
-  // spares are never empty when a window builds (only a replay, on the
-  // calling thread, may find them empty and allocate). The leaves'
-  // scratch is allocated once per pool thread and reused across leaves
-  // and runs.
-  const size_t payload_bytes = wire::DensePayloadBytes(m, d);
-  std::vector<Matrix> accumulators(s);
-  std::vector<size_t> receivers;
-  std::vector<std::vector<uint8_t>> receiver_payloads(s);
-  for (size_t i = 0; i < s; ++i) {
-    if (!topo.node(i).children.empty()) {
-      accumulators[i].SetZero(m, d);
-      receiver_payloads[i].reserve(payload_bytes);
-      receivers.push_back(i);
-    }
-  }
-  std::mutex spare_mu;
-  std::vector<std::vector<uint8_t>> spare_payloads(
-      std::min(kTreeReduceWindow, s - receivers.size()));
-  for (std::vector<uint8_t>& buffer : spare_payloads) {
-    buffer.reserve(payload_bytes);
-  }
-  std::vector<Status> local_status =
-      ParallelMap<Status>(receivers.size(), [&](size_t k) {
-        const size_t i = receivers[k];
-        return compress_local(i, accumulators[i]);
-      });
-  for (const Status& st : local_status) DS_RETURN_IF_ERROR(st);
-
-  // Uplink: bucket matrices add (linearity), so receivers sum each
-  // delivered payload straight into their accumulator, and RunTreeReduce
-  // handles transfers, telemetry and loss.
-  Matrix total;
-  total.SetZero(m, d);
-  TreeReduceHooks hooks;
-  hooks.absorb = [&](int node, const std::vector<uint8_t>& payload) -> Status {
-    Matrix& dst = (node == kCoordinator)
-                      ? total
-                      : accumulators[static_cast<size_t>(node)];
-    return wire::AddMatrixPayloadInto(payload.data(), payload.size(), &dst);
+  hooks.encode = [](const Matrix& sum, std::vector<uint8_t> buffer) {
+    return wire::DenseMessage("local_cs", sum, std::move(buffer));
   };
-  hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-    const size_t i = static_cast<size_t>(node);
-    if (!topo.node(i).children.empty()) {
-      Matrix& acc = accumulators[i];
-      wire::Message uplink = wire::DenseMessage(
-          "local_cs", acc, std::move(receiver_payloads[i]));
-      // Nothing absorbs into a node after its uplink is built (every
-      // receiver sits at a later stage), and RunTreeReduce replays the
-      // kept uplink, not the accumulator, if an ancestor dies: free it.
-      acc = Matrix();
-      return uplink;
-    }
-    // A function of the node alone, as RunTreeReduce requires of a
-    // childless node (it calls this again to replay a released uplink):
-    // the spare buffer only lends its capacity.
-    std::vector<uint8_t> buffer;
-    {
-      std::lock_guard<std::mutex> lock(spare_mu);
-      if (!spare_payloads.empty()) {
-        buffer = std::move(spare_payloads.back());
-        spare_payloads.pop_back();
-      }
-    }
-    thread_local Matrix scratch;
-    scratch.SetZero(m, d);
-    DS_RETURN_IF_ERROR(compress_local(i, scratch));
-    return wire::DenseMessage("local_cs", scratch, std::move(buffer));
-  };
-  hooks.recycle = [&](int node, std::vector<uint8_t> payload) {
-    if (topo.node(static_cast<size_t>(node)).children.empty()) {
-      std::lock_guard<std::mutex> lock(spare_mu);
-      spare_payloads.push_back(std::move(payload));
-    }
+  hooks.add = [](const std::vector<uint8_t>& payload, Matrix& sum) {
+    return wire::AddMatrixPayloadInto(payload.data(), payload.size(), &sum);
   };
   // An unseeded server contributes nothing, so it reports no mass.
   hooks.local_mass = [&](int node) {
     const size_t i = static_cast<size_t>(node);
     return seeded[i] ? cluster.server(i).squared_frobenius_norm() : 0.0;
   };
-  DS_RETURN_IF_ERROR(
-      RunTreeReduce(cluster, topo, hooks, result.degraded).status());
+  DS_ASSIGN_OR_RETURN(result.sketch,
+                      RunSumReduce(cluster, topo, hooks, result.degraded));
   if (additive && result.degraded.degraded()) {
     return Status::Unavailable(
         "countsketch: share " +
@@ -205,7 +123,6 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
         " permanently lost; the additive sum is unrecoverable");
   }
 
-  result.sketch = std::move(total);
   result.comm = log.Stats();
   result.sketch_rows = result.sketch.rows();
   return result;

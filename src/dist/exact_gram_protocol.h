@@ -9,7 +9,7 @@ namespace distsketch {
 
 /// Options for the exact-Gram protocol.
 struct ExactGramOptions {
-  /// Aggregation topology (dist/merge_topology.h), run by RunTreeReduce.
+  /// Aggregation topology (dist/merge_topology.h), run by RunSumReduce.
   /// Gram summation is exactly associative, so any topology computes the
   /// same sum; the default star (the depth-1 case) keeps the frozen v1
   /// wire transcript, while tree and pipeline let interior servers add

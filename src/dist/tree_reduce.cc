@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <mutex>
 #include <span>
 #include <utility>
 
@@ -40,18 +41,23 @@ struct Inbound {
   std::vector<int> senders;
 };
 
+Status CheckServerCount(const Cluster& cluster,
+                        const MergeTopology& topology) {
+  const size_t s = topology.num_servers();
+  if (s == cluster.num_servers()) return Status::OK();
+  return Status::InvalidArgument(
+      "tree_reduce: topology built for " + std::to_string(s) +
+      " servers, cluster has " + std::to_string(cluster.num_servers()));
+}
+
 }  // namespace
 
 StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                                         const MergeTopology& topology,
                                         const TreeReduceHooks& hooks,
                                         DegradedModeInfo& degraded) {
+  DS_RETURN_IF_ERROR(CheckServerCount(cluster, topology));
   const size_t s = topology.num_servers();
-  if (s != cluster.num_servers()) {
-    return Status::InvalidArgument(
-        "tree_reduce: topology built for " + std::to_string(s) +
-        " servers, cluster has " + std::to_string(cluster.num_servers()));
-  }
   if (!hooks.absorb || !hooks.make_message) {
     return Status::InvalidArgument(
         "tree_reduce: absorb and make_message hooks are required");
@@ -322,6 +328,81 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
   }
   DS_RETURN_IF_ERROR(first_error);
   return stats;
+}
+
+StatusOr<Matrix> RunSumReduce(Cluster& cluster, const MergeTopology& topology,
+                              const SumReduceHooks& hooks,
+                              DegradedModeInfo& degraded) {
+  DS_RETURN_IF_ERROR(CheckServerCount(cluster, topology));
+  const size_t s = topology.num_servers();
+  // In server order: each receiver's sum and uplink buffer, then the
+  // leaves' window of buffers. A window builds at most kTreeReduceWindow
+  // uplinks and `recycle` returns each released one, so only a replay,
+  // on this thread, may find the pool empty and allocate.
+  std::vector<Matrix> sums(s);
+  std::vector<size_t> receivers;
+  std::vector<std::vector<uint8_t>> buffers;
+  std::mutex buffers_mu;  // a window's builds take buffers concurrently
+  for (size_t i = 0; i < s; ++i) {
+    if (topology.node(i).children.empty()) continue;
+    sums[i].SetZero(hooks.rows, hooks.cols);
+    buffers.emplace_back().reserve(hooks.payload_bytes);
+    receivers.push_back(i);
+  }
+  for (size_t k = std::min(kTreeReduceWindow, s - receivers.size()); k > 0;
+       --k) {
+    buffers.emplace_back().reserve(hooks.payload_bytes);
+  }
+  // One leaf scratch per pool lane, the calling thread's and kept across
+  // runs: a per-worker one would be allocated by whichever worker first
+  // claims a leaf, including the fresh workers of a resized pool.
+  thread_local std::vector<Matrix> callers_scratch;
+  std::vector<Matrix>& scratch = callers_scratch;  // indexed by lane
+  scratch.resize(std::max(scratch.size(), ThreadPool::GlobalThreads()));
+  for (Matrix& m : scratch) m.SetZero(hooks.rows, hooks.cols);
+
+  std::vector<Status> seeded =
+      ParallelMap<Status>(receivers.size(), [&](size_t k) {
+        return hooks.fill(static_cast<int>(receivers[k]), sums[receivers[k]]);
+      });
+  for (const Status& st : seeded) DS_RETURN_IF_ERROR(st);
+  Matrix total;
+  total.SetZero(hooks.rows, hooks.cols);
+
+  TreeReduceHooks tree;
+  tree.absorb = [&](int node, const std::vector<uint8_t>& payload) {
+    return hooks.add(payload, node == kCoordinator
+                                  ? total
+                                  : sums[static_cast<size_t>(node)]);
+  };
+  tree.make_message = [&](int node) -> StatusOr<wire::Message> {
+    const size_t i = static_cast<size_t>(node);
+    std::vector<uint8_t> buffer;
+    {
+      std::lock_guard<std::mutex> lock(buffers_mu);
+      if (!buffers.empty()) {
+        buffer = std::move(buffers.back());
+        buffers.pop_back();
+      }
+    }
+    if (!topology.node(i).children.empty()) {
+      wire::Message uplink = hooks.encode(sums[i], std::move(buffer));
+      // Every receiver of this uplink sits at a later stage, and a replay
+      // resends the kept uplink, not the sum: free it.
+      sums[i] = Matrix();
+      return uplink;
+    }
+    Matrix& local = scratch[ThreadPool::CurrentLane()];
+    local.SetZero(hooks.rows, hooks.cols);
+    DS_RETURN_IF_ERROR(hooks.fill(node, local));
+    return hooks.encode(local, std::move(buffer));
+  };
+  tree.recycle = [&](int, std::vector<uint8_t> payload) {
+    buffers.push_back(std::move(payload));
+  };
+  tree.local_mass = hooks.local_mass;
+  DS_RETURN_IF_ERROR(RunTreeReduce(cluster, topology, tree, degraded).status());
+  return total;
 }
 
 }  // namespace distsketch

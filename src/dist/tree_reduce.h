@@ -10,6 +10,7 @@
 #include "dist/cluster.h"
 #include "dist/merge_topology.h"
 #include "dist/protocol.h"
+#include "linalg/matrix.h"
 #include "wire/message.h"
 
 namespace distsketch {
@@ -56,7 +57,7 @@ struct TreeReduceHooks {
   /// Optional. Called on the caller thread, never concurrently with the
   /// other hooks, with the payload buffer of every uplink the driver
   /// releases; the hook may keep the buffer so a later make_message
-  /// reuses its capacity.
+  /// reuses its capacity. RunSumReduce is the library's one user.
   std::function<void(int node, std::vector<uint8_t> payload)> recycle;
   /// Optional. Names the childless nodes whose rows the caller already
   /// holds (a restored checkpoint): they report, build and send nothing.
@@ -111,6 +112,38 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                                         const MergeTopology& topology,
                                         const TreeReduceHooks& hooks,
                                         DegradedModeInfo& degraded);
+
+/// The math of a reduction whose merge is a matrix sum (CountSketch's
+/// bucket matrices, exact_gram's Grams): each node contributes one
+/// rows-by-cols matrix and the coordinator receives their sum.
+struct SumReduceHooks {
+  /// Shape of every contribution and sum; size of every encoded uplink.
+  size_t rows = 0;
+  size_t cols = 0;
+  size_t payload_bytes = 0;
+  /// Writes `node`'s contribution into the zeroed `local`, on the pool.
+  /// Pure: a replay calls it again and must get the same bits.
+  std::function<Status(int node, Matrix& local)> fill;
+  /// Encodes a contribution or a sum into an uplink reusing `buffer`.
+  std::function<wire::Message(const Matrix& sum, std::vector<uint8_t> buffer)>
+      encode;
+  /// Adds one delivered uplink payload into `sum` in place.
+  std::function<Status(const std::vector<uint8_t>& payload, Matrix& sum)> add;
+  /// Optional, as TreeReduceHooks::local_mass.
+  std::function<double(int node)> local_mass;
+};
+
+/// RunTreeReduce for a summing merge; returns the coordinator's sum. It
+/// owns every sketch-sized buffer and allocates each on the calling
+/// thread, so the pool's schedule never decides which malloc arena holds
+/// one: a sum per node with topology children (seeded with the node's own
+/// contribution before the first stage), one leaf scratch per pool lane
+/// (kept across runs; a leaf fills one and encodes it straight into its
+/// uplink), and one uplink buffer per receiver plus a window's worth for
+/// the leaves, recycled as the driver releases uplinks.
+StatusOr<Matrix> RunSumReduce(Cluster& cluster, const MergeTopology& topology,
+                              const SumReduceHooks& hooks,
+                              DegradedModeInfo& degraded);
 
 }  // namespace distsketch
 

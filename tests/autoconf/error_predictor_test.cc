@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
+#include "../corruption_sweep.h"
 #include "autoconf/calibration.h"
 #include "autoconf/protocol_factory.h"
 
@@ -203,6 +205,29 @@ TEST(CalibrationJsonTest, RejectsMalformedInput) {
   CalibrationTable table = TinyTable();
   table.points.pop_back();
   EXPECT_FALSE(ParseCalibrationJson(CalibrationTableToJson(table)).ok());
+}
+
+// Every truncation and every single-bit flip of a table's JSON is
+// refused, or parses to a table that re-encodes and re-parses to the same
+// bytes. Never a crash.
+TEST(CalibrationJsonTest, CorruptionSweepNeverAborts) {
+  const std::string json = CalibrationTableToJson(TinyTable());
+  const std::vector<uint8_t> bytes(json.begin(), json.end());
+  size_t refused = 0;
+  auto check = [&](const std::vector<uint8_t>& text, const std::string& what) {
+    auto parsed = ParseCalibrationJson(std::string(text.begin(), text.end()));
+    if (!parsed.ok()) {
+      ++refused;
+      return;
+    }
+    const std::string again = CalibrationTableToJson(*parsed);
+    auto reparsed = ParseCalibrationJson(again);
+    ASSERT_TRUE(reparsed.ok()) << what;
+    EXPECT_EQ(CalibrationTableToJson(*reparsed), again) << what;
+  };
+  testing::ForEachTruncation(bytes, check);
+  testing::ForEachBitFlip(bytes, check);
+  EXPECT_GT(refused, bytes.size());
 }
 
 TEST(CalibrationJsonTest, RejectsUnknownFamilyKeys) {

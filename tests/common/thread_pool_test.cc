@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -106,6 +107,30 @@ TEST(ThreadPoolTest, UnevenWorkStillCoversAllIndices) {
     out[i] = acc;
   });
   for (size_t i = 0; i < kN; ++i) EXPECT_NE(out[i], 0u) << i;
+}
+
+// Bodies running at once see distinct lanes below num_threads(), and the
+// ParallelFor caller's lane is 0, so per-lane scratch is never shared.
+TEST(ThreadPoolTest, ConcurrentBodiesSeeDistinctLanes) {
+  EXPECT_EQ(ThreadPool::CurrentLane(), 0u);
+  for (size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<bool>> busy(threads);
+    std::vector<std::atomic<int>> runs(threads);
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(256, [&](size_t) {
+      const size_t lane = ThreadPool::CurrentLane();
+      ASSERT_LT(lane, threads);
+      EXPECT_EQ(lane == 0, std::this_thread::get_id() == caller);
+      EXPECT_FALSE(busy[lane].exchange(true)) << "lane " << lane;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      busy[lane].store(false);
+      runs[lane].fetch_add(1);
+    });
+    int total = 0;
+    for (const auto& r : runs) total += r.load();
+    EXPECT_EQ(total, 256);
+  }
 }
 
 }  // namespace

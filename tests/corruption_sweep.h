@@ -7,6 +7,7 @@
 // failure message. Truncations are exact-size copies, so a decoder that
 // reads past the end is an ASan error rather than a silent pass.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -28,7 +29,8 @@ void ForEachTruncation(std::span<const uint8_t> bytes, const Check& check) {
 /// `bytes` with one bit flipped, for every bit.
 template <typename Check>
 void ForEachBitFlip(std::span<const uint8_t> bytes, const Check& check) {
-  std::vector<uint8_t> buf(bytes.begin(), bytes.end());
+  std::vector<uint8_t> buf(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), buf.begin());
   for (size_t i = 0; i < buf.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       buf[i] ^= static_cast<uint8_t>(1u << bit);

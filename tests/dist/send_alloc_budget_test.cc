@@ -6,10 +6,11 @@
 // builds one whole frame in a buffer the send's later attempts reuse (at
 // most one per send), and Cluster::Send hands the caller's message to the
 // wire without copying it. The tree-path tests pin the protocols' side of
-// the budget: a leaf's local sketch is built in reused per-thread scratch
-// and encoded straight into its uplink, so only nodes that absorb uplinks
-// hold a sketch-sized accumulator. The replacement forwards to
-// malloc/free, so it also runs under ASan.
+// the budget (RunSumReduce's): a leaf's local sketch is built in the
+// calling thread's reused per-lane scratch and encoded straight into its
+// uplink, so only nodes that absorb uplinks hold a sketch-sized
+// accumulator. The replacement forwards to malloc/free, so it also runs
+// under ASan and TSan.
 
 #include <atomic>
 #include <cmath>
@@ -50,7 +51,8 @@ std::atomic<uint64_t> g_big_allocs{0};
 std::atomic<std::thread::id> g_counting_thread{};
 std::atomic<uint64_t> g_big_allocs_elsewhere{0};
 
-void* CountedAlloc(size_t n) {
+// Null on failure, like the nothrow operator new.
+void* CountedAlloc(size_t n) noexcept {
   if (n >= g_threshold.load(std::memory_order_relaxed) &&
       n <= g_ceiling.load(std::memory_order_relaxed)) {
     g_big_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -59,15 +61,31 @@ void* CountedAlloc(size_t n) {
       g_big_allocs_elsewhere.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  void* p = std::malloc(n == 0 ? 1 : n);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* CountedAllocOrThrow(size_t n) {
+  void* p = CountedAlloc(n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 }  // namespace
 
-void* operator new(size_t n) { return CountedAlloc(n); }
-void* operator new[](size_t n) { return CountedAlloc(n); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// otherwise ASan sees the library's allocation freed by this free().
+void* operator new(size_t n) { return CountedAllocOrThrow(n); }
+void* operator new[](size_t n) { return CountedAllocOrThrow(n); }
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new[](size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
@@ -232,9 +250,9 @@ size_t ReceivingNodes(const MergeTopologyOptions& options,
 }
 
 // Sketch-sized allocations of the second Run in the process (the first
-// warms up every lane's scratch and the comm log). A pool lane that ran
-// no leaf in the warm-up allocates its scratch once at its first leaf,
-// hence the lanes - 1 slack.
+// warms up the lanes' scratch and the comm log). The lanes - 1 slack is
+// headroom: every lane's scratch belongs to the calling thread, so a warm
+// run allocates none.
 uint64_t SecondRunAllocs(SketchProtocol& protocol, Cluster& cluster,
                          size_t threshold, size_t ceiling = SIZE_MAX) {
   EXPECT_TRUE(protocol.Run(cluster).ok());
@@ -345,6 +363,34 @@ TEST_P(TreeAllocBudget, CountSketchLeafBuffersDoNotGrowWithLeafCount) {
   }
 }
 
+// The exact_gram counterpart: the 896 leaves share one window of uplink
+// buffers, so no buffer is reserved per leaf. Only packed upper-triangle
+// payloads count (the Grams and the coordinator's eigensolve are
+// larger), so the receivers' Grams are slack in the bound.
+TEST_P(TreeAllocBudget, ExactGramLeafBuffersDoNotGrowWithLeafCount) {
+  constexpr size_t servers = 1024;
+  constexpr size_t d = 48;
+  const size_t packed = d * (d + 1) / 2;
+  ExactGramOptions options;
+  options.topology = MergeTopologyOptions::Tree(8);
+  const size_t receivers = ReceivingNodes(options.topology, servers);
+  ASSERT_LT(2 * receivers + kTreeReduceWindow, servers - receivers);
+  ExactGramProtocol protocol(options);
+  FaultConfig drops;
+  drops.default_profile.drop_prob = 0.05;
+  drops.seed = 31;
+  for (const bool fault_mode : {false, true}) {
+    SCOPED_TRACE(fault_mode ? "fault mode" : "ideal wire");
+    auto cluster = Cluster::Create(TreeShards(2, d, servers), 0.1);
+    ASSERT_TRUE(cluster.ok());
+    if (fault_mode) cluster->InstallFaultPlan(drops);
+    const uint64_t allocs =
+        SecondRunAllocs(protocol, *cluster, packed * sizeof(double),
+                        wire::DensePayloadBytes(1, packed));
+    EXPECT_LE(allocs, 2 * receivers + kTreeReduceWindow + GetParam());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, TreeAllocBudget,
                          ::testing::Values(size_t{1}, size_t{4}));
 
@@ -401,6 +447,34 @@ TEST(StarAllocBudget, ExactGramStarAllocatesGramsOnTheCallingThread) {
   }
   ThreadPool::SetGlobalThreads(saved_threads);
   EXPECT_LE(allocs, coordinator_allocs + lanes - 1);
+  EXPECT_EQ(off_thread, 0u);
+}
+
+// Resizing the pool starts fresh workers. The leaves' scratch belongs to
+// the calling thread, so a CountSketch tree run right after the resize
+// makes no m-by-d allocation on any of them: a per-worker scratch would
+// be allocated by each new worker at its first leaf. 1024 servers give
+// 896 leaves in 14 windows, enough for the workers to claim some.
+TEST(PoolResizeAllocBudget, CountSketchAllocatesNoSketchOnFreshWorkers) {
+  constexpr size_t d = 32;
+  const size_t saved_threads = ThreadPool::GlobalThreads();
+  CountSketchProtocolOptions options;
+  options.eps = 0.2;
+  options.topology = MergeTopologyOptions::Tree(8);
+  const size_t m = CountSketchBuckets(options.eps, options.oversample);
+  auto cluster = Cluster::Create(TreeShards(2, d, 1024), 0.1);
+  ASSERT_TRUE(cluster.ok());
+  CountSketchProtocol protocol(options);
+  ThreadPool::SetGlobalThreads(1);
+  EXPECT_TRUE(protocol.Run(*cluster).ok());
+  ThreadPool::SetGlobalThreads(4);
+  uint64_t off_thread = 0;
+  {
+    BigAllocCounter counter(m * d * sizeof(double));
+    EXPECT_TRUE(protocol.Run(*cluster).ok());
+    off_thread = counter.off_thread_count();
+  }
+  ThreadPool::SetGlobalThreads(saved_threads);
   EXPECT_EQ(off_thread, 0u);
 }
 

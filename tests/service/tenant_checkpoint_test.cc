@@ -8,16 +8,21 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../corruption_sweep.h"
 #include "service/tenant.h"
 #include "wire/sketch_serde.h"
 #include "workload/generators.h"
 
 namespace distsketch {
 namespace {
+
+using testing::ForEachBitFlip;
+using testing::ForEachTruncation;
 
 constexpr size_t kDim = 8;
 const TenantOptions kOpt{.dim = kDim, .eps = 0.25, .epoch_rows = 96};
@@ -59,6 +64,10 @@ bool Restores(const std::vector<uint8_t>& blob,
   return TenantSketch::Restore("t", opt, blob).ok();
 }
 
+void ExpectRefused(const std::vector<uint8_t>& blob, const std::string& what) {
+  EXPECT_FALSE(Restores(blob)) << what;
+}
+
 TEST(TenantCheckpointV2, RoundTripsAndRefusesMalformedBlobs) {
   const std::vector<uint8_t> blob = GramCheckpoint(1.0);
   ASSERT_EQ(blob[0], 2);
@@ -69,9 +78,7 @@ TEST(TenantCheckpointV2, RoundTripsAndRefusesMalformedBlobs) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->Checkpoint(), blob);
 
-  for (size_t len = 0; len < blob.size(); ++len) {
-    EXPECT_FALSE(Restores({blob.begin(), blob.begin() + len})) << len;
-  }
+  ForEachTruncation(blob, ExpectRefused);
   std::vector<uint8_t> trailing = blob;
   trailing.push_back(0);
   EXPECT_FALSE(Restores(trailing));
@@ -134,22 +141,19 @@ TEST(TenantCheckpointV2, CorruptionSweepNeverAborts) {
   for (const double scale : {1.0, 1e-160}) {
     SCOPED_TRACE(scale);
     const std::vector<uint8_t> blob = GramCheckpoint(scale);
-    for (size_t len = 0; len < blob.size(); ++len) {
-      ASSERT_FALSE(Restores({blob.begin(), blob.begin() + len})) << len;
-    }
+    ForEachTruncation(blob, ExpectRefused);
     size_t restored = 0;
-    for (size_t bit = 0; bit < 8 * blob.size(); ++bit) {
-      std::vector<uint8_t> flipped = blob;
-      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ForEachBitFlip(blob, [&](const std::vector<uint8_t>& flipped,
+                             const std::string& what) {
       auto tenant = TenantSketch::Restore("t", kOpt, flipped);
-      if (!tenant.ok()) continue;
+      if (!tenant.ok()) return;
       ++restored;
       auto query = tenant->Query();
-      ASSERT_TRUE(query.ok()) << "bit " << bit;
+      ASSERT_TRUE(query.ok()) << what;
       for (size_t k = 0; k < query->size(); ++k) {
-        ASSERT_TRUE(std::isfinite(query->data()[k])) << "bit " << bit;
+        ASSERT_TRUE(std::isfinite(query->data()[k])) << what;
       }
-    }
+    });
     // Counters and Gram bits are not checksummed: many flips restore.
     EXPECT_GT(restored, 0u);
   }

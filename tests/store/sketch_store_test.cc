@@ -3,11 +3,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../corruption_sweep.h"
 #include "linalg/matrix.h"
 #include "sketch/frequent_directions.h"
 #include "wire/sketch_serde.h"
@@ -17,7 +19,7 @@ namespace distsketch {
 namespace {
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/sketch_store_" + name;
+  const std::string dir = ::testing::TempDir() + "/sketch_store_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -102,6 +104,46 @@ TEST(SketchStoreTest, OnDiskCorruptionDetectedOnGet) {
   EXPECT_NE(loaded.status().message().find("checksum mismatch"),
             std::string::npos)
       << loaded.status().message();
+}
+
+// Every truncation and every single-bit flip of an entry file, written
+// back in its slot: Get() refuses it, or returns the blob that was put
+// (the frame's routing fields are not checksummed). Never a crash or a
+// different blob.
+TEST(SketchStoreTest, CorruptionSweepOfEntryFile) {
+  const std::string dir = FreshDir("sweep");
+  auto store = SketchStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  FrequentDirections fd(6, 3);
+  fd.AppendRows(GenerateGaussian(8, 6, 1.0, 3));
+  const std::vector<uint8_t> blob = wire::SerializeSketchState(fd.ExportState());
+  ASSERT_TRUE(store->Put("swept", blob).ok());
+  const std::string path = dir + "/swept.dss";
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> entry((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_FALSE(entry.empty());
+  size_t refused = 0;
+  auto check = [&](const std::vector<uint8_t>& bytes,
+                   const std::string& what) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    auto loaded = store->Get("swept");
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+      ++refused;
+      return;
+    }
+    EXPECT_EQ(*loaded, blob) << what;
+  };
+  testing::ForEachTruncation(entry, check);
+  EXPECT_EQ(refused, entry.size());
+  testing::ForEachBitFlip(entry, check);
+  EXPECT_GT(refused, entry.size());
 }
 
 TEST(SketchStoreTest, RenamedFileDetectedByTagMismatch) {

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../corruption_sweep.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "linalg/blas.h"
@@ -20,6 +22,9 @@
 namespace distsketch {
 namespace wire {
 namespace {
+
+using testing::ForEachBitFlip;
+using testing::ForEachTruncation;
 
 Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   Matrix m(rows, cols);
@@ -240,16 +245,14 @@ TEST(AddMatrixPayloadTest, BitwiseEqualToDecodeThenAdd) {
 TEST(AddMatrixPayloadTest, RejectsEveryTruncationAndLeavesDstUntouched) {
   for (const auto& payload : AddTestPayloads()) {
     const Matrix base = RandomMatrix(6, 5, 204);
-    for (size_t cut = 0; cut < payload.size(); ++cut) {
-      // An exact-size copy, so a read past the prefix is an ASan error.
-      const std::vector<uint8_t> prefix(payload.begin(),
-                                        payload.begin() + cut);
+    ForEachTruncation(payload, [&](const std::vector<uint8_t>& prefix,
+                                   const std::string& what) {
       Matrix dst = base;
       EXPECT_FALSE(
           AddMatrixPayloadInto(prefix.data(), prefix.size(), &dst).ok())
-          << "prefix " << cut;
-      EXPECT_TRUE(BitExactEqual(dst, base)) << "prefix " << cut;
-    }
+          << what;
+      EXPECT_TRUE(BitExactEqual(dst, base)) << what;
+    });
   }
 }
 
@@ -355,26 +358,21 @@ TEST(AddMatrixPayloadTest, EveryBitFlipAndTruncationOnEveryBackend) {
     SetSimdBackendForTesting(backend);
     for (const auto& payload : AddTestPayloads()) {
       const Matrix base = RandomMatrix(6, 5, 206);
-      auto check = [&](const std::vector<uint8_t>& bytes) {
+      auto check = [&](const std::vector<uint8_t>& bytes,
+                       const std::string& what) {
         Matrix dst = base;
         const Status st = AddMatrixPayloadInto(bytes.data(), bytes.size(),
                                                &dst);
         auto decoded = DecodeMatrixPayload(bytes.data(), bytes.size());
         const bool addable = decoded.ok() && decoded->matrix.rows() == 6 &&
                              decoded->matrix.cols() == 5;
-        EXPECT_EQ(st.ok(), addable) << SimdBackendName(backend);
+        EXPECT_EQ(st.ok(), addable) << SimdBackendName(backend) << " " << what;
         EXPECT_TRUE(BitExactEqual(
             dst, addable ? Add(base, decoded->matrix) : base))
-            << SimdBackendName(backend);
+            << SimdBackendName(backend) << " " << what;
       };
-      for (size_t bit = 0; bit < 8 * payload.size(); ++bit) {
-        std::vector<uint8_t> flipped = payload;
-        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        check(flipped);
-      }
-      for (size_t cut = 0; cut < payload.size(); ++cut) {
-        check(std::vector<uint8_t>(payload.begin(), payload.begin() + cut));
-      }
+      ForEachBitFlip(payload, check);
+      ForEachTruncation(payload, check);
     }
   }
 }
@@ -401,12 +399,15 @@ TEST(AddSymmetricPayloadTest, BitwiseEqualToUnpackThenAdd) {
         AddSymmetricPayloadInto(payload.data(), payload.size(), d, &dst).ok());
     EXPECT_TRUE(BitExactEqual(dst, Add(base, *full)));
 
-    for (size_t cut = 0; cut < payload.size(); ++cut) {
+    ForEachTruncation(payload, [&](const std::vector<uint8_t>& prefix,
+                                   const std::string& what) {
       Matrix untouched = base;
-      EXPECT_FALSE(
-          AddSymmetricPayloadInto(payload.data(), cut, d, &untouched).ok());
-      EXPECT_TRUE(BitExactEqual(untouched, base)) << "prefix " << cut;
-    }
+      EXPECT_FALSE(AddSymmetricPayloadInto(prefix.data(), prefix.size(), d,
+                                           &untouched)
+                       .ok())
+          << what;
+      EXPECT_TRUE(BitExactEqual(untouched, base)) << what;
+    });
     Matrix wrong_d = SpecialValues(d + 1, d + 1, 7);
     const Matrix wrong_d_before = wrong_d;
     auto st =

@@ -4,12 +4,14 @@
 // of bounds. The suite runs under the asan preset, which is what makes
 // "never UB" a checked claim rather than a hope.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../corruption_sweep.h"
 #include "wire/checksum.h"
 #include "wire/codec.h"
 #include "wire/frame.h"
@@ -18,6 +20,9 @@
 namespace distsketch {
 namespace wire {
 namespace {
+
+using testing::ForEachBitFlip;
+using testing::ForEachTruncation;
 
 Matrix FilledMatrix(size_t rows, size_t cols, uint64_t salt) {
   Matrix m(rows, cols);
@@ -74,50 +79,27 @@ void ExpectWrapRejects(const std::vector<uint8_t>& blob,
       << compact.status().message();
 }
 
+// Wrap() must reject `bytes`; `what` names the sweep case.
+void ExpectWrapFails(const std::vector<uint8_t>& bytes,
+                     const std::string& what) {
+  EXPECT_FALSE(CompactSketch::Wrap(bytes.data(), bytes.size()).ok())
+      << what << " accepted";
+}
+
 TEST(SerdeCorruptionTest, EveryTruncationOfFdBlobFailsCleanly) {
-  const std::vector<uint8_t> blob = SerializeSketchState(MakeFdState());
-  for (size_t cut = 0; cut < blob.size(); ++cut) {
-    std::vector<uint8_t> prefix(blob.begin(), blob.begin() + cut);
-    // Copy into an exactly-sized buffer so asan catches any read past
-    // the truncation point.
-    auto compact = CompactSketch::Wrap(prefix.data(), prefix.size());
-    EXPECT_FALSE(compact.ok()) << "prefix " << cut << " accepted";
-  }
+  ForEachTruncation(SerializeSketchState(MakeFdState()), ExpectWrapFails);
 }
 
 TEST(SerdeCorruptionTest, EveryTruncationOfMultiSectionBlobFailsCleanly) {
-  const std::vector<uint8_t> blob = MultiSectionBlob();
-  for (size_t cut = 0; cut < blob.size(); ++cut) {
-    std::vector<uint8_t> prefix(blob.begin(), blob.begin() + cut);
-    EXPECT_FALSE(CompactSketch::Wrap(prefix.data(), prefix.size()).ok())
-        << "prefix " << cut << " accepted";
-  }
+  ForEachTruncation(MultiSectionBlob(), ExpectWrapFails);
 }
 
 TEST(SerdeCorruptionTest, EverySingleBitFlipOfFdBlobFailsCleanly) {
-  const std::vector<uint8_t> blob = SerializeSketchState(MakeFdState());
-  for (size_t byte = 0; byte < blob.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> corrupted = blob;
-      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
-      auto compact = CompactSketch::Wrap(corrupted.data(), corrupted.size());
-      EXPECT_FALSE(compact.ok())
-          << "flip at byte " << byte << " bit " << bit << " accepted";
-    }
-  }
+  ForEachBitFlip(SerializeSketchState(MakeFdState()), ExpectWrapFails);
 }
 
 TEST(SerdeCorruptionTest, EverySingleBitFlipOfMultiSectionBlobFailsCleanly) {
-  const std::vector<uint8_t> blob = MultiSectionBlob();
-  for (size_t byte = 0; byte < blob.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> corrupted = blob;
-      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
-      EXPECT_FALSE(
-          CompactSketch::Wrap(corrupted.data(), corrupted.size()).ok())
-          << "flip at byte " << byte << " bit " << bit << " accepted";
-    }
-  }
+  ForEachBitFlip(MultiSectionBlob(), ExpectWrapFails);
 }
 
 TEST(SerdeCorruptionTest, EverySingleBitFlipOfCheckpointFailsCleanly) {
@@ -128,17 +110,14 @@ TEST(SerdeCorruptionTest, EverySingleBitFlipOfCheckpointFailsCleanly) {
   checkpoint.global_scalar = 42.5;
   checkpoint.sketch_blob = SerializeSketchState(MakeFdState());
   checkpoint.extra = FilledMatrix(2, 4, 37);
-  const std::vector<uint8_t> blob = EncodeCoordinatorCheckpoint(checkpoint);
-  for (size_t byte = 0; byte < blob.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> corrupted = blob;
-      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
-      EXPECT_FALSE(
-          DecodeCoordinatorCheckpoint(corrupted.data(), corrupted.size())
-              .ok())
-          << "flip at byte " << byte << " bit " << bit << " accepted";
-    }
-  }
+  ForEachBitFlip(EncodeCoordinatorCheckpoint(checkpoint),
+                 [](const std::vector<uint8_t>& corrupted,
+                    const std::string& what) {
+                   EXPECT_FALSE(DecodeCoordinatorCheckpoint(
+                                    corrupted.data(), corrupted.size())
+                                    .ok())
+                       << what << " accepted";
+                 });
 }
 
 TEST(SerdeCorruptionTest, EverySingleBitFlipOfFrameIsHandledCleanly) {
@@ -155,21 +134,20 @@ TEST(SerdeCorruptionTest, EverySingleBitFlipOfFrameIsHandledCleanly) {
   // magic, version, tag_len, tag_id, lengths, checksum, tag bytes,
   // payload bytes — must be rejected with a clean Status. Either way:
   // no crash, no UB (this file runs under the asan preset).
-  for (size_t byte = 0; byte < buf.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> corrupted = buf;
-      corrupted[byte] ^= static_cast<uint8_t>(1u << bit);
-      auto decoded = DecodeFrame(corrupted.data(), corrupted.size());
-      if (byte >= 12 && byte < 24) {
-        ASSERT_TRUE(decoded.ok()) << "routing byte " << byte << " bit " << bit;
-        EXPECT_EQ(decoded->tag, frame.tag);
-        EXPECT_EQ(decoded->payload, frame.payload);
-      } else {
-        EXPECT_FALSE(decoded.ok())
-            << "flip at byte " << byte << " bit " << bit << " accepted";
-      }
+  ForEachBitFlip(buf, [&](const std::vector<uint8_t>& corrupted,
+                          const std::string& what) {
+    const size_t byte = static_cast<size_t>(
+        std::mismatch(buf.begin(), buf.end(), corrupted.begin()).first -
+        buf.begin());
+    auto decoded = DecodeFrame(corrupted.data(), corrupted.size());
+    if (byte >= 12 && byte < 24) {
+      ASSERT_TRUE(decoded.ok()) << "routing " << what;
+      EXPECT_EQ(decoded->tag, frame.tag);
+      EXPECT_EQ(decoded->payload, frame.payload);
+    } else {
+      EXPECT_FALSE(decoded.ok()) << what << " accepted";
     }
-  }
+  });
 }
 
 TEST(SerdeCorruptionTest, EmptyAndTinyBuffersRejected) {
