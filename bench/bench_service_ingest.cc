@@ -1,5 +1,5 @@
 // E11: multi-tenant service ingest throughput. Sweeps tenant count x
-// batch size through the full request path (encode -> channel -> wire
+// batch size through the full request path (encode -> queue -> wire
 // frame -> decode -> per-tenant FD absorb -> epoch seal) and emits two
 // BENCH_sketch.json rows per configuration:
 //
@@ -40,7 +40,7 @@ void BenchConfig(const Config& cfg, bench::BenchJsonWriter& writer) {
       .tenant = {.dim = kDim, .eps = 0.2, .epoch_rows = 4 * cfg.batch_rows},
       .max_tenants = cfg.tenants,
       .max_resident = cfg.tenants};
-  options.channel.peer_queue_capacity = 2 * cfg.tenants + 16;
+  options.client_queue_capacity = 2 * cfg.tenants + 16;
   auto runner = ServiceRunner::Create(options);
   DS_CHECK(runner.ok());
   ServiceRunner& svc = **runner;

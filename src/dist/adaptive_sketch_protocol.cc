@@ -67,11 +67,11 @@ StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
   for (size_t i = 0; i < s; ++i) {
     const int id = static_cast<int>(i);
     masses[i] = locals[i].mass;
+    const wire::Message report =
+        wire::ScalarMessage("tail_mass", locals[i].tail_mass);
     ServerSendResult tail_sent = SendWithMassAccounting(
-        cluster, id, kCoordinator,
-        wire::ScalarMessage("tail_mass", locals[i].tail_mass),
-        result.degraded, masses[i], /*mass_known_if_lost=*/false,
-        /*prepend_mass_report=*/ft);
+        cluster, id, kCoordinator, report, result.degraded, masses[i],
+        /*mass_known_if_lost=*/false, /*prepend_mass_report=*/ft);
     if (tail_sent.delivered) {
       active[i] = true;
       DS_ASSIGN_OR_RETURN(const double reported,
@@ -84,11 +84,12 @@ StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
   // server compresses against the value it decoded off the wire.
   log.BeginRound();
   std::vector<double> received_tail(s, 0.0);
+  const wire::Message broadcast =
+      wire::ScalarMessage("global_tail_mass", global_tail_mass);
   for (size_t i = 0; i < s; ++i) {
     if (!active[i]) continue;
     ServerSendResult sent = SendWithMassAccounting(
-        cluster, kCoordinator, static_cast<int>(i),
-        wire::ScalarMessage("global_tail_mass", global_tail_mass),
+        cluster, kCoordinator, static_cast<int>(i), broadcast,
         result.degraded, masses[i], /*mass_known_if_lost=*/ft);
     if (!sent.delivered) {
       active[i] = false;

@@ -89,12 +89,6 @@ StatusOr<Cluster> Cluster::CreateAdditive(std::vector<Matrix> shares,
                  PartitionModel::kAdditive);
 }
 
-SendOutcome Cluster::Send(int from, int to, wire::Message&& msg) {
-  SendOutcome out = wire_.Transfer(from, to, msg);
-  out.payload_owner = std::move(msg.payload);
-  return out;
-}
-
 Matrix Cluster::AssembleGroundTruth() const {
   if (partition_ == PartitionModel::kAdditive) {
     Matrix sum(total_rows_, dim_);

@@ -10,9 +10,9 @@
 
 #include "common/cost_model.h"
 #include "common/status.h"
-#include "dist/channel.h"
 #include "dist/comm_log.h"
 #include "dist/fault_injection.h"
+#include "dist/wire_endpoint.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/matrix.h"
 #include "workload/row_stream.h"
@@ -165,9 +165,8 @@ class Cluster {
   SendOutcome Send(int from, int to, const wire::Message& msg) {
     return wire_.Transfer(from, to, msg);
   }
-  /// Same, for a message that dies with the call: the outcome keeps its
-  /// payload (SendOutcome::payload_owner), so the view stays valid.
-  SendOutcome Send(int from, int to, wire::Message&& msg);
+  /// A temporary would die before its delivered view: name the message.
+  SendOutcome Send(int from, int to, wire::Message&& msg) = delete;
 
   /// Reassembles the full input — [A^(1); ...; A^(s)] under kRows,
   /// sum_i A^(i) under kAdditive (test/bench oracle — a real coordinator

@@ -344,17 +344,6 @@ SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
   return out;
 }
 
-SendOutcome FaultInjector::Send(CommLog& log, int from, int to,
-                                std::string tag, uint64_t words,
-                                uint64_t bits) {
-  wire::Message msg = wire::ScalarsMessage(
-      std::move(tag), std::vector<double>(words, 0.0));
-  msg.bits = bits;
-  SendOutcome out = Send(log, from, to, msg);
-  out.payload_owner = std::move(msg.payload);
-  return out;
-}
-
 namespace {
 
 inline void FnvMix(uint64_t& h, uint64_t v) {

@@ -117,15 +117,7 @@ struct FaultEvent {
 };
 
 /// Result of pushing one logical message through the simulated network.
-/// Move-only: `payload` may view `payload_owner`, and a copy would view
-/// the original's bytes.
 struct SendOutcome {
-  SendOutcome() = default;
-  SendOutcome(SendOutcome&&) = default;
-  SendOutcome& operator=(SendOutcome&&) = default;
-  SendOutcome(const SendOutcome&) = delete;
-  SendOutcome& operator=(const SendOutcome&) = delete;
-
   /// True iff the payload reached the receiver intact.
   bool delivered = false;
   /// Wire attempts made (including stalled ones that sent nothing).
@@ -143,16 +135,8 @@ struct SendOutcome {
   /// sent message's own `payload`. The clean attempt was verified over
   /// them in place (wire::VerifyFrameParts), so the receiver decodes
   /// exactly the bytes every frame check ran on, and nothing copied them.
-  /// Valid while the sent message lives, or while this outcome holds the
-  /// bytes in `payload_owner`. Empty when not delivered.
+  /// Valid while the sent message lives. Empty when not delivered.
   std::span<const uint8_t> payload;
-  /// The sent payload, when the message does not outlive the send: a
-  /// TrySubmit transfer's owned message, a temporary passed to the rvalue
-  /// Cluster::Send or SendWithMassAccounting, or the message the
-  /// metering Send(tag, words) builds. A moved vector keeps its buffer,
-  /// so `payload` stays valid through every move of the outcome. Empty
-  /// otherwise.
-  std::vector<uint8_t> payload_owner;
 };
 
 /// The deterministic simulated network: wraps a CommLog and injects the
@@ -185,14 +169,6 @@ class FaultInjector {
   /// (VerifyFrameParts); the delivery is a view of that payload, valid
   /// while `msg` lives.
   SendOutcome Send(CommLog& log, int from, int to, const wire::Message& msg);
-
-  /// Convenience overload for metering-focused callers (tests,
-  /// micro-benchmarks): wraps `words` zero-valued scalars into a real
-  /// dense message (so the byte path is still exercised) with `bits`
-  /// overriding the metered bit count as in CommLog::Record. The outcome
-  /// owns the message's payload (SendOutcome::payload_owner).
-  SendOutcome Send(CommLog& log, int from, int to, std::string tag,
-                   uint64_t words, uint64_t bits = 0);
 
   /// True iff `server` has been declared permanently lost.
   bool IsLost(int server) const;

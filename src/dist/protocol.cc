@@ -1,13 +1,11 @@
 #include "dist/protocol.h"
 
-#include <utility>
-
 namespace distsketch {
 
 bool ReportLocalMass(Cluster& cluster, int server, double mass,
                      DegradedModeInfo& degraded) {
-  SendOutcome sent = cluster.Send(server, kCoordinator,
-                                  wire::ScalarMessage("local_mass", mass));
+  const wire::Message report = wire::ScalarMessage("local_mass", mass);
+  const SendOutcome sent = cluster.Send(server, kCoordinator, report);
   if (!sent.delivered) {
     degraded.RecordLoss(server, mass, false);
     return false;
@@ -29,18 +27,6 @@ ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
   }
   ServerSendResult sent = cluster.Send(from, to, msg);
   if (!sent.delivered) degraded.RecordLoss(server, mass, mass_known_if_lost);
-  return sent;
-}
-
-ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
-                                        wire::Message&& msg,
-                                        DegradedModeInfo& degraded,
-                                        double mass, bool mass_known_if_lost,
-                                        bool prepend_mass_report) {
-  ServerSendResult sent =
-      SendWithMassAccounting(cluster, from, to, msg, degraded, mass,
-                             mass_known_if_lost, prepend_mass_report);
-  sent.payload_owner = std::move(msg.payload);
   return sent;
 }
 

@@ -104,13 +104,13 @@ ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         DegradedModeInfo& degraded,
                                         double mass, bool mass_known_if_lost,
                                         bool prepend_mass_report = false);
-/// Same, for a message that dies with the call: the result keeps its
-/// payload, so the view stays valid.
+/// A temporary would die before its delivered view: name the message.
 ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         wire::Message&& msg,
                                         DegradedModeInfo& degraded,
                                         double mass, bool mass_known_if_lost,
-                                        bool prepend_mass_report = false);
+                                        bool prepend_mass_report = false) =
+    delete;
 
 /// Guard of every consumer whose math assumes whole rows (local Grams,
 /// FD merges, row sampling): kFailedPrecondition on an additive cluster,

@@ -48,9 +48,9 @@ StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
   std::vector<bool> active(s, false);
   for (size_t i = 0; i < s; ++i) {
     masses[i] = local[i].total_mass();
+    const wire::Message report = wire::ScalarMessage("local_mass", masses[i]);
     ServerSendResult sent = SendWithMassAccounting(
-        cluster, static_cast<int>(i), kCoordinator,
-        wire::ScalarMessage("local_mass", masses[i]), result.degraded,
+        cluster, static_cast<int>(i), kCoordinator, report, result.degraded,
         masses[i], /*mass_known_if_lost=*/false);
     if (!sent.delivered) continue;
     active[i] = true;
@@ -89,10 +89,10 @@ StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
   std::vector<size_t> received_count(s, 0);
   for (size_t i = 0; i < s; ++i) {
     if (!active[i]) continue;
+    const wire::Message split = wire::ScalarsMessage(
+        "sample_count+mass", {static_cast<double>(counts[i]), global_mass});
     ServerSendResult sent = SendWithMassAccounting(
-        cluster, kCoordinator, static_cast<int>(i),
-        wire::ScalarsMessage("sample_count+mass",
-                             {static_cast<double>(counts[i]), global_mass}),
+        cluster, kCoordinator, static_cast<int>(i), split,
         result.degraded, masses[i], /*mass_known_if_lost=*/true);
     if (!sent.delivered) {
       active[i] = false;

@@ -90,10 +90,11 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
     log.BeginRound();
     for (size_t i = 0; i < s; ++i) {
       masses[i] = cluster.server(i).squared_frobenius_norm();
+      const wire::Message report =
+          wire::ScalarMessage("local_mass", masses[i]);
       ServerSendResult sent = SendWithMassAccounting(
-          cluster, static_cast<int>(i), kCoordinator,
-          wire::ScalarMessage("local_mass", masses[i]), result.degraded,
-          masses[i], /*mass_known_if_lost=*/false);
+          cluster, static_cast<int>(i), kCoordinator, report,
+          result.degraded, masses[i], /*mass_known_if_lost=*/false);
       if (sent.delivered) {
         // The coordinator accumulates the mass it decoded off the wire.
         DS_ASSIGN_OR_RETURN(const double reported,
@@ -111,12 +112,13 @@ StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
     // Round 2: broadcast the global mass (fixes g on every server). A
     // server the broadcast cannot reach is lost with known mass.
     log.BeginRound();
+    const wire::Message broadcast =
+        wire::ScalarMessage("global_mass", global_mass);
     for (size_t i = 0; i < s; ++i) {
       if (server_state[i] != kServerActive) continue;
       ServerSendResult sent = SendWithMassAccounting(
-          cluster, kCoordinator, static_cast<int>(i),
-          wire::ScalarMessage("global_mass", global_mass), result.degraded,
-          masses[i], /*mass_known_if_lost=*/true);
+          cluster, kCoordinator, static_cast<int>(i), broadcast,
+          result.degraded, masses[i], /*mass_known_if_lost=*/true);
       if (!sent.delivered) {
         server_state[i] = kServerLostMassKnown;
         continue;

@@ -1,25 +1,30 @@
 #ifndef DISTSKETCH_SERVICE_SERVICE_RUNNER_H_
 #define DISTSKETCH_SERVICE_SERVICE_RUNNER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <vector>
+#include <string>
 
 #include "common/status.h"
-#include "dist/channel.h"
 #include "dist/fault_injection.h"
+#include "dist/wire_endpoint.h"
 #include "service/sketch_service.h"
 #include "service/service_wire.h"
 
 namespace distsketch {
 
 struct ServiceRunnerOptions {
-  /// Policy of the SketchService behind the channel.
+  /// Policy of the SketchService behind the queue.
   SketchServiceOptions service;
-  /// Per-client channel queue capacity (backpressure / shed point).
-  ChannelOptions channel;
+  /// Requests queued per client before Submit sheds with kOverloaded
+  /// (backpressure). Must be >= 1.
+  size_t client_queue_capacity = 64;
   /// Loss model applied to the *request* leg (client -> service). The
   /// injector's per-client RNG streams make each client's fault schedule
   /// independent of how submissions interleave. Responses travel over
@@ -28,11 +33,11 @@ struct ServiceRunnerOptions {
   std::optional<FaultConfig> faults;
 };
 
-/// The service front end: a bounded request channel carrying framed
+/// The service front end: a bounded request queue carrying framed
 /// requests from many clients into one SketchService, with the full
 /// overload ladder:
 ///
-///   client Submit --(queue full)--> kOverloaded, shed at the channel
+///   client Submit --(queue full)--> kOverloaded, shed at the queue
 ///          |
 ///          v (accepted: exactly one callback will fire)
 ///   wire transfer --(fault-injected loss)--> kUnavailable response
@@ -47,23 +52,24 @@ struct ServiceRunnerOptions {
 ///   response encoded + metered over the ideal wire, callback fires
 ///
 /// Threading: any number of producer threads may call Submit
-/// concurrently (the channel's queue is the synchronization point).
-/// Drain() runs the wire transfers, the service and every callback on
-/// its calling thread, and must be called from one thread at a time.
-/// Submissions still queued when the runner is destroyed are dropped
-/// unexecuted: their callbacks never fire.
+/// concurrently (one mutex guards the queue). Drain() runs the wire
+/// transfers, the service and every callback on its calling thread, and
+/// must be called from one thread at a time. Submissions still queued
+/// when the runner is destroyed are dropped unexecuted: their callbacks
+/// never fire.
 class ServiceRunner {
  public:
   using ResponseCallback = std::function<void(const ServiceResponse&)>;
 
+  /// kInvalidArgument when client_queue_capacity is 0, or when the
+  /// service options are invalid.
   static StatusOr<std::unique_ptr<ServiceRunner>> Create(
       const ServiceRunnerOptions& options);
 
   /// Submits one framed request from `client` (client ids are >= 0).
   /// Returns kOverloaded — without invoking `cb` — when the client's
-  /// channel queue is full. Every accepted submit gets exactly one
-  /// callback, during a later Drain() (none if the runner is destroyed
-  /// first).
+  /// queue is full. Every accepted submit gets exactly one callback,
+  /// during a later Drain() (none if the runner is destroyed first).
   Status Submit(int client, wire::Message request, ResponseCallback cb);
 
   /// Convenience: encodes and submits an ingest request.
@@ -79,8 +85,10 @@ class ServiceRunner {
                   std::move(cb));
   }
 
-  /// Executes every queued wire transfer, then processes all delivered
-  /// requests through the service in one batch and fires callbacks in
+  /// Pops queued requests one at a time, oldest first, until the queue
+  /// is empty, sending each over the wire and decoding what arrives; a
+  /// submit accepted meanwhile is popped by this Drain too. Then answers
+  /// them through the service in one batch and fires callbacks in
   /// submission order. Returns the number of callbacks fired.
   size_t Drain();
 
@@ -90,33 +98,34 @@ class ServiceRunner {
 
   /// Lifetime counters. accepted() is safe to read from any thread;
   /// wire_lost() and responded() belong to the draining thread.
-  uint64_t accepted() const { return channel_.submitted(); }
+  uint64_t accepted() const { return accepted_.load(); }
   uint64_t wire_lost() const { return wire_lost_; }
   uint64_t responded() const { return responded_; }
 
  private:
   explicit ServiceRunner(const ServiceRunnerOptions& options);
 
-  /// One accepted submission after its wire transfer executed.
-  struct Delivered {
+  /// One accepted submission, waiting for Drain.
+  struct Queued {
     int client = 0;
-    bool delivered = false;
-    uint64_t request_wire_bytes = 0;
-    /// The delivered request bytes: the submitted message's payload
-    /// buffer, handed over by the transport without a copy.
-    std::vector<uint8_t> payload;
+    wire::Message request;
     ResponseCallback cb;
   };
 
+  /// Moves the oldest queued submission into `out`; false when empty.
+  bool PopOldest(Queued& out);
+
+  const size_t client_queue_capacity_;
   WireEndpoint wire_;
-  // Its wire function meters into wire_, so it is declared after it.
-  ChannelTransport channel_;
   std::unique_ptr<SketchService> service_;
 
-  /// Executed-but-unanswered submissions, in execution (= submission)
-  /// order. Appended by done callbacks inside Drain, on its thread.
-  std::vector<Delivered> inbox_;
+  std::mutex lock_;
+  /// Accepted submissions in submission order, and how many of them each
+  /// client has (clients with none have no entry).
+  std::deque<Queued> queue_;
+  std::map<int, size_t> queued_per_client_;
 
+  std::atomic<uint64_t> accepted_{0};
   uint64_t wire_lost_ = 0;
   uint64_t responded_ = 0;
 };

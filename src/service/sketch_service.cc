@@ -12,10 +12,7 @@
 #include "telemetry/telemetry.h"
 
 namespace distsketch {
-namespace {
 
-/// Per-tenant counter key ("svc.tenant.<name>.<what>"). Built only when
-/// telemetry is enabled — the disabled path must stay allocation-free.
 std::string TenantCounter(const std::string& tenant, const char* what) {
   std::string key = "svc.tenant.";
   key += tenant;
@@ -23,8 +20,6 @@ std::string TenantCounter(const std::string& tenant, const char* what) {
   key += what;
   return key;
 }
-
-}  // namespace
 
 StatusOr<SketchService> SketchService::Create(
     const SketchServiceOptions& options) {

@@ -42,6 +42,11 @@ struct SketchServiceOptions {
   SketchStore* store = nullptr;
 };
 
+/// Per-tenant telemetry counter key ("svc.tenant.<tenant>.<what>"), used
+/// by the service and its runner. Build it only when telemetry is
+/// enabled: the disabled path must stay allocation-free.
+std::string TenantCounter(const std::string& tenant, const char* what);
+
 /// A long-lived multi-tenant sketch service: each tenant owns a
 /// TenantSketch (epoch FD + coordinator FD), the registry is bounded
 /// (admission control), residency is bounded (LRU eviction through

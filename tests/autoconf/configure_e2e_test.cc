@@ -98,7 +98,7 @@ TEST(ConfigureE2ETest, FrontDoorProvisionsAConfigThatMeetsGoalAndBudget) {
   options.service.predictor = &Predictor();
   options.service.max_tenants = 8;
   options.service.max_resident = 8;
-  options.channel.peer_queue_capacity = 64;
+  options.client_queue_capacity = 64;
   auto runner = ServiceRunner::Create(options);
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
 

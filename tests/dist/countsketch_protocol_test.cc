@@ -180,9 +180,9 @@ SketchProtocolResult ShipEveryShare(Cluster& cluster) {
   SketchProtocolResult result;
   result.sketch.SetZero(cluster.total_rows(), cluster.dim());
   for (size_t i = 0; i < cluster.num_servers(); ++i) {
-    SendOutcome sent = cluster.Send(
-        static_cast<int>(i), kCoordinator,
-        wire::DenseMessage("raw_share", cluster.server(i).local_rows()));
+    const wire::Message msg =
+        wire::DenseMessage("raw_share", cluster.server(i).local_rows());
+    SendOutcome sent = cluster.Send(static_cast<int>(i), kCoordinator, msg);
     DS_CHECK(sent.delivered);
     auto share = wire::DecodeMessagePayload(sent.payload);
     DS_CHECK(share.ok());

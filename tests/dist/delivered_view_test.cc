@@ -1,10 +1,10 @@
 // The wire delivers without copying: every path a message can take to its
 // receiver hands over a view of the sender's own payload bytes, checked
 // by data() identity. Covered: Cluster::Send (ideal wire and under a
-// fault plan with retries), the rvalue sends whose outcome keeps
-// the temporary's bytes, TrySubmit (the outcome takes over the owned
-// payload), a retransmission to a live ancestor after the receiver
-// died, and the tree driver re-parenting around a dead interior node.
+// fault plan with retries), a retransmission to a live ancestor after the
+// receiver died, and the tree driver re-parenting around a dead interior
+// node. The service runner's requests are covered in
+// tests/service/service_runner_test.cc.
 
 #include <cstdint>
 #include <utility>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dist/channel.h"
 #include "dist/cluster.h"
 #include "dist/fault_injection.h"
 #include "dist/merge_topology.h"
@@ -69,67 +68,6 @@ TEST(DeliveredViewTest, RetriedSendsDeliverTheCallersBytes) {
     if (out.attempts > 1) ++retried;
   }
   EXPECT_GT(retried, 0);
-}
-
-TEST(DeliveredViewTest, RvalueSendsKeepTheTemporarysBytes) {
-  Cluster cluster = MakeCluster(2);
-  SendOutcome out = cluster.Send(0, kCoordinator, Payload("tmp", 4.0));
-  ExpectViews(out, out.payload_owner);
-  auto decoded = wire::DecodeMessagePayload(out.payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->matrix(0, 2), 6.0);
-
-  DegradedModeInfo degraded;
-  ServerSendResult sent = SendWithMassAccounting(
-      cluster, 1, kCoordinator, Payload("tmp", 8.0), degraded, 1.0,
-      /*mass_known_if_lost=*/false);
-  ExpectViews(sent, sent.payload_owner);
-  // A move keeps the buffer, so the view survives it.
-  const SendOutcome moved = std::move(out);
-  auto again = wire::DecodeMessagePayload(moved.payload);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->matrix(0, 0), 4.0);
-
-  CommLog log(64);
-  FaultInjector injector(FaultConfig{});
-  SendOutcome metered = injector.Send(log, 0, kCoordinator, "words", 5);
-  ExpectViews(metered, metered.payload_owner);
-}
-
-TEST(DeliveredViewTest, TrySubmitHandsTheOwnedPayloadToTheOutcome) {
-  for (const bool faults : {false, true}) {
-    SCOPED_TRACE(faults ? "fault plan" : "ideal wire");
-    WireEndpoint wire(64);
-    if (faults) wire.faults.emplace(RetryingPlan(47));
-    ChannelTransport channel(
-        [&wire](int from, int to, const wire::Message& msg) {
-          return wire.Transfer(from, to, msg);
-        },
-        ChannelOptions{.peer_queue_capacity = 64});
-    std::vector<const uint8_t*> sent(24);
-    std::vector<uint8_t> aliased(24, 0);
-    size_t delivered = 0;
-    for (int i = 0; i < 24; ++i) {
-      wire::Message msg = Payload("req", i);
-      sent[static_cast<size_t>(i)] = msg.payload.data();
-      Status st = channel.TrySubmit(
-          i % 3, kCoordinator, std::move(msg),
-          [&, i](SendOutcome&& out) {
-            if (!out.delivered) return;
-            ++delivered;
-            const uint8_t* p = sent[static_cast<size_t>(i)];
-            aliased[static_cast<size_t>(i)] =
-                out.payload.data() == p && out.payload_owner.data() == p &&
-                out.payload.size() == out.payload_owner.size();
-          });
-      ASSERT_TRUE(st.ok());
-    }
-    EXPECT_EQ(channel.DrainAll(), 24u);
-    EXPECT_GT(delivered, 0u);
-    size_t ok = 0;
-    for (uint8_t a : aliased) ok += a;
-    EXPECT_EQ(ok, delivered);
-  }
 }
 
 TEST(DeliveredViewTest, RetransmissionToALiveAncestorDeliversTheSameBytes) {

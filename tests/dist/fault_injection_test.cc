@@ -1,12 +1,39 @@
 #include "dist/fault_injection.h"
 
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "dist/comm_log.h"
 #include "dist/sim_clock.h"
+#include "wire/message.h"
 
 namespace distsketch {
 namespace {
+
+// Sends `words` zero-valued scalars as one real dense message, so the
+// byte path is exercised; `bits` overrides the metered bit count as in
+// CommLog::Record. Every message lives as long as the sender, so each
+// outcome's delivered view stays valid.
+class WordSender {
+ public:
+  explicit WordSender(FaultInjector& injector) : injector_(injector) {}
+
+  SendOutcome Send(CommLog& log, int from, int to, std::string tag,
+                   uint64_t words, uint64_t bits = 0) {
+    wire::Message& msg = sent_.emplace_back(wire::ScalarsMessage(
+        std::move(tag), std::vector<double>(words, 0.0)));
+    msg.bits = bits;
+    return injector_.Send(log, from, to, msg);
+  }
+
+ private:
+  FaultInjector& injector_;
+  std::deque<wire::Message> sent_;
+};
 
 // Checks the bucketing invariant on a log: every metered word is either a
 // first-attempt word or a retransmit word.
@@ -70,10 +97,11 @@ TEST(FaultConfigTest, ProfileForUsesOverrides) {
 
 TEST(FaultInjectorTest, IdealConfigDeliversEverythingFirstTry) {
   FaultInjector injector{FaultConfig{}};
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
   for (int i = 0; i < 4; ++i) {
-    const SendOutcome out = injector.Send(log, i, kCoordinator, "payload", 10);
+    const SendOutcome out = sender.Send(log, i, kCoordinator, "payload", 10);
     EXPECT_TRUE(out.delivered);
     EXPECT_EQ(out.attempts, 1);
     EXPECT_EQ(out.wire_words, 10u);
@@ -96,10 +124,11 @@ TEST(FaultInjectorTest, CertainDropExhaustsRetriesAndLosesServer) {
   config.default_profile.drop_prob = 1.0;
   config.max_retries = 3;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
 
-  const SendOutcome out = injector.Send(log, 0, kCoordinator, "sketch", 7);
+  const SendOutcome out = sender.Send(log, 0, kCoordinator, "sketch", 7);
   EXPECT_FALSE(out.delivered);
   EXPECT_TRUE(out.server_lost);
   EXPECT_EQ(out.attempts, 4);  // first try + 3 retries
@@ -116,7 +145,7 @@ TEST(FaultInjectorTest, CertainDropExhaustsRetriesAndLosesServer) {
 
   // A lost server fails instantly, without wire traffic or events.
   const size_t events_before = injector.events().size();
-  const SendOutcome again = injector.Send(log, 0, kCoordinator, "more", 5);
+  const SendOutcome again = sender.Send(log, 0, kCoordinator, "more", 5);
   EXPECT_FALSE(again.delivered);
   EXPECT_TRUE(again.server_lost);
   EXPECT_EQ(again.attempts, 0);
@@ -130,10 +159,11 @@ TEST(FaultInjectorTest, LossIsPerServerNotGlobal) {
   config.per_server[0].drop_prob = 1.0;
   config.max_retries = 1;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  EXPECT_FALSE(injector.Send(log, 0, kCoordinator, "x", 3).delivered);
-  EXPECT_TRUE(injector.Send(log, 1, kCoordinator, "x", 3).delivered);
+  EXPECT_FALSE(sender.Send(log, 0, kCoordinator, "x", 3).delivered);
+  EXPECT_TRUE(sender.Send(log, 1, kCoordinator, "x", 3).delivered);
   EXPECT_TRUE(injector.IsLost(0));
   EXPECT_FALSE(injector.IsLost(1));
 }
@@ -143,10 +173,11 @@ TEST(FaultInjectorTest, BroadcastLegFaultsTheReceivingServer) {
   config.per_server[2].drop_prob = 1.0;
   config.max_retries = 0;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
   // Coordinator -> server 2: the server endpoint is the receiver.
-  const SendOutcome out = injector.Send(log, kCoordinator, 2, "bcast", 1);
+  const SendOutcome out = sender.Send(log, kCoordinator, 2, "bcast", 1);
   EXPECT_FALSE(out.delivered);
   EXPECT_TRUE(injector.IsLost(2));
 }
@@ -156,12 +187,13 @@ TEST(FaultInjectorTest, TruncationMetersStrictPrefixAndRetries) {
   config.default_profile.truncate_prob = 1.0;
   config.max_retries = 2;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
 
   const uint64_t words = 20;
   const SendOutcome out =
-      injector.Send(log, 0, kCoordinator, "sketch", words, words * 64);
+      sender.Send(log, 0, kCoordinator, "sketch", words, words * 64);
   EXPECT_FALSE(out.delivered);
   EXPECT_TRUE(out.server_lost);
   // 3 truncated payload attempts, each answered by a NAK control record.
@@ -191,9 +223,10 @@ TEST(FaultInjectorTest, OneWordMessagesCannotBeTruncated) {
   FaultConfig config;
   config.default_profile.truncate_prob = 1.0;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  const SendOutcome out = injector.Send(log, 0, kCoordinator, "mass", 1);
+  const SendOutcome out = sender.Send(log, 0, kCoordinator, "mass", 1);
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.attempts, 1);
   ASSERT_EQ(log.messages().size(), 1u);
@@ -204,9 +237,10 @@ TEST(FaultInjectorTest, DuplicationDeliversButMetersExtraCopy) {
   FaultConfig config;
   config.default_profile.duplicate_prob = 1.0;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  const SendOutcome out = injector.Send(log, 1, kCoordinator, "rows", 6);
+  const SendOutcome out = sender.Send(log, 1, kCoordinator, "rows", 6);
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.attempts, 1);
   EXPECT_EQ(out.wire_words, 12u);
@@ -227,9 +261,10 @@ TEST(FaultInjectorTest, TransientStallSendsNothingAndBurnsTimeout) {
   config.timeout = 4.0;
   config.backoff.base_delay = 1.0;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  const SendOutcome out = injector.Send(log, 0, kCoordinator, "x", 9);
+  const SendOutcome out = sender.Send(log, 0, kCoordinator, "x", 9);
   EXPECT_FALSE(out.delivered);
   EXPECT_EQ(out.attempts, 2);
   EXPECT_EQ(out.wire_words, 0u);
@@ -244,9 +279,10 @@ TEST(FaultInjectorTest, DeadServerStopsRetriesImmediately) {
   config.max_retries = 5;
   config.timeout = 2.0;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  const SendOutcome out = injector.Send(log, 0, kCoordinator, "x", 3);
+  const SendOutcome out = sender.Send(log, 0, kCoordinator, "x", 3);
   EXPECT_FALSE(out.delivered);
   EXPECT_TRUE(out.server_lost);
   // Dead peers never recover, so there is exactly one (futile) attempt.
@@ -263,10 +299,11 @@ TEST(FaultInjectorTest, ServerDiesMidRun) {
   config.default_profile.die_at_time = 0.5;
   config.max_retries = 0;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  EXPECT_TRUE(injector.Send(log, 0, kCoordinator, "first", 2).delivered);
-  const SendOutcome out = injector.Send(log, 0, kCoordinator, "second", 2);
+  EXPECT_TRUE(sender.Send(log, 0, kCoordinator, "first", 2).delivered);
+  const SendOutcome out = sender.Send(log, 0, kCoordinator, "second", 2);
   EXPECT_FALSE(out.delivered);
   EXPECT_TRUE(out.server_lost);
   EXPECT_EQ(log.messages().size(), 1u);
@@ -280,9 +317,10 @@ TEST(FaultInjectorTest, BackoffDelaysFollowThePolicy) {
   config.backoff = BackoffPolicy{.base_delay = 1.0, .multiplier = 2.0,
                                  .max_delay = 64.0};
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
-  injector.Send(log, 0, kCoordinator, "x", 2);
+  sender.Send(log, 0, kCoordinator, "x", 2);
   // 4 attempts * timeout + backoffs 1 + 2 + 4.
   EXPECT_DOUBLE_EQ(injector.clock().Now(), 4.0 * 10.0 + 1.0 + 2.0 + 4.0);
   int backoffs = 0;
@@ -302,14 +340,15 @@ uint64_t RunTrafficDigest(uint64_t seed) {
   config.default_profile.latency_jitter = 0.5;
   config.seed = seed;
   FaultInjector injector(config);
+  WordSender sender(injector);
   CommLog log(64);
   log.BeginRound();
   for (int i = 0; i < 8; ++i) {
-    injector.Send(log, i % 4, kCoordinator, "up", 12);
+    sender.Send(log, i % 4, kCoordinator, "up", 12);
   }
   log.BeginRound();
   for (int i = 0; i < 4; ++i) {
-    injector.Send(log, kCoordinator, i, "down", 3);
+    sender.Send(log, kCoordinator, i, "down", 3);
   }
   return TranscriptDigest(log, &injector);
 }
@@ -325,10 +364,11 @@ TEST(FaultInjectorTest, ResetReplaysTheIdenticalSchedule) {
   config.default_profile.duplicate_prob = 0.3;
   config.seed = 5;
   FaultInjector injector(config);
+  WordSender sender(injector);
 
   CommLog log_a(64);
   log_a.BeginRound();
-  for (int i = 0; i < 6; ++i) injector.Send(log_a, i % 3, kCoordinator, "m", 9);
+  for (int i = 0; i < 6; ++i) sender.Send(log_a, i % 3, kCoordinator, "m", 9);
   const uint64_t digest_a = TranscriptDigest(log_a, &injector);
 
   injector.Reset();
@@ -338,7 +378,7 @@ TEST(FaultInjectorTest, ResetReplaysTheIdenticalSchedule) {
 
   CommLog log_b(64);
   log_b.BeginRound();
-  for (int i = 0; i < 6; ++i) injector.Send(log_b, i % 3, kCoordinator, "m", 9);
+  for (int i = 0; i < 6; ++i) sender.Send(log_b, i % 3, kCoordinator, "m", 9);
   EXPECT_EQ(digest_a, TranscriptDigest(log_b, &injector));
 }
 

@@ -216,7 +216,7 @@ TEST(SendAllocBudget, ClusterSendCopiesNoPayloadEndToEnd) {
   cluster->InstallFaultPlan(LossyConfig());
   for (int server = 0; server < 2; ++server) {
     BigAllocCounter counter(msg.payload.size());
-    SendOutcome out = cluster->Send(server, kCoordinator, msg);
+    cluster->Send(server, kCoordinator, msg);
     EXPECT_LE(counter.count(), 1u);
   }
 }

@@ -3,7 +3,7 @@
 // kOverloaded shedding, LRU eviction with bit-identical checkpoint
 // restore (pinned against a never-evicted shadow tenant), batch
 // determinism across thread-pool widths, the runner's full overload
-// ladder (channel shed / wire loss / decode failure / registry full),
+// ladder (queue shed / wire loss / decode failure / registry full),
 // concurrent submitters, and a runner destroyed with a queue.
 
 #include <unistd.h>
@@ -658,7 +658,7 @@ TEST(ServiceRunner, OverloadLadderAndResponseDelivery) {
   ServiceRunnerOptions options;
   options.service = {
       .tenant = SmallTenant(), .max_tenants = 2, .max_resident = 2};
-  options.channel.peer_queue_capacity = 4;
+  options.client_queue_capacity = 4;
   auto runner = ServiceRunner::Create(options);
   ASSERT_TRUE(runner.ok());
 
@@ -707,7 +707,7 @@ TEST(ServiceRunner, WireLossAnswersUnavailableDeterministically) {
     ServiceRunnerOptions options;
     options.service = {
         .tenant = SmallTenant(), .max_tenants = 64, .max_resident = 64};
-    options.channel.peer_queue_capacity = 256;
+    options.client_queue_capacity = 256;
     FaultConfig fc;
     fc.default_profile.drop_prob = 0.3;
     fc.max_retries = 1;
@@ -773,7 +773,7 @@ TEST(ServiceRunner, ConcurrentSubmitThenOneDrainAnswersEachAcceptedOnce) {
   ServiceRunnerOptions options;
   options.service = {
       .tenant = SmallTenant(), .max_tenants = 8, .max_resident = 8};
-  options.channel.peer_queue_capacity = kCapacity;
+  options.client_queue_capacity = kCapacity;
   auto runner = ServiceRunner::Create(options);
   ASSERT_TRUE(runner.ok());
   ServiceRunner& r = **runner;

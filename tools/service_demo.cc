@@ -1,9 +1,9 @@
 // Soak demo for the multi-tenant sketch service: drives >= 1000
-// concurrent tenants through the request channel under a chaotic fault
+// concurrent tenants through the request queue under a chaotic fault
 // plan, with a residency cap far below the tenant count so eviction /
 // checkpoint-restore churns continuously. A never-evicted shadow sketch
 // per tenant pins bit-identical answers; every accepted submit must be
-// answered (no stuck tenants); admission overflow and channel overload
+// answered (no stuck tenants); admission overflow and queue overload
 // must surface as typed kOverloaded. Exits non-zero on any violation and
 // writes a telemetry run report with per-tenant attribution.
 //
@@ -81,7 +81,7 @@ int RunDemo(const DemoConfig& cfg) {
                      .max_tenants = cfg.tenants,
                      .max_resident = cfg.max_resident,
                      .store = &*store};
-  options.channel.peer_queue_capacity = 32;
+  options.client_queue_capacity = 32;
   FaultConfig faults;
   faults.default_profile.drop_prob = 0.01;
   faults.default_profile.duplicate_prob = 0.02;
@@ -151,13 +151,13 @@ int RunDemo(const DemoConfig& cfg) {
   }
   svc.Drain();
 
-  // Overload one client's channel queue: submits beyond the queue cap
-  // must shed with kOverloaded at the channel (callback never fires).
+  // Overload one client's queue: submits beyond its capacity
+  // must shed with kOverloaded at the queue (callback never fires).
   // Tenant 0 leaves the bit-identity comparison after this (which flood
   // rows land depends on the fault schedule); it is checked for
   // liveness only.
-  uint64_t channel_shed = 0;
-  for (size_t i = 0; i < options.channel.peer_queue_capacity + 8; ++i) {
+  uint64_t queue_shed = 0;
+  for (size_t i = 0; i < options.client_queue_capacity + 8; ++i) {
     Status s = svc.SubmitIngest(
         0, tenant_name(0), GenerateGaussian(1, kDim, 1.0, 7000 + i),
         [&](const ServiceResponse& resp) {
@@ -165,12 +165,12 @@ int RunDemo(const DemoConfig& cfg) {
         });
     if (!s.ok()) {
       if (s.code() != StatusCode::kOverloaded) {
-        return Fail("channel shed was not typed kOverloaded");
+        return Fail("queue shed was not typed kOverloaded");
       }
-      ++channel_shed;
+      ++queue_shed;
     }
   }
-  if (channel_shed == 0) return Fail("channel never shed under flood");
+  if (queue_shed == 0) return Fail("queue never shed under flood");
   svc.Drain();
 
   // Final sweep: every tenant answers a query, and (except the flooded
@@ -227,14 +227,14 @@ int RunDemo(const DemoConfig& cfg) {
   const SketchService& service = svc.service();
   std::printf(
       "tenants=%zu resident=%zu evictions=%llu restores=%llu "
-      "registry_shed=%llu channel_shed=%llu wire_lost=%llu\n"
+      "registry_shed=%llu queue_shed=%llu wire_lost=%llu\n"
       "accepted=%llu responded=%llu ok=%llu unavailable=%llu "
       "overloaded=%llu\n",
       service.known_tenants(), service.resident_tenants(),
       static_cast<unsigned long long>(service.evictions()),
       static_cast<unsigned long long>(service.restores()),
       static_cast<unsigned long long>(service.shed()),
-      static_cast<unsigned long long>(channel_shed),
+      static_cast<unsigned long long>(queue_shed),
       static_cast<unsigned long long>(svc.wire_lost()),
       static_cast<unsigned long long>(svc.accepted()),
       static_cast<unsigned long long>(svc.responded()),
